@@ -127,13 +127,18 @@ def load_verra_form(path: str) -> HomPoly:
     return HomPoly(6, 4, {e: c for e, c in terms.items() if c})
 
 
-def _emit(doc: dict, lines: list[str], fmt: str, out_path: str | None = None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
+def _dumps(doc: dict) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _write_json_file(path: str, doc: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(_dumps(doc))
+
+
+def _emit(doc: dict, lines: list[str], fmt: str) -> None:
     if fmt == "json":
-        sys.stdout.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+        sys.stdout.write(_dumps(doc))
     else:
         for line in lines:
             sys.stdout.write(line + "\n")
@@ -291,9 +296,7 @@ def cmd_random(args: argparse.Namespace) -> int:
         f"point: {','.join(str(x) for x in result.point)}",
     ]
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(net_doc, fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
+        _write_json_file(args.out, net_doc)
         lines.append(f"net written to {args.out}")
     _emit(doc, lines, args.format)
     return 0
@@ -330,9 +333,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
             )
         doc["counts"] = counts
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc["reduced"], fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
+        _write_json_file(args.out, doc["reduced"])
         lines.append(f"reduced family written to {args.out}")
     _emit(doc, lines, args.format)
     return 0

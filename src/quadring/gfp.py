@@ -50,9 +50,6 @@ class PrimeField:
         if self.p % 2 == 0 or not _is_prime(self.p):
             raise ValueError(f"not an odd prime: {self.p}")
 
-    def reduce(self, a: int) -> int:
-        return a % self.p
-
     def inv(self, a: int) -> int:
         a %= self.p
         if a == 0:
@@ -110,24 +107,6 @@ def enumerate_projective(n: int, field: PrimeField) -> Iterator[ProjPoint]:
                 tail.append(rem // p ** (free - 1 - t))
                 rem %= p ** (free - 1 - t)
             yield (0,) * j + (1,) + tuple(tail)
-
-
-def projective_point_at(n: int, field: PrimeField, index: int) -> ProjPoint:
-    """The index-th point of P^n(F_p) in the order of enumerate_projective."""
-    p = field.p
-    if index < 0 or index >= projective_size(n, p):
-        raise IndexError(f"projective index {index} out of range")
-    for j in range(n + 1):
-        block = p ** (n - j)
-        if index < block:
-            tail = []
-            rem = index
-            for t in range(n - j):
-                tail.append(rem // p ** (n - j - 1 - t))
-                rem %= p ** (n - j - 1 - t)
-            return (0,) * j + (1,) + tuple(tail)
-        index -= block
-    raise AssertionError("unreachable")
 
 
 # Cache of full coordinate arrays for small P^n(F_p); rebuilt arrays are

@@ -151,9 +151,6 @@ class GRExpr:
 
     # -- operations --------------------------------------------------------
 
-    def atoms(self) -> set[str]:
-        return {a for mono in self.terms for a in mono}
-
     def substitute(self, name: str, replacement: "GRExpr") -> "GRExpr":
         """Replace every occurrence of the atom by the expression."""
         out = GRExpr.zero()

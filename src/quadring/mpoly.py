@@ -108,22 +108,6 @@ class HomPoly:
             total += v
         return total % field.p if field is not None else total
 
-    def partial_derivative(self, var: int) -> "HomPoly":
-        """Formal partial derivative; the degree drops by one (floor at 0)."""
-        if var < 0 or var >= self.num_vars:
-            raise InputError(f"variable index {var} out of range")
-        acc: dict[Exponents, int] = {}
-        for exps, coeff in self.terms.items():
-            e = exps[var]
-            if e == 0:
-                continue
-            new = exps[:var] + (e - 1,) + exps[var + 1 :]
-            acc[new] = acc.get(new, 0) + coeff * e
-        return HomPoly(self.num_vars, max(self.degree - 1, 0), acc)
-
-    def reduce_mod(self, field: PrimeField) -> "HomPoly":
-        return HomPoly(self.num_vars, self.degree, {e: c % field.p for e, c in self.terms.items()})
-
     def __str__(self) -> str:
         if self.is_zero():
             return "0"
@@ -162,76 +146,22 @@ def evaluate_on_array(f: HomPoly, points: np.ndarray, field: PrimeField) -> np.n
     return vals
 
 
-@dataclass(frozen=True)
-class LinearFormMatrix:
-    """An N x N matrix whose entries are linear forms in `num_vars` variables.
-
-    Entry (i, j) is the coefficient vector of a linear form; the symmetric
-    flag asserts entry(i, j) == entry(j, i) coefficient-wise.
-    """
-
-    size: int
-    num_vars: int
-    entries: tuple[tuple[tuple[int, ...], ...], ...]
-    symmetric: bool = False
-
-    def __post_init__(self) -> None:
-        if len(self.entries) != self.size or any(len(r) != self.size for r in self.entries):
-            raise InputError("entry grid does not match declared size")
-        for row in self.entries:
-            for coeffs in row:
-                if len(coeffs) != self.num_vars:
-                    raise InputError("linear form has wrong number of coefficients")
-        if self.symmetric:
-            for i in range(self.size):
-                for j in range(i + 1, self.size):
-                    if self.entries[i][j] != self.entries[j][i]:
-                        raise InputError(f"matrix not symmetric at ({i}, {j})")
-
-    @classmethod
-    def from_gram_matrices(cls, grams: Sequence[Sequence[Sequence[int]]]) -> "LinearFormMatrix":
-        """Bundle m+1 constant symmetric matrices into one matrix of linear
-        forms: entry (i, j) has coefficient vector (M_0[i][j], ..., M_m[i][j])."""
-        nvars = len(grams)
-        size = len(grams[0])
-        entries = tuple(
-            tuple(tuple(int(g[i][j]) for g in grams) for j in range(size))
-            for i in range(size)
-        )
-        return cls(size=size, num_vars=nvars, entries=entries, symmetric=True)
-
-    def entry_poly(self, i: int, j: int) -> HomPoly:
-        coeffs = self.entries[i][j]
-        return HomPoly(
-            self.num_vars,
-            1,
-            {
-                tuple(1 if k == v else 0 for k in range(self.num_vars)): c
-                for v, c in enumerate(coeffs)
-                if c != 0
-            },
-        )
-
-    def evaluate(self, point: Sequence[int], field: PrimeField | None = None) -> list[list[int]]:
-        """The numeric matrix at the point (reduced mod p when given)."""
-        if len(point) != self.num_vars:
-            raise InputError("evaluation point has wrong length")
-        out = []
-        for row in self.entries:
-            vals = [sum(c * x for c, x in zip(coeffs, point)) for coeffs in row]
-            out.append([v % field.p for v in vals] if field is not None else vals)
-        return out
-
-
-def determinant_of_linear_matrix(matrix: LinearFormMatrix) -> HomPoly:
-    """det(M(s)) as an exact degree-N homogeneous polynomial in the base
-    variables.
+def determinant_of_linear_matrix(matrices: Sequence[Sequence[Sequence[int]]]) -> HomPoly:
+    """det(sum_k s_k M_k) as an exact degree-N homogeneous polynomial in
+    s_0..s_m, for m+1 square N x N integer matrices M_k (symmetric or not).
 
     Laplace expansion with memoization on column subsets: O(2^N) sparse
     polynomial combinations, fine for the sizes used here (N <= 8).
     """
-    n = matrix.size
-    nvars = matrix.num_vars
+    nvars = len(matrices)
+    n = len(matrices[0]) if matrices else 0
+    if nvars == 0 or any(len(mat) != n or any(len(row) != n for row in mat) for mat in matrices):
+        raise InputError("expected one or more square matrices of the same size")
+    units = [tuple(1 if k == v else 0 for k in range(nvars)) for v in range(nvars)]
+
+    def entry_poly(i: int, j: int) -> HomPoly:
+        return HomPoly(nvars, 1, {units[v]: int(mat[i][j]) for v, mat in enumerate(matrices)})
+
     # minors[mask] = determinant of rows 0..popcount(mask)-1 on columns in mask
     minors: dict[int, HomPoly] = {0: HomPoly(nvars, 0, {(0,) * nvars: 1})}
     for r in range(n):
@@ -243,7 +173,7 @@ def determinant_of_linear_matrix(matrix: LinearFormMatrix) -> HomPoly:
                 bit = 1 << c
                 if mask & bit:
                     continue
-                entry = matrix.entry_poly(r, c)
+                entry = entry_poly(r, c)
                 if entry.is_zero():
                     continue
                 # placing column c at row r inverts against every used column above c

@@ -5,7 +5,6 @@ from .family import (
     NET_FORMAT_VERSION,
     QuadricNet,
     RegularityReport,
-    corank_stratification,
     count_total_space,
     lines_through_point,
     load_net,
@@ -51,7 +50,6 @@ __all__ = [
     "CubicReport",
     "VerraReport",
     "SearchResult",
-    "corank_stratification",
     "corank_histogram_reduced",
     "count_double_cover",
     "count_reduced_family",

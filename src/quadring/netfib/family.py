@@ -1,6 +1,5 @@
 """Nets and pencils of quadrics: the integer family, its fibers over P^m,
-corank stratification, the base locus X, and the rational-level regularity
-and line checks.
+the base locus X, and the rational-level regularity and line checks.
 
 A QuadricNet holds m+1 integer symmetric (n+2) x (n+2) Gram matrices
 M_0..M_m; the fiber over a base point w is M(w) = sum w_i M_i.  Keeping the
@@ -20,7 +19,7 @@ from __future__ import annotations
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -35,8 +34,7 @@ from ..gfp import (
     split_ranges,
 )
 from .. import modmat
-from ..mpoly import LinearFormMatrix
-from ..quadform import GramMatrix, classify, count_projective_points
+from ..quadform import GramMatrix, count_projective_points
 
 NET_FORMAT_VERSION = 1
 
@@ -81,9 +79,11 @@ class QuadricNet:
         ]
         return GramMatrix(tuple(rows))
 
-    def linear_form_matrix(self) -> LinearFormMatrix:
-        """The family as one symmetric matrix of linear forms in w_0..w_m."""
-        return LinearFormMatrix.from_gram_matrices([m.entries for m in self.matrices])
+    def fibers(self, field: PrimeField) -> Iterator[GramMatrix]:
+        """The fiber Gram matrix over each point of P^m(F_p), in canonical
+        order."""
+        for s in enumerate_projective(self.m, field):
+            yield self.fiber_matrix(s, field)
 
     def to_document(self, point: Sequence[int] | None = None) -> dict:
         doc = {
@@ -143,20 +143,6 @@ def load_net(path: str) -> tuple[QuadricNet, tuple[int, ...] | None]:
     if not isinstance(doc, dict):
         raise InputError("net file does not hold a JSON object")
     return QuadricNet.from_document(doc)
-
-
-def corank_stratification(net: QuadricNet, field: PrimeField) -> dict[int, int]:
-    """Histogram {corank c -> number of base points of P^m(F_p) with corank c}.
-
-    The corank >= 1 count is the number of F_p-points of the discriminant
-    hypersurface; a nonzero count at corank n+2 means the zero quadric
-    occurs and the family is not flat.
-    """
-    hist: dict[int, int] = {}
-    for s in enumerate_projective(net.m, field):
-        c = classify(net.fiber_matrix(s, field), field).corank
-        hist[c] = hist.get(c, 0) + 1
-    return hist
 
 
 def _form_values(points: np.ndarray, gram: GramMatrix, p: int) -> np.ndarray:
@@ -299,7 +285,4 @@ def lines_through_point(
 
 def count_total_space(net: QuadricNet, field: PrimeField) -> int:
     """#Q(F_p): sum of fiber quadric counts over the base P^m(F_p)."""
-    return sum(
-        count_projective_points(net.fiber_matrix(s, field), field)
-        for s in enumerate_projective(net.m, field)
-    )
+    return sum(count_projective_points(g, field) for g in net.fibers(field))

@@ -13,8 +13,14 @@ characters are representative-independent.  The expected count identity is
 
     #X = 1 + p^2 + p^4 + p * #Y
 
-with #Y the determinant double cover count of the fibration; it holds when
-every fiber has corank <= 1.
+with #Y the determinant double cover count of the fibration.  It holds when
+every fiber has corank <= 1 *and* X is smooth along the plane.  On the plane
+every partial derivative of F but d/dx3, d/dx4 and d/dx5 vanishes, and
+d/dx_k restricts to the conic Q_k(y, 0) of the monomials x_k * y^e, so X is
+singular at a point of the plane exactly where the three conics share a
+zero; each such F_p-point moves the residual by -p^2.  Both hypotheses are
+checked at the rational level only: corank by the report's corank2 flag,
+smoothness along the plane by `random_cubic_with_plane`.
 
 Verra setup.  For a (2,2) form G on P^2 x P^2, the double cover
 X -> P^2 x P^2 branched in {G = 0} fibers over the first factor into the
@@ -46,9 +52,8 @@ from ..gfp import (
     projective_points_array,
     projective_size,
 )
-from .. import modmat
 from ..mpoly import HomPoly, evaluate_on_array
-from ..quadform import GramMatrix, classify
+from ..quadform import GramMatrix, classify, double_cover_points
 
 CUBIC_VARS = 6
 PLANE_VARS = (3, 4, 5)
@@ -116,6 +121,18 @@ def _gram_at(entry_polys: Sequence[Sequence[HomPoly]], s: Sequence[int], field: 
     return GramMatrix(tuple(rows))
 
 
+def _double_cover_count(entry_polys: Sequence[Sequence[HomPoly]], field: PrimeField) -> tuple[int, bool]:
+    """#Y(F_p) of a quadric fibration over P^2 given by its Gram entry
+    polynomials, and whether some fiber has corank >= 2."""
+    y = 0
+    corank2 = False
+    for s in enumerate_projective(2, field):
+        gram = _gram_at(entry_polys, s, field)
+        corank2 |= classify(gram, field).corank >= 2
+        y += double_cover_points(gram, field)
+    return y, corank2
+
+
 @dataclass(frozen=True)
 class CubicReport:
     """Counts for one prime of the plane-projection recipe."""
@@ -141,21 +158,15 @@ def cubic_with_plane_counts(
     budget: int = 2_000_000,
 ) -> list[CubicReport]:
     """Per-prime residual #X - (1 + p^2 + p^4 + p * #Y) for a cubic through
-    the plane x3 = x4 = x5 = 0; expected 0 whenever corank <= 1 everywhere."""
+    the plane x3 = x4 = x5 = 0; expected 0 whenever corank <= 1 everywhere
+    and the cubic is smooth along the plane."""
     grams = cubic_fiber_grams(f)
     reports = []
     for p in primes:
         field = PrimeField(p)
         pts = projective_points_array(5, field, budget=budget)
         x_count = int(np.count_nonzero(evaluate_on_array(f, pts, field) == 0))
-        y_count = 0
-        corank2 = False
-        for s in enumerate_projective(2, field):
-            gram = _gram_at(grams, s, field)
-            if classify(gram, field).corank >= 2:
-                corank2 = True
-            det = modmat.det_mod(gram.entries, field)
-            y_count += 1 + legendre_character(det, field)
+        y_count, corank2 = _double_cover_count(grams, field)
         residual = x_count - (1 + p**2 + p**4 + p * y_count)
         reports.append(
             CubicReport(
@@ -214,18 +225,6 @@ def _verra_quadric_entries(g: HomPoly) -> list[list[HomPoly]]:
     return [
         [HomPoly(3, degs[i][j], entries[i][j]) for j in range(4)] for i in range(4)
     ]
-
-
-def _double_cover_count(entry_polys: Sequence[Sequence[HomPoly]], field: PrimeField) -> tuple[int, bool]:
-    y = 0
-    corank2 = False
-    for s in enumerate_projective(2, field):
-        gram = _gram_at(entry_polys, s, field)
-        if classify(gram, field).corank >= 2:
-            corank2 = True
-        det = modmat.det_mod(gram.entries, field)
-        y += 1 + legendre_character(det, field)
-    return y, corank2
 
 
 @dataclass(frozen=True)

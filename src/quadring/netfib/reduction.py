@@ -10,25 +10,26 @@ fixed by the echelon pivots of the given basis of U, and the lift of v'
 puts zeros in the pivot slots.  Any other splitting gives fiberwise
 congruent forms, so determinism wins.
 
-The determinant double cover of an even-sized family counts fiberwise as
-1 + chi((-1)^(N/2) det M(w)) at the canonical representative; the degree of
-the signed determinant is even, so the value does not depend on the
-representative.  The (-1)^(N/2) sign matches the signed discriminant of
-`quadform`, which is what makes the cover count agree between a family and
-its hyperbolic reduction.
+The determinant double cover of an even-sized family counts fiberwise by
+`quadform.double_cover_points`, 1 + chi((-1)^(N/2) det M(w)) at the
+canonical representative; the degree of the signed determinant is even, so
+the value does not depend on the representative.  The (-1)^(N/2) sign
+matches the signed discriminant of `quadform`, which is what makes the cover
+count agree between a family and its hyperbolic reduction.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from ..errors import DegenerateSectionError, InputError
-from ..gfp import PrimeField, canonical_point, enumerate_projective, legendre_character, projective_size
+from ..gfp import PrimeField, canonical_point, enumerate_projective, projective_size
 from .. import modmat
-from ..quadform import GramMatrix, classify, count_projective_points
+from ..quadform import GramMatrix, classify, count_projective_points, double_cover_points, restrict
 from .family import QuadricNet
 
 REDUCED_FORMAT_VERSION = 1
@@ -77,6 +78,13 @@ class ReducedFamily:
     def gram_size(self) -> int:
         """Size of the reduced fiber Gram matrices: n - 2k."""
         return self.n - 2 * self.k
+
+    def fibers(self, field: PrimeField) -> Iterator[GramMatrix]:
+        """The reduced fiber Gram matrix over each point of P^m(F_p), in
+        canonical order, after checking the basis of U mod p."""
+        self.check_basis_mod_p(field)
+        for s in enumerate_projective(self.m, field):
+            yield reduced_fiber_gram(self, s, field)
 
     def check_basis_mod_p(self, field: PrimeField) -> None:
         """The subspace U must stay (k+1)-dimensional mod p for the model
@@ -186,10 +194,13 @@ def hyperbolic_reduce_family(
     )
 
 
-def _fiber_conditions(
-    red: ReducedFamily, s: Sequence[int], field: PrimeField
-) -> tuple[list[list[int]], GramMatrix]:
-    """Linear rows and quadratic Gram of the reduced fiber over s (canonical)."""
+def reduced_fiber_gram(red: ReducedFamily, s: Sequence[int], field: PrimeField) -> GramMatrix:
+    """Gram matrix of the reduced quadric over s: the quadratic part
+    restricted to the intersection of the bilinear conditions.
+
+    A fiber where the bilinear rows drop rank (the section meets the
+    fiber's singular locus) raises DegenerateSectionError.
+    """
     p = field.p
     rep = canonical_point(s, field)
     cols = red.n - red.k + 1
@@ -200,61 +211,30 @@ def _fiber_conditions(
         ]
         for j in range(red.k + 1)
     ]
-    gram = [
-        [
-            sum(rep[i] * red.quad[i].entries[a][b] for i in range(red.m + 1)) % p
-            for b in range(cols)
-        ]
-        for a in range(cols)
-    ]
-    return lin, GramMatrix.from_rows(gram)
-
-
-def reduced_fiber_gram(
-    red: ReducedFamily, s: Sequence[int], field: PrimeField, strict: bool = True
-) -> GramMatrix:
-    """Gram matrix of the reduced quadric over s: the quadratic part
-    restricted to the intersection of the bilinear conditions.
-
-    With strict=True a fiber where the bilinear rows drop rank (the section
-    meets the fiber's singular locus) raises DegenerateSectionError.
-    """
-    lin, gram = _fiber_conditions(red, s, field)
-    cols = red.n - red.k + 1
-    if strict and modmat.rank_mod(lin, cols, field) < red.k + 1:
+    if modmat.rank_mod(lin, cols, field) < red.k + 1:
         raise DegenerateSectionError(
             f"section degenerates over base point {tuple(s)} at p={field.p}"
         )
-    kernel = modmat.kernel_basis(lin, cols, field)
-    p = field.p
-    restricted = [
+    gram = GramMatrix.from_rows(
         [
-            sum(
-                ku[a] * gram.entries[a][b] * kv[b]
-                for a in range(cols)
+            [
+                sum(rep[i] * red.quad[i].entries[a][b] for i in range(red.m + 1)) % p
                 for b in range(cols)
-            )
-            % p
-            for kv in kernel
+            ]
+            for a in range(cols)
         ]
-        for ku in kernel
-    ]
-    return GramMatrix.from_rows(restricted)
+    )
+    return restrict(gram, modmat.kernel_basis(lin, cols, field), field)
 
 
-def count_reduced_family(red: ReducedFamily, field: PrimeField, strict: bool = True) -> int:
+def count_reduced_family(red: ReducedFamily, field: PrimeField) -> int:
     """#(reduced family)(F_p), fiberwise over P^m(F_p).
 
     Each fiber is the quadric cut by the quadratic part on the linear
     subspace where the bilinear conditions vanish; its count comes from the
     validated closed form.
     """
-    red.check_basis_mod_p(field)
-    total = 0
-    for s in enumerate_projective(red.m, field):
-        gram = reduced_fiber_gram(red, s, field, strict=strict)
-        total += count_projective_points(gram, field)
-    return total
+    return sum(count_projective_points(g, field) for g in red.fibers(field))
 
 
 def count_reduced_family_dual(red: ReducedFamily, field: PrimeField) -> int:
@@ -284,45 +264,12 @@ def count_reduced_family_dual(red: ReducedFamily, field: PrimeField) -> int:
     return total
 
 
-def corank_histogram_reduced(
-    red: ReducedFamily, field: PrimeField, strict: bool = True
-) -> dict[int, int]:
+def corank_histogram_reduced(red: ReducedFamily, field: PrimeField) -> dict[int, int]:
     """Corank histogram of the reduced fibers; matches the original net's."""
-    red.check_basis_mod_p(field)
-    hist: dict[int, int] = {}
-    for s in enumerate_projective(red.m, field):
-        gram = reduced_fiber_gram(red, s, field, strict=strict)
-        c = classify(gram, field).corank
-        hist[c] = hist.get(c, 0) + 1
-    return hist
+    return dict(Counter(classify(g, field).corank for g in red.fibers(field)))
 
 
-def count_double_cover(
-    family: QuadricNet | ReducedFamily, field: PrimeField, strict: bool = True
-) -> int:
-    """#Y(F_p) for the determinant double cover of an even-sized family.
-
-    Per base point the contribution is 1 + chi(f), f the signed determinant
-    of the fiber Gram matrix; chi(0) = 0 on the branch locus.
-    """
-    if isinstance(family, QuadricNet):
-        size = family.fiber_size
-        if size % 2 != 0:
-            raise InputError("determinant double cover needs an even Gram size")
-        sign = -1 if (size // 2) % 2 else 1
-        total = 0
-        for s in enumerate_projective(family.m, field):
-            det = modmat.det_mod(family.fiber_matrix(s, field).entries, field)
-            total += 1 + legendre_character(sign * det, field)
-        return total
-    size = family.gram_size
-    if size % 2 != 0:
-        raise InputError("determinant double cover needs an even Gram size")
-    family.check_basis_mod_p(field)
-    sign = -1 if (size // 2) % 2 else 1
-    total = 0
-    for s in enumerate_projective(family.m, field):
-        gram = reduced_fiber_gram(family, s, field, strict=strict)
-        det = modmat.det_mod(gram.entries, field)
-        total += 1 + legendre_character(sign * det, field)
-    return total
+def count_double_cover(family: QuadricNet | ReducedFamily, field: PrimeField) -> int:
+    """#Y(F_p) for the determinant double cover of an even-sized family:
+    the sum of `double_cover_points` over the fibers."""
+    return sum(double_cover_points(g, field) for g in family.fibers(field))

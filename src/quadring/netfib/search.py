@@ -14,12 +14,24 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from ..errors import BudgetExceededError, InputError
-from ..gfp import PrimeField, enumerate_projective
-from ..mpoly import HomPoly
+from ..gfp import PrimeField, enumerate_projective, projective_points_array
+from ..mpoly import HomPoly, evaluate_on_array
 from ..quadform import GramMatrix, classify
 from .family import QuadricNet, lines_through_point, regularity_check
-from .recipes import cubic_fiber_grams, swap_verra_factors, _gram_at, _verra_quadric_entries
+from .recipes import (
+    PLANE_VARS,
+    cubic_fiber_grams,
+    swap_verra_factors,
+    _gram_at,
+    _verra_quadric_entries,
+)
+
+# Coefficient range and attempt budget of the cubic and (2,2) form searches.
+RECIPE_COEFF_BOUND = 3
+RECIPE_MAX_ATTEMPTS = 200
 
 
 @dataclass(frozen=True)
@@ -62,17 +74,12 @@ def random_net_search(
     seed: int,
     entry_bound: int = 9,
     max_attempts: int = 400,
-    diagonal_only: bool = False,
 ) -> SearchResult:
     """Sample integer nets (entries in [-entry_bound, entry_bound]) until one
     passes, at every prime: regularity, no corank >= 2 fiber, flatness, and
     no rational line through the planted point e0.
 
-    diagonal_only restricts sampling to diagonal matrices; together with
-    the planted point (first diagonal entry zero in every matrix) this
-    makes e0 a radical vector of every fiber, so rejection is certain and
-    the constraint exists to exercise the attempt budget.  Raises
-    BudgetExceededError when max_attempts samples all get rejected.
+    Raises BudgetExceededError when max_attempts samples all get rejected.
     """
     if (n, m) not in ((4, 2), (2, 1)):
         raise InputError(f"search supports shapes (4, 2) and (2, 1), got {(n, m)}")
@@ -82,18 +89,10 @@ def random_net_search(
     size = n + 2
     point = (1,) + (0,) * (size - 1)
     for attempt in range(1, max_attempts + 1):
-        if diagonal_only:
-            mats = [
-                GramMatrix.diagonal(
-                    [0] + [rng.randint(-entry_bound, entry_bound) for _ in range(size - 1)]
-                )
-                for _ in range(m + 1)
-            ]
-        else:
-            mats = [
-                _random_symmetric(rng, size, entry_bound, zero_corner=True)
-                for _ in range(m + 1)
-            ]
+        mats = [
+            _random_symmetric(rng, size, entry_bound, zero_corner=True)
+            for _ in range(m + 1)
+        ]
         net = QuadricNet(n=n, m=m, matrices=tuple(mats))
         if _net_acceptable(net, point, primes):
             return SearchResult(net=net, point=point, attempts=attempt)
@@ -115,51 +114,69 @@ def _random_quadric_coeffs(rng: random.Random, bound: int) -> dict:
     return terms
 
 
-def random_cubic_with_plane(
-    primes: Sequence[int],
-    seed: int,
-    coeff_bound: int = 3,
-    max_attempts: int = 200,
-) -> HomPoly:
-    """A random cubic x3*Q3 + x4*Q4 + x5*Q5 whose induced quadric fibration
-    has corank <= 1 over every fiber at every requested prime."""
+def _fibers_corank_at_most_one(
+    entry_polys: Sequence[Sequence[HomPoly]], primes: Sequence[int]
+) -> bool:
+    """Whether every fiber of the quadric fibration over P^2 has corank <= 1
+    at every prime."""
+    for p in primes:
+        field = PrimeField(p)
+        if any(
+            classify(_gram_at(entry_polys, s, field), field).corank >= 2
+            for s in enumerate_projective(2, field)
+        ):
+            return False
+    return True
+
+
+def _singular_on_plane(cubic: HomPoly, field: PrimeField) -> bool:
+    """Whether the cubic is singular at an F_p-point of the plane
+    x3 = x4 = x5 = 0, i.e. whether its three plane conics (the coefficients
+    of x3, x4 and x5 at x3 = x4 = x5 = 0) share an F_p-zero on P^2."""
+    pts = projective_points_array(2, field)
+    common = np.ones(len(pts), dtype=bool)
+    for k in PLANE_VARS:
+        conic = HomPoly(
+            3, 2, {e[:3]: c for e, c in cubic.terms.items() if e[k] == 1 and sum(e[3:]) == 1}
+        )
+        common &= evaluate_on_array(conic, pts, field) == 0
+    return bool(common.any())
+
+
+def random_cubic_with_plane(primes: Sequence[int], seed: int) -> HomPoly:
+    """A random cubic x3*Q3 + x4*Q4 + x5*Q5 that, at every requested prime,
+    is smooth at every F_p-point of the plane x3 = x4 = x5 = 0 and whose
+    induced quadric fibration has corank <= 1 over every fiber: the two
+    hypotheses of the plane-projection identity."""
     rng = random.Random(seed)
-    for _ in range(max_attempts):
+    for _ in range(RECIPE_MAX_ATTEMPTS):
         cubic = HomPoly.zero(6, 3)
-        for v in (3, 4, 5):
-            quadric = HomPoly(6, 2, _random_quadric_coeffs(rng, coeff_bound))
+        for v in PLANE_VARS:
+            quadric = HomPoly(6, 2, _random_quadric_coeffs(rng, RECIPE_COEFF_BOUND))
             cubic = cubic + HomPoly.variable(6, v) * quadric
         if cubic.is_zero():
             continue
-        grams = cubic_fiber_grams(cubic)
-        if all(
-            classify(_gram_at(grams, s, PrimeField(p)), PrimeField(p)).corank <= 1
-            for p in primes
-            for s in enumerate_projective(2, PrimeField(p))
-        ):
+        if any(_singular_on_plane(cubic, PrimeField(p)) for p in primes):
+            continue
+        if _fibers_corank_at_most_one(cubic_fiber_grams(cubic), primes):
             return cubic
     raise BudgetExceededError(
-        f"no acceptable cubic found in {max_attempts} attempts (seed {seed})"
+        f"no acceptable cubic found in {RECIPE_MAX_ATTEMPTS} attempts (seed {seed})"
     )
 
 
-def random_verra_form(
-    primes: Sequence[int],
-    seed: int,
-    coeff_bound: int = 3,
-    max_attempts: int = 200,
-) -> HomPoly:
+def random_verra_form(primes: Sequence[int], seed: int) -> HomPoly:
     """A random bidegree-(2,2) form whose two quadric fibrations both have
     corank <= 1 everywhere at every requested prime."""
     rng = random.Random(seed)
     s_monos = [
         (i, j) for i in range(3) for j in range(i, 3)
     ]
-    for _ in range(max_attempts):
+    for _ in range(RECIPE_MAX_ATTEMPTS):
         terms: dict[tuple, int] = {}
         for si, sj in s_monos:
             for ti, tj in s_monos:
-                c = rng.randint(-coeff_bound, coeff_bound)
+                c = rng.randint(-RECIPE_COEFF_BOUND, RECIPE_COEFF_BOUND)
                 if c:
                     exps = [0] * 6
                     exps[si] += 1
@@ -170,23 +187,11 @@ def random_verra_form(
         if not terms:
             continue
         form = HomPoly(6, 4, terms)
-        ok = True
-        for fibration in (
-            _verra_quadric_entries(form),
-            _verra_quadric_entries(swap_verra_factors(form)),
+        if all(
+            _fibers_corank_at_most_one(_verra_quadric_entries(g), primes)
+            for g in (form, swap_verra_factors(form))
         ):
-            for p in primes:
-                field = PrimeField(p)
-                if any(
-                    classify(_gram_at(fibration, s, field), field).corank >= 2
-                    for s in enumerate_projective(2, field)
-                ):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
             return form
     raise BudgetExceededError(
-        f"no acceptable (2,2) form found in {max_attempts} attempts (seed {seed})"
+        f"no acceptable (2,2) form found in {RECIPE_MAX_ATTEMPTS} attempts (seed {seed})"
     )

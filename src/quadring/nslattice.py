@@ -46,18 +46,6 @@ def brauer_vanishes(d: int) -> bool:
 
 
 @dataclass(frozen=True)
-class NSData:
-    """Intersection numbers of a rank-2 polarized surface of degree 8."""
-
-    ch: int
-    c2: int
-
-    @property
-    def d(self) -> int:
-        return discriminant(self.ch, self.c2)
-
-
-@dataclass(frozen=True)
 class DiscriminantVerdict:
     d: int
     brauer_vanishes: bool
@@ -97,10 +85,10 @@ def _solve_square(d: int, rhs: int) -> tuple[int, int] | None:
     return best
 
 
-def sqrt_cf_convergents(d: int, periods: int = 2):
-    """Yield (p, q, Q) along the continued fraction of sqrt(d), for the given
-    number of full periods (d nonsquare); Q is the PQa denominator whose
-    value 1 marks the end of a period."""
+def sqrt_cf_convergents(d: int):
+    """Yield (p, q, Q) along two full periods of the continued fraction of
+    sqrt(d) (d nonsquare); Q is the PQa denominator whose value 1 marks the
+    end of a period."""
     a0 = isqrt(d)
     if a0 * a0 == d:
         raise InputError(f"{d} is a perfect square")
@@ -109,7 +97,7 @@ def sqrt_cf_convergents(d: int, periods: int = 2):
     yield p_cur, q_cur, 1
     pp, qq = a0, d - a0 * a0
     completed = 0
-    while completed < periods:
+    while completed < 2:
         a = (a0 + pp) // qq
         p_cur, p_prev = a * p_cur + p_prev, p_cur
         q_cur, q_prev = a * q_cur + q_prev, q_cur
@@ -122,7 +110,7 @@ def sqrt_cf_convergents(d: int, periods: int = 2):
 
 def pell_fundamental(d: int) -> tuple[int, int]:
     """The least (t, u) with t^2 - d*u^2 = 1, t + u*sqrt(d) > 1."""
-    for p, q, _ in sqrt_cf_convergents(d, periods=2):
+    for p, q, _ in sqrt_cf_convergents(d):
         if p * p - d * q * q == 1:
             return p, q
     raise AssertionError(f"no fundamental unit within two periods for d={d}")
@@ -133,7 +121,7 @@ def _solve_by_convergents(d: int, rhs: int) -> tuple[int, int] | None:
     convergents for values rhs (primitive class) and rhs/4 (doubling class)."""
     quarter = rhs // 4 if rhs % 4 == 0 else None
     candidates = []
-    for p, q, _ in sqrt_cf_convergents(d, periods=2):
+    for p, q, _ in sqrt_cf_convergents(d):
         v = p * p - d * q * q
         if v == rhs:
             candidates.append((p, q))

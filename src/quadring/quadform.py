@@ -1,5 +1,6 @@
 """Single quadratic forms over F_p (p odd): congruence diagonalization,
-rank/corank, signed discriminant, exact projective point counts, hyperbolic
+rank/corank, signed discriminant, the determinant double-cover count of one
+fiber, exact projective point counts, restriction to a subspace, hyperbolic
 reduction at an isotropic vector, and congruence testing.
 
 Conventions.  A form is held by its symmetric Gram matrix M with
@@ -64,10 +65,6 @@ class GramMatrix:
     @property
     def size(self) -> int:
         return len(self.entries)
-
-    def reduce_mod(self, field: PrimeField) -> "GramMatrix":
-        p = field.p
-        return GramMatrix(tuple(tuple(x % p for x in row) for row in self.entries))
 
     def q(self, v: Sequence[int], field: PrimeField | None = None) -> int:
         total = sum(
@@ -173,6 +170,20 @@ def classify(matrix: GramMatrix, field: PrimeField) -> FormInvariants:
     return FormInvariants(rank=rank, corank=corank, signed_disc_character=signed)
 
 
+def double_cover_points(matrix: GramMatrix, field: PrimeField) -> int:
+    """Points of the determinant double cover over one fiber of even size N:
+    1 + chi((-1)^(N/2) det M), which is 1 on the branch locus (chi(0) = 0).
+
+    The (-1)^(N/2) sign is the signed-discriminant convention above, so the
+    count is the same for a family and for its hyperbolic reduction.
+    """
+    n = matrix.size
+    if n % 2 != 0:
+        raise InputError("determinant double cover needs an even Gram size")
+    sign = -1 if (n // 2) % 2 else 1
+    return 1 + legendre_character(sign * modmat.det_mod(matrix.entries, field), field)
+
+
 def disc_character(matrix: GramMatrix, field: PrimeField) -> int:
     """Ordinary discriminant character: chi(det of the nondegenerate block),
     +1 for the zero form."""
@@ -216,6 +227,22 @@ def brute_force_count(matrix: GramMatrix, field: PrimeField, budget: int = 4_000
     return int(np.count_nonzero(vals == 0))
 
 
+def restrict(matrix: GramMatrix, basis: Sequence[Sequence[int]], field: PrimeField) -> GramMatrix:
+    """The form restricted to the span of `basis`: K^T M K mod p, with the
+    basis vectors as the columns of K."""
+    p = field.p
+    n = matrix.size
+    return GramMatrix.from_rows(
+        [
+            [
+                sum(ku[i] * matrix.entries[i][j] * kv[j] for i in range(n) for j in range(n)) % p
+                for kv in basis
+            ]
+            for ku in basis
+        ]
+    )
+
+
 def hyperbolic_reduce_at_vector(
     matrix: GramMatrix, v: Sequence[int], field: PrimeField
 ) -> GramMatrix:
@@ -237,20 +264,7 @@ def hyperbolic_reduce_at_vector(
         raise InputError("reduction vector lies in the radical (degenerate section)")
     # rows cutting out the complement: b(v, .) = 0 and b(e_{j0}, .) = 0
     mw = [matrix.entries[j0][j] % p for j in range(n)]
-    kernel = modmat.kernel_basis([mv, mw], n, field)
-    reduced = [
-        [
-            sum(
-                ku[i] * matrix.entries[i][j] * kv[j]
-                for i in range(n)
-                for j in range(n)
-            )
-            % p
-            for kv in kernel
-        ]
-        for ku in kernel
-    ]
-    return GramMatrix.from_rows(reduced)
+    return restrict(matrix, modmat.kernel_basis([mv, mw], n, field), field)
 
 
 def forms_congruent(m1: GramMatrix, m2: GramMatrix, field: PrimeField) -> bool:

@@ -16,13 +16,13 @@ from quadring.gfp import PrimeField, projective_points_array
 from quadring.grothring import GRExpr, derive
 from quadring.netfib import (
     corank_histogram_reduced,
-    corank_stratification,
     count_double_cover,
     cubic_with_plane_counts,
     hyperbolic_reduce_family,
     random_cubic_with_plane,
     random_net_search,
     random_verra_form,
+    regularity_check,
     verify_relations,
     verra_counts,
 )
@@ -210,8 +210,8 @@ def test_criterion_4_reduction_invariance(accepted_nets):
     cover_ok = True
     for p in ACCEPTANCE_PRIMES:
         field = PrimeField(p)
-        hist_ok &= corank_stratification(res.net, field) == corank_histogram_reduced(
-            red, field
+        hist_ok &= regularity_check(res.net, field).corank_histogram == (
+            corank_histogram_reduced(red, field)
         )
         cover_ok &= count_double_cover(res.net, field) == count_double_cover(red, field)
 

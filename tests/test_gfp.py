@@ -6,7 +6,6 @@ from quadring.gfp import (
     canonical_point,
     enumerate_projective,
     legendre_character,
-    projective_point_at,
     projective_points_array,
     projective_size,
     split_ranges,
@@ -64,14 +63,6 @@ def test_enumeration_complete_and_duplicate_free(p, n):
     for pt in pts:
         lead = next(x for x in pt if x != 0)
         assert lead == 1
-
-
-def test_point_at_matches_enumeration_order():
-    f = PrimeField(5)
-    pts = list(enumerate_projective(2, f))
-    assert pts == [projective_point_at(2, f, i) for i in range(len(pts))]
-    with pytest.raises(IndexError):
-        projective_point_at(2, f, len(pts))
 
 
 def test_points_array_matches_enumeration():

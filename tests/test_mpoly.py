@@ -7,7 +7,6 @@ from quadring.errors import InputError
 from quadring.gfp import PrimeField
 from quadring.mpoly import (
     HomPoly,
-    LinearFormMatrix,
     determinant_of_linear_matrix,
     evaluate_on_array,
 )
@@ -23,6 +22,12 @@ def _random_hompoly(rng, num_vars, degree, terms=6, bound=9):
             exps[rng.randrange(num_vars)] += 1
         acc[tuple(exps)] = rng.randint(-bound, bound)
     return HomPoly(num_vars, degree, acc)
+
+
+def _matrix_at(matrices, s):
+    """The numeric matrix sum_k s_k M_k."""
+    n = len(matrices[0])
+    return [[sum(x * m[i][j] for x, m in zip(s, matrices)) for j in range(n)] for i in range(n)]
 
 
 def test_evaluate_examples():
@@ -43,24 +48,16 @@ def test_homogeneity_enforced():
         HomPoly(2, 2, {(1, 1, 0): 1})
 
 
-def test_partial_derivative_examples():
-    sq = HomPoly.monomial(2, (2, 0))
-    assert sq.partial_derivative(0) == HomPoly(2, 1, {(1, 0): 2})
-    assert sq.partial_derivative(1).is_zero()
-
-
 def test_determinant_diagonal():
-    m = LinearFormMatrix(size=2, num_vars=2, entries=(((1, 0), (0, 0)), ((0, 0), (0, 1))))
+    m = [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]
     assert determinant_of_linear_matrix(m) == HomPoly(2, 2, {(1, 1): 1})
 
 
 def test_determinant_pencil_factors():
-    pencil = LinearFormMatrix.from_gram_matrices(
-        [
-            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
-            [[0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 3]],
-        ]
-    )
+    pencil = [
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+        [[0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 3]],
+    ]
     lam = HomPoly.variable(2, 0)
     mu = HomPoly.variable(2, 1)
     expected = lam * (lam + mu) * (lam + mu.scale(2)) * (lam + mu.scale(3))
@@ -71,15 +68,14 @@ def test_determinant_matches_numeric_oracle():
     rng = random.Random(2024)
     f7 = PrimeField(7)
     grams = [random_symmetric(rng, 6).entries for _ in range(3)]
-    net = LinearFormMatrix.from_gram_matrices(grams)
-    det = determinant_of_linear_matrix(net)
+    det = determinant_of_linear_matrix(grams)
     assert det.degree == 6
     checked = 0
     while checked < 50:
         s = [rng.randrange(7) for _ in range(3)]
         if all(x == 0 for x in s):
             continue
-        assert det.evaluate(s, f7) == modmat.det_mod(net.evaluate(s), f7)
+        assert det.evaluate(s, f7) == modmat.det_mod(_matrix_at(grams, s), f7)
         checked += 1
 
 
@@ -89,14 +85,12 @@ def test_determinant_evaluation_random_2x2_pairs():
     rng = random.Random(1)
     f7 = PrimeField(7)
     for _ in range(100):
-        entries = tuple(
-            tuple(tuple(rng.randint(-5, 5) for _ in range(3)) for _ in range(2))
-            for _ in range(2)
-        )
-        m = LinearFormMatrix(size=2, num_vars=3, entries=entries)
-        det = determinant_of_linear_matrix(m)
+        # entries[i][j] holds the coefficients of entry (i, j); not symmetric
+        entries = [[[rng.randint(-5, 5) for _ in range(3)] for _ in range(2)] for _ in range(2)]
+        mats = [[[entries[i][j][k] for j in range(2)] for i in range(2)] for k in range(3)]
+        det = determinant_of_linear_matrix(mats)
         s = [rng.randrange(7) for _ in range(3)]
-        assert det.evaluate(s, f7) == modmat.det_mod(m.evaluate(s), f7)
+        assert det.evaluate(s, f7) == modmat.det_mod(_matrix_at(mats, s), f7)
 
 
 def test_determinant_congruence_scaling():
@@ -104,66 +98,18 @@ def test_determinant_congruence_scaling():
     rng = random.Random(5)
     f11 = PrimeField(11)
     grams = [random_symmetric(rng, 4, bound=4).entries for _ in range(3)]
-    net = LinearFormMatrix.from_gram_matrices(grams)
     a = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(4)]
     transformed = []
     for g in grams:
         ga = [[sum(g[i][k] * a[k][j] for k in range(4)) for j in range(4)] for i in range(4)]
         aga = [[sum(a[k][i] * ga[k][j] for k in range(4)) for j in range(4)] for i in range(4)]
         transformed.append(aga)
-    net_t = LinearFormMatrix.from_gram_matrices(transformed)
-    det = determinant_of_linear_matrix(net)
-    det_t = determinant_of_linear_matrix(net_t)
+    det = determinant_of_linear_matrix(grams)
+    det_t = determinant_of_linear_matrix(transformed)
     det_a = modmat.det_mod(a, f11)
     for _ in range(20):
         s = [rng.randrange(11) for _ in range(3)]
         assert det_t.evaluate(s, f11) == det_a * det_a * det.evaluate(s, f11) % 11
-
-
-def test_determinant_partial_matches_adjugate_trace():
-    # d/ds0 det(M(s)) = trace(adj(M(s)) * M_0), checked at random points of F_11
-    rng = random.Random(77)
-    f11 = PrimeField(11)
-    p = 11
-    grams = [random_symmetric(rng, 4, bound=5).entries for _ in range(3)]
-    net = LinearFormMatrix.from_gram_matrices(grams)
-    det = determinant_of_linear_matrix(net)
-    ddet = det.partial_derivative(0)
-
-    def adjugate(mat):
-        n = len(mat)
-        adj = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                minor = [
-                    [mat[r][c] for c in range(n) if c != j]
-                    for r in range(n)
-                    if r != i
-                ]
-                cof = modmat.det_mod(minor, f11)
-                adj[j][i] = (-1) ** (i + j) * cof % p
-        return adj
-
-    for _ in range(25):
-        s = [rng.randrange(11) for _ in range(3)]
-        if all(x == 0 for x in s):
-            continue
-        m_at = net.evaluate(s, f11)
-        adj = adjugate(m_at)
-        trace = sum(
-            adj[i][k] * grams[0][k][i] for i in range(4) for k in range(4)
-        ) % p
-        assert ddet.evaluate(s, f11) == trace
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_euler_identity(seed):
-    rng = random.Random(seed)
-    f = _random_hompoly(rng, 4, 5)
-    total = HomPoly.zero(4, 5)
-    for v in range(4):
-        total = total + HomPoly.variable(4, v) * f.partial_derivative(v)
-    assert total == f.scale(5)
 
 
 def test_evaluate_on_array_matches_scalar():
@@ -182,8 +128,7 @@ def test_big_coefficients_stay_exact():
     # determinant of a 6x6 with entries ~1e3 exceeds 64 bits; int math must hold
     rng = random.Random(4)
     grams = [random_symmetric(rng, 6, bound=1000).entries for _ in range(2)]
-    net = LinearFormMatrix.from_gram_matrices(grams)
-    det = determinant_of_linear_matrix(net)
+    det = determinant_of_linear_matrix(grams)
     value = det.evaluate((1, 1))
     direct = [[grams[0][i][j] + grams[1][i][j] for j in range(6)] for i in range(6)]
     from fractions import Fraction

@@ -9,7 +9,6 @@ from quadring.quadform import GramMatrix, classify
 from quadring.netfib import (
     QuadricNet,
     corank_histogram_reduced,
-    corank_stratification,
     count_double_cover,
     count_reduced_family,
     count_reduced_family_dual,
@@ -75,15 +74,14 @@ def test_fiber_classification_representative_independent():
 
 def test_pencil_stratification_over_f7():
     # discriminant lambda(lambda+mu)(lambda+2mu)(lambda+3mu): four simple roots
-    hist = corank_stratification(PENCIL, F7)
+    hist = regularity_check(PENCIL, F7).corank_histogram
     assert hist == {0: 4, 1: 4}
 
 
 def test_zero_net_flatness_violation():
     zero_net = QuadricNet(n=2, m=1, matrices=(GramMatrix.zero(4), GramMatrix.zero(4)))
-    hist = corank_stratification(zero_net, F3)
-    assert hist == {4: 4}
     report = regularity_check(zero_net, F3)
+    assert report.corank_histogram == {4: 4}
     assert not report.flat and not report.regular
 
 
@@ -202,7 +200,9 @@ def test_reduced_histograms_match(accepted_net):
     red = hyperbolic_reduce_family(net, [list(point)])
     for p in (3, 5, 7):
         field = PrimeField(p)
-        assert corank_stratification(net, field) == corank_histogram_reduced(red, field)
+        assert regularity_check(net, field).corank_histogram == corank_histogram_reduced(
+            red, field
+        )
 
 
 def test_dual_fibration_counts_agree(accepted_net, accepted_pencil):
@@ -237,7 +237,7 @@ def test_double_cover_matches_discriminant_polynomial():
 
     # Gram size 4: the signed determinant is +det, so the cover count can be
     # recomputed from the discriminant polynomial of the pencil
-    det_poly = determinant_of_linear_matrix(PENCIL.linear_form_matrix())
+    det_poly = determinant_of_linear_matrix([m.entries for m in PENCIL.matrices])
     for field in (F5, F7):
         total = 0
         branch = 0

@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -136,3 +138,22 @@ def test_verra_asymmetric_form_still_balances():
     assert swap_verra_factors(g) != g  # genuinely asymmetric instance
     report = verra_counts(g, [5])[0]
     assert report.y_difference == 0
+
+
+@pytest.mark.parametrize("seed", [8, 10, 11])
+def test_cubic_search_is_smooth_along_the_plane(seed):
+    # these seeds drew cubics singular at F_p-points of the plane before the
+    # search tested the plane conics; each such point gave residual -p^2
+    primes = (5, 7, 11, 13)
+    cubic = random_cubic_with_plane(primes, seed=seed)
+    reports = cubic_with_plane_counts(cubic, primes)
+    assert [r.residual for r in reports] == [0, 0, 0, 0]
+    assert not any(r.corank2_found for r in reports)
+
+
+def test_cubic_search_seed_42_unchanged():
+    # the benchmark's seed-42 cubic was smooth along the plane on its first
+    # accepted draw, so the plane test leaves it as it was
+    doc = json.loads((Path(__file__).parent / "data" / "golden" / "cubic_form.json").read_text())
+    expected = {tuple(e): c for e, c in doc["terms"]}
+    assert random_cubic_with_plane((5, 7, 11, 13), seed=42).terms == expected
