@@ -17,7 +17,7 @@ import sys
 from typing import Sequence
 
 from . import grothring, nslattice
-from .errors import BudgetExceededError, InputError
+from .errors import BudgetExceededError, InputError, json_int
 from .gfp import PrimeField
 from .mpoly import HomPoly
 from .netfib import (
@@ -85,12 +85,16 @@ def _load_json(path: str) -> dict:
 
 
 def load_cubic_form(path: str) -> HomPoly:
-    """Cubic form file: {"num_vars": 6, "degree": 3, "terms": [[[e...], c]]}."""
+    """Cubic form file: {"num_vars": 6, "degree": 3, "terms": [[[e...], c]]};
+    the coefficients of repeated monomials add up."""
     doc = _load_json(path)
     try:
-        nv = int(doc["num_vars"])
-        deg = int(doc["degree"])
-        terms = {tuple(int(e) for e in exps): int(c) for exps, c in doc["terms"]}
+        nv = json_int(doc["num_vars"], "num_vars")
+        deg = json_int(doc["degree"], "degree")
+        terms: dict[tuple[int, ...], int] = {}
+        for exps, c in doc["terms"]:
+            key = tuple(json_int(e, "exponent") for e in exps)
+            terms[key] = terms.get(key, 0) + json_int(c, "coefficient")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed form file {path}: {exc}") from exc
     return HomPoly(nv, deg, terms)
@@ -103,10 +107,7 @@ def load_verra_form(path: str) -> HomPoly:
     tensor = doc.get("tensor")
     if not isinstance(tensor, list) or len(tensor) != 81:
         raise InputError(f"form file {path} needs an 81-entry 'tensor' array")
-    try:
-        tensor = [int(x) for x in tensor]
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"non-integer tensor entry in {path}: {exc}") from exc
+    tensor = [json_int(x, "tensor entry") for x in tensor]
     terms: dict[tuple[int, ...], int] = {}
     idx = 0
     for i in range(3):
@@ -343,7 +344,7 @@ def cmd_cubic(args: argparse.Namespace) -> int:
     form = load_cubic_form(args.form)
     primes = _parse_primes(args.primes)
     reports = cubic_with_plane_counts(form, primes, budget=args.budget)
-    clean = [r for r in reports if not r.corank2_found]
+    clean = [r for r in reports if not (r.corank2_found or r.singular_on_plane)]
     ok = bool(clean) and all(r.residual == 0 for r in clean)
     doc = {
         "format_version": FORMAT_VERSION,
@@ -354,8 +355,10 @@ def cmd_cubic(args: argparse.Namespace) -> int:
     }
     lines = []
     for r in reports:
-        flag = " corank2" if r.corank2_found else ""
-        lines.append(f"p={r.p} X={r.x_count} Y={r.y_count} residual={r.residual}{flag}")
+        flags = (" corank2" if r.corank2_found else "") + (
+            " singular-on-plane" if r.singular_on_plane else ""
+        )
+        lines.append(f"p={r.p} X={r.x_count} Y={r.y_count} residual={r.residual}{flags}")
     lines.append("RESULT: " + ("all residuals zero" if ok else "FAILED"))
     _emit(doc, lines, args.format)
     return 0 if ok else 1

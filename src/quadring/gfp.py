@@ -4,23 +4,29 @@ Field elements are plain Python ints in 0..p-1 with explicit modular
 reduction everywhere; there is no lazy reduction.  A projective point is a
 tuple of field elements in canonical form: not all zero, and the leftmost
 nonzero coordinate equal to 1.  The canonical points of P^n(F_p) carry a
-fixed total order (see :func:`enumerate_projective`), and every counting
-loop in the package walks them in that order, which makes results
-independent of how the index range is partitioned across workers.
+fixed total order, generated only by :func:`projective_points_array`, and
+every enumeration and zero scan in the package walks them in that order,
+which makes results independent of how the index range is split up.
 
 Everything here is immutable and pure, hence safe to share across threads.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import BudgetExceededError
 
 ProjPoint = tuple[int, ...]
+
+# Most rows of P^n(F_p) generated at once by one scan or enumeration: 2^18
+# rows of P^5 take 12.6 MB as int64, and each numpy call on a chunk still
+# covers enough rows to hide its fixed cost.
+CHUNK_ROWS = 1 << 18
 
 
 def _is_prime(p: int) -> bool:
@@ -88,40 +94,18 @@ def canonical_point(coords: Sequence[int], field: PrimeField) -> ProjPoint:
     raise ValueError("zero vector does not define a projective point")
 
 
-def enumerate_projective(n: int, field: PrimeField) -> Iterator[ProjPoint]:
-    """Yield every point of P^n(F_p) exactly once, in canonical order.
+def projective_points_array(
+    n: int, field: PrimeField, budget: int = 4_000_000, lo: int = 0, hi: int | None = None
+) -> np.ndarray:
+    """Rows lo..hi-1 (default: all) of the canonical order of P^n(F_p), as
+    an int64 array with one point per row.
 
     The order is: points grouped by pivot position j (the index of the
     leading 1) ascending, and inside a group the free coordinates
     x_{j+1}..x_n run lexicographically with x_{j+1} most significant.
-    """
-    p = field.p
-    if n < 0:
-        raise ValueError(f"negative dimension: {n}")
-    for j in range(n + 1):
-        free = n - j
-        for offset in range(p**free):
-            tail = []
-            rem = offset
-            for t in range(free):
-                tail.append(rem // p ** (free - 1 - t))
-                rem %= p ** (free - 1 - t)
-            yield (0,) * j + (1,) + tuple(tail)
-
-
-# Cache of full coordinate arrays for small P^n(F_p); rebuilt arrays are
-# identical, caching only saves time for the enumeration-heavy counts.
-_ARRAY_CACHE: dict[tuple[int, int], np.ndarray] = {}
-_ARRAY_CACHE_MAX_POINTS = 1_500_000
-
-
-def projective_points_array(
-    n: int, field: PrimeField, budget: int = 4_000_000
-) -> np.ndarray:
-    """All canonical points of P^n(F_p) as an int64 array, enumeration order.
-
-    Rows follow exactly the order of :func:`enumerate_projective`.  Raises
-    BudgetExceededError when the space has more than `budget` points.
+    This is the only implementation of that order and the only check of
+    the point budget: raises BudgetExceededError when the space has more
+    than `budget` points.
     """
     p = field.p
     size = projective_size(n, p)
@@ -129,24 +113,62 @@ def projective_points_array(
         raise BudgetExceededError(
             f"P^{n}(F_{p}) has {size} points, over the budget of {budget}"
         )
-    key = (n, p)
-    cached = _ARRAY_CACHE.get(key)
-    if cached is not None:
-        return cached
-    blocks = []
+    hi = size if hi is None else hi
+    if not 0 <= lo <= hi <= size:
+        raise ValueError(f"bad index range [{lo}, {hi}) of {size} points")
+    rows = np.zeros((hi - lo, n + 1), dtype=np.int64)
+    start = 0  # index of the first point with pivot j
     for j in range(n + 1):
         count = p ** (n - j)
-        block = np.zeros((count, n + 1), dtype=np.int64)
-        block[:, j] = 1
-        offsets = np.arange(count, dtype=np.int64)
-        for t in range(n - j):
-            block[:, j + 1 + t] = (offsets // p ** (n - j - 1 - t)) % p
-        blocks.append(block)
-    arr = np.concatenate(blocks, axis=0)
-    arr.setflags(write=False)
-    if size <= _ARRAY_CACHE_MAX_POINTS:
-        _ARRAY_CACHE[key] = arr
-    return arr
+        a, b = max(lo, start), min(hi, start + count)
+        if a < b:
+            block = rows[a - lo : b - lo]
+            block[:, j] = 1
+            offsets = np.arange(a - start, b - start, dtype=np.int64)
+            for t in range(j + 1, n + 1):
+                block[:, t] = offsets // p ** (n - t) % p
+        start += count
+    return rows
+
+
+def enumerate_projective(n: int, field: PrimeField) -> Iterator[ProjPoint]:
+    """Yield every point of P^n(F_p) exactly once, in canonical order, as
+    tuples read from :func:`projective_points_array` one index range of at
+    most CHUNK_ROWS rows at a time."""
+    size = projective_size(n, field.p)
+    for lo in range(0, size, CHUNK_ROWS):
+        rows = projective_points_array(n, field, budget=size, lo=lo, hi=min(lo + CHUNK_ROWS, size))
+        yield from map(tuple, rows.tolist())
+
+
+def projective_rows_where(
+    n: int,
+    field: PrimeField,
+    keep: Callable[[np.ndarray], np.ndarray],
+    budget: int = 4_000_000,
+    jobs: int = 1,
+) -> np.ndarray:
+    """The rows of P^n(F_p), in canonical order, where the boolean mask
+    keep(rows) is true.
+
+    Each of `jobs` threads scans one contiguous part of the index range,
+    generating and filtering it CHUNK_ROWS rows at a time, so memory stays
+    bounded at any budget and the result does not depend on `jobs`.
+    """
+
+    def scan(part: tuple[int, int]) -> np.ndarray:
+        lo, hi = part
+        chunks = (
+            projective_points_array(n, field, budget, a, min(a + CHUNK_ROWS, hi))
+            for a in range(lo, hi, CHUNK_ROWS)
+        )
+        return np.concatenate([rows[keep(rows)] for rows in chunks])
+
+    parts = split_ranges(projective_size(n, field.p), max(1, jobs))
+    if len(parts) == 1:
+        return scan(parts[0])
+    with ThreadPoolExecutor(max_workers=len(parts)) as pool:
+        return np.concatenate(list(pool.map(scan, parts)))
 
 
 def split_ranges(total: int, parts: int) -> list[tuple[int, int]]:

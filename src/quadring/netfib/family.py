@@ -17,24 +17,21 @@ if a geometric hypothesis actually fails, which is the compensating check.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from ..errors import BudgetExceededError, InputError
+from ..errors import InputError, json_int
 from ..gfp import (
     PrimeField,
     ProjPoint,
     canonical_point,
     enumerate_projective,
-    projective_points_array,
-    projective_size,
-    split_ranges,
+    projective_rows_where,
 )
 from .. import modmat
-from ..quadform import GramMatrix, count_projective_points
+from ..quadform import GramMatrix, count_projective_points, form_values
 
 NET_FORMAT_VERSION = 1
 
@@ -101,11 +98,11 @@ class QuadricNet:
     @classmethod
     def from_document(cls, doc: dict) -> tuple["QuadricNet", tuple[int, ...] | None]:
         try:
-            n = int(doc["n"])
-            m = int(doc["m"])
+            n = json_int(doc["n"], "n")
+            m = json_int(doc["m"], "m")
             flat = doc["matrices"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"malformed net document: {exc}") from exc
+        except KeyError as exc:
+            raise InputError(f"malformed net document: missing {exc}") from exc
         size = n + 2
         if not isinstance(flat, list) or len(flat) != m + 1:
             raise InputError(f"expected {m + 1} matrices, got {len(flat) if isinstance(flat, list) else 'non-list'}")
@@ -115,20 +112,16 @@ class QuadricNet:
                 raise InputError(
                     f"each matrix must be a flat array of {size * size} integers"
                 )
-            try:
-                rows = [
-                    tuple(int(row_major[i * size + j]) for j in range(size))
-                    for i in range(size)
-                ]
-            except (TypeError, ValueError) as exc:
-                raise InputError(f"non-integer matrix entry: {exc}") from exc
+            rows = [
+                tuple(json_int(row_major[i * size + j], "matrix entry") for j in range(size))
+                for i in range(size)
+            ]
             mats.append(GramMatrix(tuple(rows)))  # symmetry validated here
         point = doc.get("point")
         if point is not None:
-            try:
-                point = tuple(int(x) for x in point)
-            except (TypeError, ValueError) as exc:
-                raise InputError(f"malformed point: {exc}") from exc
+            if not isinstance(point, list):
+                raise InputError("point must be an array of integers")
+            point = tuple(json_int(x, "point coordinate") for x in point)
             if len(point) != size:
                 raise InputError(f"point has length {len(point)}, expected {size}")
         return cls(n=n, m=m, matrices=tuple(mats)), point
@@ -145,11 +138,6 @@ def load_net(path: str) -> tuple[QuadricNet, tuple[int, ...] | None]:
     return QuadricNet.from_document(doc)
 
 
-def _form_values(points: np.ndarray, gram: GramMatrix, p: int) -> np.ndarray:
-    m = gram.to_array() % p
-    return ((points @ m) * points).sum(axis=1) % p
-
-
 def points_on_X(
     net: QuadricNet,
     field: PrimeField,
@@ -159,36 +147,18 @@ def points_on_X(
     """All canonical points of P^(n+1)(F_p) on which every form of the net
     vanishes, in canonical enumeration order.
 
-    The scan is split into contiguous index ranges processed independently
-    (optionally by a thread pool); the ordered concatenation of the parts
-    does not depend on the partition.
+    The scan is the bounded-chunk walk of `projective_rows_where`, split
+    into one index range per job; the result does not depend on `jobs`.
     """
-    p = field.p
-    dim = net.n + 1
-    if projective_size(dim, p) > budget:
-        raise BudgetExceededError(
-            f"enumerating P^{dim}(F_{p}) exceeds the budget of {budget}"
-        )
-    pts = projective_points_array(dim, field, budget=budget)
 
-    def scan(rng: tuple[int, int]) -> np.ndarray:
-        lo, hi = rng
-        chunk = pts[lo:hi]
-        mask = np.ones(hi - lo, dtype=bool)
+    def on_x(rows: np.ndarray) -> np.ndarray:
+        mask = np.ones(len(rows), dtype=bool)
         for mat in net.matrices:
-            mask &= _form_values(chunk, mat, p) == 0
-        return chunk[mask]
+            mask &= form_values(rows, mat, field) == 0
+        return mask
 
-    ranges = split_ranges(len(pts), max(1, jobs) * 4)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(scan, ranges))
-    else:
-        parts = [scan(r) for r in ranges]
-    out: list[ProjPoint] = []
-    for part in parts:
-        out.extend(tuple(int(x) for x in row) for row in part)
-    return out
+    rows = projective_rows_where(net.n + 1, field, on_x, budget, jobs)
+    return list(map(tuple, rows.tolist()))
 
 
 @dataclass(frozen=True)
@@ -261,26 +231,23 @@ def lines_through_point(
     no trace here.
     """
     p = field.p
-    size = net.fiber_size
     rep = canonical_point(point, field)
     if any(mat.q(rep, field) != 0 for mat in net.matrices):
         raise InputError("point does not lie on the base locus X")
     pivot = next(i for i, x in enumerate(rep) if x != 0)
-    dim = size - 2  # P(V/<P>) = P^(n)
-    if projective_size(dim, p) > budget:
-        raise BudgetExceededError(
-            f"enumerating P^{dim}(F_{p}) exceeds the budget of {budget}"
-        )
-    dirs = projective_points_array(dim, field, budget=budget)
-    lifted = np.insert(dirs, pivot, 0, axis=1)
-    mask = np.ones(len(dirs), dtype=bool)
     rep_vec = np.array(rep, dtype=np.int64)
-    for mat in net.matrices:
-        marr = mat.to_array() % p
-        polar = (lifted @ marr @ rep_vec) % p
-        mask &= polar == 0
-        mask &= _form_values(lifted, mat, p) == 0
-    return [tuple(int(x) for x in row) for row in dirs[mask]]
+
+    def on_line(dirs: np.ndarray) -> np.ndarray:
+        lifted = np.insert(dirs, pivot, 0, axis=1)
+        mask = np.ones(len(dirs), dtype=bool)
+        for mat in net.matrices:
+            mask &= (lifted @ (mat.to_array() % p) @ rep_vec) % p == 0
+            mask &= form_values(lifted, mat, field) == 0
+        return mask
+
+    # P(V/<P>) = P^n
+    dirs = projective_rows_where(net.fiber_size - 2, field, on_line, budget)
+    return list(map(tuple, dirs.tolist()))
 
 
 def count_total_space(net: QuadricNet, field: PrimeField) -> int:

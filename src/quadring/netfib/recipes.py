@@ -19,8 +19,10 @@ every partial derivative of F but d/dx3, d/dx4 and d/dx5 vanishes, and
 d/dx_k restricts to the conic Q_k(y, 0) of the monomials x_k * y^e, so X is
 singular at a point of the plane exactly where the three conics share a
 zero; each such F_p-point moves the residual by -p^2.  Both hypotheses are
-checked at the rational level only: corank by the report's corank2 flag,
-smoothness along the plane by `random_cubic_with_plane`.
+checked at the rational level only, and each has a flag in the report:
+corank by `corank2_found`, smoothness along the plane by
+`singular_on_plane`.  `random_cubic_with_plane` returns only cubics that
+raise neither flag.
 
 Verra setup.  For a (2,2) form G on P^2 x P^2, the double cover
 X -> P^2 x P^2 branched in {G = 0} fibers over the first factor into the
@@ -50,6 +52,7 @@ from ..gfp import (
     enumerate_projective,
     legendre_character,
     projective_points_array,
+    projective_rows_where,
     projective_size,
 )
 from ..mpoly import HomPoly, evaluate_on_array
@@ -133,6 +136,24 @@ def _double_cover_count(entry_polys: Sequence[Sequence[HomPoly]], field: PrimeFi
     return y, corank2
 
 
+def _singular_on_plane(f: HomPoly, field: PrimeField) -> bool:
+    """Whether the cubic is singular at an F_p-point of the plane
+    x3 = x4 = x5 = 0, i.e. whether its three plane conics (the coefficients
+    of x3, x4 and x5 at x3 = x4 = x5 = 0) share an F_p-zero on P^2."""
+    conics = [
+        HomPoly(3, 2, {e[:3]: c for e, c in f.terms.items() if e[k] == 1 and sum(e[3:]) == 1})
+        for k in PLANE_VARS
+    ]
+
+    def common_zero(rows: np.ndarray) -> np.ndarray:
+        mask = np.ones(len(rows), dtype=bool)
+        for conic in conics:
+            mask &= evaluate_on_array(conic, rows, field) == 0
+        return mask
+
+    return len(projective_rows_where(2, field, common_zero)) > 0
+
+
 @dataclass(frozen=True)
 class CubicReport:
     """Counts for one prime of the plane-projection recipe."""
@@ -142,13 +163,17 @@ class CubicReport:
     y_count: int
     residual: int
     corank2_found: bool
+    singular_on_plane: bool
 
     def to_document(self) -> dict:
         return {
             "p": self.p,
             "counts": {"X": self.x_count, "Y": self.y_count},
             "residual": self.residual,
-            "flags": {"corank2_found": self.corank2_found},
+            "flags": {
+                "corank2_found": self.corank2_found,
+                "singular_on_plane": self.singular_on_plane,
+            },
         }
 
 
@@ -159,13 +184,17 @@ def cubic_with_plane_counts(
 ) -> list[CubicReport]:
     """Per-prime residual #X - (1 + p^2 + p^4 + p * #Y) for a cubic through
     the plane x3 = x4 = x5 = 0; expected 0 whenever corank <= 1 everywhere
-    and the cubic is smooth along the plane."""
+    and the cubic is smooth along the plane, the two hypotheses the report
+    flags."""
     grams = cubic_fiber_grams(f)
     reports = []
     for p in primes:
         field = PrimeField(p)
-        pts = projective_points_array(5, field, budget=budget)
-        x_count = int(np.count_nonzero(evaluate_on_array(f, pts, field) == 0))
+        x_count = len(
+            projective_rows_where(
+                5, field, lambda rows: evaluate_on_array(f, rows, field) == 0, budget
+            )
+        )
         y_count, corank2 = _double_cover_count(grams, field)
         residual = x_count - (1 + p**2 + p**4 + p * y_count)
         reports.append(
@@ -175,6 +204,7 @@ def cubic_with_plane_counts(
                 y_count=y_count,
                 residual=residual,
                 corank2_found=corank2,
+                singular_on_plane=_singular_on_plane(f, field),
             )
         )
     return reports
@@ -266,11 +296,12 @@ def verra_counts(g: HomPoly, primes: Sequence[int]) -> list[VerraReport]:
     reports = []
     for p in primes:
         field = PrimeField(p)
+        chi = np.array([legendre_character(a, field) for a in range(p)])
+        plane = projective_points_array(2, field)
         x_count = 0
-        for s in enumerate_projective(2, field):
-            for t in enumerate_projective(2, field):
-                val = g.evaluate(s + t, field)
-                x_count += 1 + legendre_character(val, field)
+        for s in plane:
+            pairs = np.hstack((np.broadcast_to(s, plane.shape), plane))
+            x_count += len(plane) + int(chi[evaluate_on_array(g, pairs, field)].sum())
         y1, c1 = _double_cover_count(first, field)
         y2, c2 = _double_cover_count(second, field)
         base = (p**2 + 1) * projective_size(2, p)

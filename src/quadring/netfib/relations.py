@@ -138,8 +138,6 @@ def _report_for_prime(
             return CountReport(
                 skipped=True, skip_reason=f"point vanishes mod {p}", **base
             )
-        if any(mat.q(rep, field) != 0 for mat in net.matrices):
-            raise InputError(f"point {tuple(point)} is not on X mod {p}")
 
     x_points = points_on_X(net, field, budget=budget, jobs=jobs)
     x = len(x_points)
@@ -189,8 +187,9 @@ def verify_relations(
 ) -> list[CountReport]:
     """Residual reports for the net at each prime.
 
-    The point, when given, must be an integer vector on X over Z (used at
-    every prime); None restricts the report to the point-free residuals.
+    The point, when given, must be a nonzero integer vector on X over Z
+    (used at every prime, so it lies on X mod p wherever it does not vanish
+    mod p); None restricts the report to the point-free residuals.
     Precondition failures surface as flags and skips, not exceptions.
     """
     if (net.n, net.m) not in SUPPORTED_SHAPES:
@@ -198,6 +197,10 @@ def verify_relations(
             f"relation checks support shapes {SUPPORTED_SHAPES}, got {(net.n, net.m)}"
         )
     if point is not None:
+        if len(point) != net.fiber_size:
+            raise InputError(f"point has length {len(point)}, expected {net.fiber_size}")
+        if not any(point):
+            raise InputError("the zero vector is not a point")
         bad = [i for i, mat in enumerate(net.matrices) if mat.q(point) != 0]
         if bad:
             raise InputError(f"point is not on X over Z (forms {bad} do not vanish)")

@@ -14,11 +14,9 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from ..errors import BudgetExceededError, InputError
-from ..gfp import PrimeField, enumerate_projective, projective_points_array
-from ..mpoly import HomPoly, evaluate_on_array
+from ..gfp import PrimeField, enumerate_projective
+from ..mpoly import HomPoly
 from ..quadform import GramMatrix, classify
 from .family import QuadricNet, lines_through_point, regularity_check
 from .recipes import (
@@ -26,6 +24,7 @@ from .recipes import (
     cubic_fiber_grams,
     swap_verra_factors,
     _gram_at,
+    _singular_on_plane,
     _verra_quadric_entries,
 )
 
@@ -127,20 +126,6 @@ def _fibers_corank_at_most_one(
         ):
             return False
     return True
-
-
-def _singular_on_plane(cubic: HomPoly, field: PrimeField) -> bool:
-    """Whether the cubic is singular at an F_p-point of the plane
-    x3 = x4 = x5 = 0, i.e. whether its three plane conics (the coefficients
-    of x3, x4 and x5 at x3 = x4 = x5 = 0) share an F_p-zero on P^2."""
-    pts = projective_points_array(2, field)
-    common = np.ones(len(pts), dtype=bool)
-    for k in PLANE_VARS:
-        conic = HomPoly(
-            3, 2, {e[:3]: c for e, c in cubic.terms.items() if e[k] == 1 and sum(e[3:]) == 1}
-        )
-        common &= evaluate_on_array(conic, pts, field) == 0
-    return bool(common.any())
 
 
 def random_cubic_with_plane(primes: Sequence[int], seed: int) -> HomPoly:

@@ -29,8 +29,8 @@ from typing import Sequence
 import numpy as np
 
 from . import modmat
-from .errors import BudgetExceededError, InputError
-from .gfp import PrimeField, legendre_character, projective_points_array, projective_size
+from .errors import InputError
+from .gfp import PrimeField, legendre_character, projective_rows_where, projective_size
 
 
 @dataclass(frozen=True)
@@ -209,22 +209,22 @@ def count_projective_points(matrix: GramMatrix, field: PrimeField) -> int:
     return nondeg * p**c + (p**c - 1) // (p - 1)
 
 
+def form_values(points: np.ndarray, matrix: GramMatrix, field: PrimeField) -> np.ndarray:
+    """q(v) mod p at every row v of `points` (int64, one point per row)."""
+    m = matrix.to_array() % field.p
+    return ((points @ m) * points).sum(axis=1) % field.p
+
+
 def brute_force_count(matrix: GramMatrix, field: PrimeField, budget: int = 4_000_000) -> int:
     """Exhaustive count over P^(N-1)(F_p); the oracle for the closed form.
 
     Refuses (BudgetExceededError) when the projective space holds more than
     `budget` points.
     """
-    p = field.p
-    n = matrix.size
-    if projective_size(n - 1, p) > budget:
-        raise BudgetExceededError(
-            f"brute-force enumeration of P^{n - 1}(F_{p}) exceeds budget {budget}"
-        )
-    pts = projective_points_array(n - 1, field, budget=budget)
-    m = matrix.to_array() % p
-    vals = ((pts @ m) * pts).sum(axis=1) % p
-    return int(np.count_nonzero(vals == 0))
+    zeros = projective_rows_where(
+        matrix.size - 1, field, lambda rows: form_values(rows, matrix, field) == 0, budget
+    )
+    return len(zeros)
 
 
 def restrict(matrix: GramMatrix, basis: Sequence[Sequence[int]], field: PrimeField) -> GramMatrix:

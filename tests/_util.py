@@ -3,6 +3,7 @@
 import random
 
 from quadring.gfp import PrimeField
+from quadring.mpoly import HomPoly
 from quadring.quadform import GramMatrix
 
 
@@ -60,3 +61,22 @@ def find_isotropic_vector(
             continue
         return v
     return None
+
+
+def plane_cubic(seed: int, x0_squared: int) -> HomPoly:
+    """x3*Q3 + x4*Q4 + x5*Q5 with coefficients drawn from [-3, 3], except
+    the x0^2 coefficient of every Q_k, which is `x0_squared`.  The three
+    plane conics all vanish at (1:0:0) mod every prime dividing
+    `x0_squared` (every prime when it is 0), so the cubic is singular at
+    that point of the plane x3 = x4 = x5 = 0 there."""
+    rng = random.Random(seed)
+    terms: dict[tuple[int, ...], int] = {}
+    for k in (3, 4, 5):
+        for i in range(6):
+            for j in range(i, 6):
+                exps = [0] * 6
+                for v in (k, i, j):
+                    exps[v] += 1
+                c = x0_squared if (i, j) == (0, 0) else rng.randint(-3, 3)
+                terms[tuple(exps)] = terms.get(tuple(exps), 0) + c
+    return HomPoly(6, 3, terms)

@@ -1,10 +1,16 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from quadring.cli import main
 from quadring.netfib import QuadricNet
 from quadring.quadform import GramMatrix
+
+from _util import plane_cubic
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -118,6 +124,63 @@ def test_count_point_off_x_rejected(capsys, pencil_file):
         "--point", "1,1,1,1",
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "point,message",
+    [
+        # on every quadric over Z but no point; it used to be skipped at every
+        # prime and exit 1
+        ("0,0,0,0,0,0", "zero vector"),
+        # wrong lengths used to end in a traceback
+        ("1,0", "length"),
+        ("1,0,0,0,0,0,0", "length"),
+    ],
+)
+def test_count_rejects_malformed_point(capsys, point, message):
+    code, _, err = run_cli(
+        capsys, "count", "--net", str(GOLDEN / "net.json"), "--primes", "3,5",
+        "--point", point,
+    )
+    assert code == 2
+    assert message in err
+
+
+def _input_file(kind, value):
+    """A net, cubic or tensor file with `value` in place of one integer."""
+    if kind == "net":
+        doc = json.loads((GOLDEN / "net.json").read_text())
+        doc["matrices"][0][0] = value
+        return "count", "--net", doc
+    if kind == "cubic":
+        doc = json.loads((GOLDEN / "cubic_form.json").read_text())
+        doc["terms"][0][1] = value
+        return "cubic", "--form", doc
+    doc = json.loads((GOLDEN / "verra_form.json").read_text())
+    doc["tensor"][0] = value
+    return "verra", "--form", doc
+
+
+@pytest.mark.parametrize("kind", ["net", "cubic", "tensor"])
+@pytest.mark.parametrize("value", [True, 1.5])
+def test_loaders_reject_bool_and_fractional_numbers(capsys, tmp_path, kind, value):
+    command, flag, doc = _input_file(kind, value)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, command, flag, str(path), "--primes", "5")
+    assert code == 2
+    assert "must be an integer" in err
+
+
+def test_cubic_repeated_monomials_add_up(capsys, tmp_path):
+    # [e, 1] and [e, -1] sum to the zero form, which is malformed input
+    exps = [1, 1, 0, 1, 0, 0]
+    doc = {"num_vars": 6, "degree": 3, "terms": [[exps, 1], [exps, -1]]}
+    path = tmp_path / "cubic.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "cubic", "--form", str(path), "--primes", "5")
+    assert code == 2
+    assert "zero cubic" in err
 
 
 def test_count_rejects_garbage_file(capsys, tmp_path):
@@ -320,6 +383,23 @@ def test_cubic_command(capsys, tmp_path):
     )
     assert code == 0
     assert "residual=0" in out
+
+
+def test_cubic_leaves_primes_singular_along_the_plane_out_of_ok(capsys, tmp_path):
+    # the x0^2 coefficients 5 make the cubic singular at (1:0:0) mod 5 only:
+    # p = 5 is flagged (residual -25) and left out, p = 7 checks clean
+    cubic = plane_cubic(seed=4, x0_squared=5)
+    path = tmp_path / "cubic.json"
+    path.write_text(json.dumps(
+        {"num_vars": 6, "degree": 3, "terms": [[list(e), c] for e, c in cubic.terms.items()]}
+    ))
+    code, out, _ = run_cli(capsys, "cubic", "--form", str(path), "--primes", "5,7")
+    assert code == 0
+    assert "p=5 X=" in out and "residual=-25 singular-on-plane\n" in out
+    assert "residual=0\n" in out
+    code, out, _ = run_cli(capsys, "cubic", "--form", str(path), "--primes", "5")
+    assert code == 1
+    assert "FAILED" in out
 
 
 def test_verra_command(capsys, tmp_path):

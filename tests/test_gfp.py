@@ -1,4 +1,6 @@
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from quadring.errors import BudgetExceededError
 from quadring.gfp import (
@@ -7,6 +9,7 @@ from quadring.gfp import (
     enumerate_projective,
     legendre_character,
     projective_points_array,
+    projective_rows_where,
     projective_size,
     split_ranges,
 )
@@ -65,12 +68,46 @@ def test_enumeration_complete_and_duplicate_free(p, n):
         assert lead == 1
 
 
-def test_points_array_matches_enumeration():
-    f = PrimeField(3)
-    arr = projective_points_array(3, f)
-    assert [tuple(int(x) for x in row) for row in arr] == list(
-        enumerate_projective(3, f)
-    )
+@pytest.mark.parametrize("n,p", [(0, 3), (1, 5), (2, 7), (3, 3), (4, 5), (5, 3)])
+def test_points_array_follows_the_order_rule(n, p):
+    # canonical rows, each point once, all of P^n(F_p), sorted by pivot
+    # position and then lexicographically
+    f = PrimeField(p)
+    rows = [tuple(row) for row in projective_points_array(n, f).tolist()]
+    assert all(canonical_point(row, f) == row for row in rows)
+    assert len(set(rows)) == len(rows) == projective_size(n, p)
+
+    def pivot(row):
+        return next(i for i, x in enumerate(row) if x)
+
+    assert rows == sorted(rows, key=lambda row: (pivot(row), row))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n=st.integers(0, 5),
+    p=st.sampled_from([3, 5, 7]),
+    cuts=st.lists(st.floats(0, 1), max_size=6),
+)
+# P^2(F_3) has pivot blocks [0, 9), [9, 12), [12, 13): these cuts give the
+# empty range [0, 0) and ranges inside one block and across two
+@example(n=2, p=3, cuts=[0.0, 0.0, 0.5, 0.7])
+def test_index_ranges_concatenate_to_the_full_array(n, p, cuts):
+    # any cut of [0, size) into consecutive ranges reproduces the full array
+    f = PrimeField(p)
+    full = projective_points_array(n, f)
+    size = len(full)
+    bounds = sorted([0, size, *(int(c * size) for c in cuts)])
+    pieces = [projective_points_array(n, f, lo=lo, hi=hi) for lo, hi in zip(bounds, bounds[1:])]
+    assert np.array_equal(np.concatenate(pieces), full)
+
+
+def test_rows_where_is_the_filtered_order():
+    f = PrimeField(5)
+    full = projective_points_array(3, f)
+    keep = lambda rows: rows.sum(axis=1) % 5 == 0
+    for jobs in (1, 2, 7):
+        assert np.array_equal(projective_rows_where(3, f, keep, jobs=jobs), full[keep(full)])
 
 
 def test_points_array_budget():

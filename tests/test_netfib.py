@@ -122,6 +122,32 @@ def test_points_on_x_jobs_partition_invariance(accepted_net):
     assert seq == par
 
 
+def test_points_on_x_scans_in_bounded_chunks(accepted_net, monkeypatch):
+    # P^5(F_13) has 402,234 points, more than one chunk: the scan must
+    # generate every row exactly once, never more than CHUNK_ROWS at a time,
+    # and split across threads to the same list
+    from quadring import gfp
+
+    generated = []
+    original = gfp.projective_points_array
+
+    def spy(*args, **kwargs):
+        rows = original(*args, **kwargs)
+        generated.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(gfp, "projective_points_array", spy)
+    f13 = PrimeField(13)
+    seq = points_on_X(accepted_net.net, f13, jobs=1)
+    assert sum(generated) == projective_size(5, 13) > gfp.CHUNK_ROWS
+    assert max(generated) <= gfp.CHUNK_ROWS
+    generated.clear()
+    assert points_on_X(accepted_net.net, f13, jobs=3) == seq
+    assert sum(generated) == projective_size(5, 13)
+    assert max(generated) <= gfp.CHUNK_ROWS
+    assert seq and all(mat.q(pt, f13) == 0 for pt in seq for mat in accepted_net.net.matrices)
+
+
 def test_regularity_pencil_example():
     report = regularity_check(PENCIL, F7)
     assert report.regular and report.flat and not report.corank2_found

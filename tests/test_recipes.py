@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from quadring.errors import InputError
-from quadring.gfp import PrimeField
+from quadring.gfp import PrimeField, enumerate_projective, legendre_character
 from quadring.mpoly import HomPoly
 from quadring.netfib import (
     cubic_fiber_grams,
@@ -17,11 +17,35 @@ from quadring.netfib import (
     validate_verra_form,
     verra_counts,
 )
-from quadring.netfib.recipes import _gram_at
+from quadring.netfib.recipes import PLANE_VARS, _gram_at
+
+from _util import plane_cubic
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
 def _monomial(*exps):
     return tuple(exps)
+
+
+def _golden_verra_form():
+    from quadring.cli import load_verra_form
+
+    return load_verra_form(str(GOLDEN / "verra_form.json"))
+
+
+def _plane_singular_points(cubic, field):
+    """F_p-points of P^2 where the conics of x3, x4 and x5 vanish together,
+    by a pointwise loop."""
+    conics = [
+        HomPoly(3, 2, {e[:3]: c for e, c in cubic.terms.items() if e[k] == 1 and sum(e[3:]) == 1})
+        for k in PLANE_VARS
+    ]
+    return sum(
+        all(conic.evaluate(y, field) == 0 for conic in conics)
+        for y in enumerate_projective(2, field)
+    )
 
 
 def test_validate_cubic_plane_containment():
@@ -88,6 +112,20 @@ def test_cubic_degenerate_flags_corank():
     assert reports[0].corank2_found
 
 
+def test_cubic_singular_along_the_plane_is_flagged():
+    # no x0^2 term: singular at (1:0:0) at every prime.  Each singular
+    # F_p-point of the plane moves the residual by -p^2, and the report
+    # names the broken hypothesis at every prime
+    cubic = plane_cubic(seed=0, x0_squared=0)
+    for report in cubic_with_plane_counts(cubic, [5, 7, 11]):
+        field = PrimeField(report.p)
+        singular = _plane_singular_points(cubic, field)
+        assert singular >= 1
+        assert report.singular_on_plane and not report.corank2_found
+        assert report.residual == -report.p**2 * singular
+        assert report.to_document()["flags"]["singular_on_plane"] is True
+
+
 def test_verra_validation():
     with pytest.raises(InputError):
         validate_verra_form(HomPoly(6, 4, {_monomial(4, 0, 0, 0, 0, 0): 1}))
@@ -133,6 +171,19 @@ def test_verra_accepted_forms_residuals_zero():
         assert report.y_difference == 0
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_verra_x_count_matches_pointwise_sum(p):
+    # oracle: sum 1 + chi(G(s, t)) over P^2 x P^2 one point pair at a time
+    field = PrimeField(p)
+    for g in (random_verra_form([5], seed=2), _golden_verra_form()):
+        expected = sum(
+            1 + legendre_character(g.evaluate(s + t, field), field)
+            for s in enumerate_projective(2, field)
+            for t in enumerate_projective(2, field)
+        )
+        assert verra_counts(g, [p])[0].x_count == expected
+
+
 def test_verra_asymmetric_form_still_balances():
     g = random_verra_form([5], seed=2)
     assert swap_verra_factors(g) != g  # genuinely asymmetric instance
@@ -154,6 +205,6 @@ def test_cubic_search_is_smooth_along_the_plane(seed):
 def test_cubic_search_seed_42_unchanged():
     # the benchmark's seed-42 cubic was smooth along the plane on its first
     # accepted draw, so the plane test leaves it as it was
-    doc = json.loads((Path(__file__).parent / "data" / "golden" / "cubic_form.json").read_text())
+    doc = json.loads((GOLDEN / "cubic_form.json").read_text())
     expected = {tuple(e): c for e, c in doc["terms"]}
     assert random_cubic_with_plane((5, 7, 11, 13), seed=42).terms == expected
