@@ -8,6 +8,14 @@ fixed total order, generated only by :func:`projective_points_array`, and
 every enumeration and zero scan in the package walks them in that order,
 which makes results independent of how the index range is split up.
 
+Zero scans walk P^n (n >= 2) as (P^(n-2) x F_p^2) followed by
+({0}^(n-1) x P^1): a point with a nonzero prefix h = (x_0..x_(n-2)) is the
+canonical h followed by any s = (x_(n-1), x_n), and the canonical order is
+h in the order of P^(n-2), then s lexicographically; the points with h = 0
+come last, in the order of P^1.  The prefix rows, the rows s of F_p^2 (the
+pivot-0 rows of P^2 without their leading 1) and the P^1 tail are all read
+from :func:`projective_points_array`, so the order still has one source.
+
 Everything here is immutable and pure, hence safe to share across threads.
 """
 
@@ -23,9 +31,10 @@ from .errors import BudgetExceededError
 
 ProjPoint = tuple[int, ...]
 
-# Most rows of P^n(F_p) generated at once by one scan or enumeration: 2^18
-# rows of P^5 take 12.6 MB as int64, and each numpy call on a chunk still
-# covers enough rows to hide its fixed cost.
+# Most points of P^n(F_p) handled at once by one enumeration chunk or one
+# scan block: 2^18 rows of P^5 take 12.6 MB as int64 (a block's grid of
+# values 2 MB), and each numpy call still covers enough points to hide its
+# fixed cost.
 CHUNK_ROWS = 1 << 18
 
 
@@ -94,6 +103,17 @@ def canonical_point(coords: Sequence[int], field: PrimeField) -> ProjPoint:
     raise ValueError("zero vector does not define a projective point")
 
 
+def _size_within_budget(n: int, p: int, budget: int) -> int:
+    """#P^n(F_p); the only check of the point budget: raises
+    BudgetExceededError when the space has more than `budget` points."""
+    size = projective_size(n, p)
+    if size > budget:
+        raise BudgetExceededError(
+            f"P^{n}(F_{p}) has {size} points, over the budget of {budget}"
+        )
+    return size
+
+
 def projective_points_array(
     n: int, field: PrimeField, budget: int = 4_000_000, lo: int = 0, hi: int | None = None
 ) -> np.ndarray:
@@ -103,16 +123,11 @@ def projective_points_array(
     The order is: points grouped by pivot position j (the index of the
     leading 1) ascending, and inside a group the free coordinates
     x_{j+1}..x_n run lexicographically with x_{j+1} most significant.
-    This is the only implementation of that order and the only check of
-    the point budget: raises BudgetExceededError when the space has more
-    than `budget` points.
+    This is the only implementation of that order.  Raises
+    BudgetExceededError when the space has more than `budget` points.
     """
     p = field.p
-    size = projective_size(n, p)
-    if size > budget:
-        raise BudgetExceededError(
-            f"P^{n}(F_{p}) has {size} points, over the budget of {budget}"
-        )
+    size = _size_within_budget(n, p, budget)
     hi = size if hi is None else hi
     if not 0 <= lo <= hi <= size:
         raise ValueError(f"bad index range [{lo}, {hi}) of {size} points")
@@ -131,14 +146,75 @@ def projective_points_array(
     return rows
 
 
-def enumerate_projective(n: int, field: PrimeField) -> Iterator[ProjPoint]:
-    """Yield every point of P^n(F_p) exactly once, in canonical order, as
-    tuples read from :func:`projective_points_array` one index range of at
-    most CHUNK_ROWS rows at a time."""
+def projective_row_chunks(n: int, field: PrimeField) -> Iterator[np.ndarray]:
+    """The rows of P^n(F_p) in canonical order, read from
+    :func:`projective_points_array` one index range of at most CHUNK_ROWS
+    rows at a time."""
     size = projective_size(n, field.p)
     for lo in range(0, size, CHUNK_ROWS):
-        rows = projective_points_array(n, field, budget=size, lo=lo, hi=min(lo + CHUNK_ROWS, size))
+        yield projective_points_array(n, field, budget=size, lo=lo, hi=min(lo + CHUNK_ROWS, size))
+
+
+def enumerate_projective(n: int, field: PrimeField) -> Iterator[ProjPoint]:
+    """Yield every point of P^n(F_p) exactly once, in canonical order, as
+    tuples, one chunk of :func:`projective_row_chunks` at a time."""
+    for rows in projective_row_chunks(n, field):
         yield from map(tuple, rows.tolist())
+
+
+def scan_projective(
+    n: int,
+    field: PrimeField,
+    keep: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    budget: int = 4_000_000,
+    jobs: int = 1,
+) -> np.ndarray:
+    """The points of P^n(F_p) that `keep` selects, in canonical order.
+
+    The walk is the prefix x F_p^2 split of the module docstring.  keep(h, s)
+    gets a block of prefix rows h and a block of rows s, at most CHUNK_ROWS
+    pairs in all, and returns the rows (h_i, s_j) it keeps in the C order of
+    (i, j).  Each of `jobs` threads walks one contiguous part of the prefix
+    index range, so memory stays bounded at any budget and the result does
+    not depend on `jobs`.  Raises BudgetExceededError when P^n(F_p) has more
+    than `budget` points.
+    """
+    p = field.p
+    _size_within_budget(n, p, budget)
+
+    def blocks(h: np.ndarray, s_dim: int, s_count: int, s_col: int) -> list[np.ndarray]:
+        # keep() on h x the first s_count rows of P^s_dim, from column s_col on
+        step = max(1, CHUNK_ROWS // len(h))
+        return [
+            keep(h, projective_points_array(s_dim, field, budget, b, min(b + step, s_count))[:, s_col:])
+            for b in range(0, s_count, step)
+        ]
+
+    t = min(n, 1)
+    tail = blocks(np.zeros((1, n - t), dtype=np.int64), t, projective_size(t, p), 0)
+    if n < 2:
+        return np.concatenate(tail)
+    # the first p^2 rows of P^2 are (1, s) for s in F_p^2, lexicographically
+    prefix_rows = max(1, CHUNK_ROWS // p**2)
+
+    def scan(part: tuple[int, int]) -> list[np.ndarray]:
+        lo, hi = part
+        return [
+            kept
+            for a in range(lo, hi, prefix_rows)
+            for kept in blocks(
+                projective_points_array(n - 2, field, budget, a, min(a + prefix_rows, hi)),
+                2, p**2, 1,
+            )
+        ]
+
+    parts = split_ranges(projective_size(n - 2, p), max(1, jobs))
+    if len(parts) == 1:
+        heads = [scan(parts[0])]
+    else:
+        with ThreadPoolExecutor(max_workers=len(parts)) as pool:
+            heads = list(pool.map(scan, parts))
+    return np.concatenate([kept for head in heads for kept in head] + tail)
 
 
 def projective_rows_where(
@@ -149,26 +225,14 @@ def projective_rows_where(
     jobs: int = 1,
 ) -> np.ndarray:
     """The rows of P^n(F_p), in canonical order, where the boolean mask
-    keep(rows) is true.
+    keep(rows) is true: the walk of `scan_projective`, with each block
+    expanded to its full rows before the mask is applied."""
 
-    Each of `jobs` threads scans one contiguous part of the index range,
-    generating and filtering it CHUNK_ROWS rows at a time, so memory stays
-    bounded at any budget and the result does not depend on `jobs`.
-    """
+    def block(h: np.ndarray, s: np.ndarray) -> np.ndarray:
+        rows = np.hstack((np.repeat(h, len(s), axis=0), np.tile(s, (len(h), 1))))
+        return rows[keep(rows)]
 
-    def scan(part: tuple[int, int]) -> np.ndarray:
-        lo, hi = part
-        chunks = (
-            projective_points_array(n, field, budget, a, min(a + CHUNK_ROWS, hi))
-            for a in range(lo, hi, CHUNK_ROWS)
-        )
-        return np.concatenate([rows[keep(rows)] for rows in chunks])
-
-    parts = split_ranges(projective_size(n, field.p), max(1, jobs))
-    if len(parts) == 1:
-        return scan(parts[0])
-    with ThreadPoolExecutor(max_workers=len(parts)) as pool:
-        return np.concatenate(list(pool.map(scan, parts)))
+    return scan_projective(n, field, block, budget, jobs)
 
 
 def split_ranges(total: int, parts: int) -> list[tuple[int, int]]:

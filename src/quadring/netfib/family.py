@@ -23,15 +23,9 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from ..errors import InputError, json_int
-from ..gfp import (
-    PrimeField,
-    ProjPoint,
-    canonical_point,
-    enumerate_projective,
-    projective_rows_where,
-)
+from ..gfp import PrimeField, ProjPoint, canonical_point, enumerate_projective
 from .. import modmat
-from ..quadform import GramMatrix, count_projective_points, form_values
+from ..quadform import GramMatrix, common_zeros, count_projective_points
 
 NET_FORMAT_VERSION = 1
 
@@ -147,18 +141,13 @@ def points_on_X(
     """All canonical points of P^(n+1)(F_p) on which every form of the net
     vanishes, in canonical enumeration order.
 
-    The scan is the bounded-chunk walk of `projective_rows_where`, split
-    into one index range per job; the result does not depend on `jobs`.
+    The scan is `quadform.common_zeros`: the first form is evaluated on
+    blocks of P^(n-1) x F_p^2 and the P^1 tail, the others only on its
+    zeros; the prefix is split into one index range per job, and the result
+    does not depend on `jobs`.  Raises BudgetExceededError when P^(n+1)(F_p)
+    has more than `budget` points.
     """
-
-    def on_x(rows: np.ndarray) -> np.ndarray:
-        mask = np.ones(len(rows), dtype=bool)
-        for mat in net.matrices:
-            mask &= form_values(rows, mat, field) == 0
-        return mask
-
-    rows = projective_rows_where(net.n + 1, field, on_x, budget, jobs)
-    return list(map(tuple, rows.tolist()))
+    return list(map(tuple, common_zeros(net.matrices, field, budget, jobs).tolist()))
 
 
 @dataclass(frozen=True)
@@ -226,28 +215,29 @@ def lines_through_point(
 
     The point's pivot coordinate is deleted to realize V/<P>; a direction
     v' qualifies when b(P, v'') = 0 and q(v'') = 0 for every form, v''
-    being the lift with 0 in the pivot slot.  HEURISTIC for the geometric
-    no-line condition: a line defined only over an extension field leaves
-    no trace here.
+    being the lift with 0 in the pivot slot.  Both kinds of condition go to
+    the one zero scan `quadform.common_zeros`: q(v'') is the form with the
+    pivot row and column deleted, and the linear condition l(v') = b(P, v'')
+    enters as the rank-1 form l l^T, which vanishes exactly where l does
+    over a field.  Raises BudgetExceededError when P^n(F_p) has more than
+    `budget` points.  HEURISTIC for the geometric no-line condition: a line
+    defined only over an extension field leaves no trace here.
     """
     p = field.p
     rep = canonical_point(point, field)
     if any(mat.q(rep, field) != 0 for mat in net.matrices):
         raise InputError("point does not lie on the base locus X")
-    pivot = next(i for i, x in enumerate(rep) if x != 0)
+    pivot = rep.index(1)
+    kept = [i for i in range(net.fiber_size) if i != pivot]
     rep_vec = np.array(rep, dtype=np.int64)
-
-    def on_line(dirs: np.ndarray) -> np.ndarray:
-        lifted = np.insert(dirs, pivot, 0, axis=1)
-        mask = np.ones(len(dirs), dtype=bool)
-        for mat in net.matrices:
-            mask &= (lifted @ (mat.to_array() % p) @ rep_vec) % p == 0
-            mask &= form_values(lifted, mat, field) == 0
-        return mask
-
+    linear, quadratic = [], []
+    for mat in net.matrices:
+        m = mat.to_array() % p
+        ell = (m @ rep_vec % p)[kept]
+        linear.append(GramMatrix.from_rows(np.outer(ell, ell).tolist()))
+        quadratic.append(GramMatrix.from_rows(m[np.ix_(kept, kept)].tolist()))
     # P(V/<P>) = P^n
-    dirs = projective_rows_where(net.fiber_size - 2, field, on_line, budget)
-    return list(map(tuple, dirs.tolist()))
+    return list(map(tuple, common_zeros(linear + quadratic, field, budget).tolist()))
 
 
 def count_total_space(net: QuadricNet, field: PrimeField) -> int:

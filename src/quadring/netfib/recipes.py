@@ -42,16 +42,16 @@ ranks, characters, and point counts unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from ..errors import InputError
 from ..gfp import (
     PrimeField,
-    enumerate_projective,
     legendre_character,
     projective_points_array,
+    projective_row_chunks,
     projective_rows_where,
     projective_size,
 )
@@ -117,11 +117,14 @@ def cubic_fiber_grams(f: HomPoly) -> list[list[HomPoly]]:
     ]
 
 
-def _gram_at(entry_polys: Sequence[Sequence[HomPoly]], s: Sequence[int], field: PrimeField) -> GramMatrix:
-    rows = [
-        tuple(poly.evaluate(s, field) for poly in row) for row in entry_polys
-    ]
-    return GramMatrix(tuple(rows))
+def _fiber_grams(entry_polys: Sequence[Sequence[HomPoly]], field: PrimeField) -> Iterator[GramMatrix]:
+    """The fiber Gram matrix over each point of P^2(F_p), in canonical
+    order: each entry polynomial is evaluated once per chunk of rows of P^2
+    by `evaluate_on_array`."""
+    for rows in projective_row_chunks(2, field):
+        values = np.array([[evaluate_on_array(poly, rows, field) for poly in row] for row in entry_polys])
+        for gram in values.transpose(2, 0, 1):
+            yield GramMatrix(tuple(map(tuple, gram.tolist())))
 
 
 def _double_cover_count(entry_polys: Sequence[Sequence[HomPoly]], field: PrimeField) -> tuple[int, bool]:
@@ -129,8 +132,7 @@ def _double_cover_count(entry_polys: Sequence[Sequence[HomPoly]], field: PrimeFi
     polynomials, and whether some fiber has corank >= 2."""
     y = 0
     corank2 = False
-    for s in enumerate_projective(2, field):
-        gram = _gram_at(entry_polys, s, field)
+    for gram in _fiber_grams(entry_polys, field):
         corank2 |= classify(gram, field).corank >= 2
         y += double_cover_points(gram, field)
     return y, corank2

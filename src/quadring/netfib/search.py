@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..errors import BudgetExceededError, InputError
-from ..gfp import PrimeField, enumerate_projective
+from ..gfp import PrimeField
 from ..mpoly import HomPoly
 from ..quadform import GramMatrix, classify
 from .family import QuadricNet, lines_through_point, regularity_check
@@ -23,7 +23,7 @@ from .recipes import (
     PLANE_VARS,
     cubic_fiber_grams,
     swap_verra_factors,
-    _gram_at,
+    _fiber_grams,
     _singular_on_plane,
     _verra_quadric_entries,
 )
@@ -120,10 +120,7 @@ def _fibers_corank_at_most_one(
     at every prime."""
     for p in primes:
         field = PrimeField(p)
-        if any(
-            classify(_gram_at(entry_polys, s, field), field).corank >= 2
-            for s in enumerate_projective(2, field)
-        ):
+        if any(classify(gram, field).corank >= 2 for gram in _fiber_grams(entry_polys, field)):
             return False
     return True
 

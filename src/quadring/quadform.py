@@ -30,7 +30,7 @@ import numpy as np
 
 from . import modmat
 from .errors import InputError
-from .gfp import PrimeField, legendre_character, projective_rows_where, projective_size
+from .gfp import PrimeField, legendre_character, projective_size, scan_projective
 
 
 @dataclass(frozen=True)
@@ -209,22 +209,59 @@ def count_projective_points(matrix: GramMatrix, field: PrimeField) -> int:
     return nondeg * p**c + (p**c - 1) // (p - 1)
 
 
+def _values(rows: np.ndarray, m: np.ndarray, p: int) -> np.ndarray:
+    """v^T m v mod p at every row v, for an int64 Gram array m reduced mod p."""
+    return ((rows @ m % p) * rows).sum(axis=1) % p
+
+
 def form_values(points: np.ndarray, matrix: GramMatrix, field: PrimeField) -> np.ndarray:
     """q(v) mod p at every row v of `points` (int64, one point per row)."""
-    m = matrix.to_array() % field.p
-    return ((points @ m) * points).sum(axis=1) % field.p
+    return _values(points, matrix.to_array() % field.p, field.p)
+
+
+def common_zeros(
+    grams: Sequence[GramMatrix], field: PrimeField, budget: int = 4_000_000, jobs: int = 1
+) -> np.ndarray:
+    """The points of P^(N-1)(F_p) where every form vanishes, in canonical
+    order, for one or more N x N Gram matrices.
+
+    Walks the blocks h x s of `scan_projective`.  On a block the first form
+    that is nonzero mod p is q(h, 0) + 2 (M_hs^T h) . s + q(0, s), a sum of
+    one column over h and one row over s, so it costs a few operations per
+    point and no point rows are built; only its zeros, about 1/p of the
+    block, are expanded to rows and filtered by the other forms.  Raises
+    BudgetExceededError when P^(N-1)(F_p) holds more than `budget` points.
+    """
+    p = field.p
+    nonzero = [g for g in grams if (g.to_array() % p).any()] or list(grams[:1])
+    first, rest = nonzero[0].to_array() % p, nonzero[1:]
+
+    def zeros(h: np.ndarray, s: np.ndarray) -> np.ndarray:
+        k = h.shape[1]
+        on_h = _values(h, first[:k, :k], p)
+        on_s = _values(s, first[k:, k:], p)
+        cross = 2 * h @ first[:k, k:] % p
+        values = on_h[:, None] + on_s
+        for j in range(s.shape[1]):
+            values += cross[:, j, None] * s[:, j]
+        # flat indices in C order: h index major, s index minor
+        r, c = np.divmod(np.flatnonzero(values % p == 0), len(s))
+        rows = np.hstack((h[r], s[c]))
+        for g in rest:
+            rows = rows[form_values(rows, g, field) == 0]
+        return rows
+
+    return scan_projective(first.shape[0] - 1, field, zeros, budget, jobs)
 
 
 def brute_force_count(matrix: GramMatrix, field: PrimeField, budget: int = 4_000_000) -> int:
-    """Exhaustive count over P^(N-1)(F_p); the oracle for the closed form.
+    """Exhaustive count over P^(N-1)(F_p) by the zero scan of
+    `common_zeros`; the oracle for the closed form.
 
     Refuses (BudgetExceededError) when the projective space holds more than
     `budget` points.
     """
-    zeros = projective_rows_where(
-        matrix.size - 1, field, lambda rows: form_values(rows, matrix, field) == 0, budget
-    )
-    return len(zeros)
+    return len(common_zeros([matrix], field, budget))
 
 
 def restrict(matrix: GramMatrix, basis: Sequence[Sequence[int]], field: PrimeField) -> GramMatrix:

@@ -80,3 +80,22 @@ def plane_cubic(seed: int, x0_squared: int) -> HomPoly:
                 c = x0_squared if (i, j) == (0, 0) else rng.randint(-3, 3)
                 terms[tuple(exps)] = terms.get(tuple(exps), 0) + c
     return HomPoly(6, 3, terms)
+
+
+def record_scan_blocks(monkeypatch) -> list:
+    """Make `quadform.common_zeros` record every block (h, s) its walk hands
+    to the zero test; returns the list the blocks are appended to."""
+    from quadring import quadform
+
+    blocks = []
+    original = quadform.scan_projective
+
+    def spy(n, field, keep, budget, jobs):
+        def recording_keep(h, s):
+            blocks.append((h, s))
+            return keep(h, s)
+
+        return original(n, field, recording_keep, budget, jobs)
+
+    monkeypatch.setattr(quadform, "scan_projective", spy)
+    return blocks

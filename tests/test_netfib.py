@@ -1,11 +1,18 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from quadring.errors import DegenerateSectionError, InputError
-from quadring.gfp import PrimeField, projective_size
-from quadring.quadform import GramMatrix, classify
+from quadring.gfp import (
+    PrimeField,
+    canonical_point,
+    projective_points_array,
+    projective_rows_where,
+    projective_size,
+)
+from quadring.quadform import GramMatrix, classify, form_values
 from quadring.netfib import (
     QuadricNet,
     corank_histogram_reduced,
@@ -21,7 +28,7 @@ from quadring.netfib import (
     verify_relations,
 )
 
-from _util import random_symmetric
+from _util import random_symmetric, record_scan_blocks
 
 F3, F5, F7 = PrimeField(3), PrimeField(5), PrimeField(7)
 
@@ -123,28 +130,29 @@ def test_points_on_x_jobs_partition_invariance(accepted_net):
 
 
 def test_points_on_x_scans_in_bounded_chunks(accepted_net, monkeypatch):
-    # P^5(F_13) has 402,234 points, more than one chunk: the scan must
-    # generate every row exactly once, never more than CHUNK_ROWS at a time,
-    # and split across threads to the same list
+    # P^5(F_13) has 402,234 points.  The scan must cover each exactly once,
+    # as blocks (rows of P^3) x F_13^2 and the tail {0} x P^1, in grids of
+    # at most CHUNK_ROWS cells, and split across threads to the same list
     from quadring import gfp
 
-    generated = []
-    original = gfp.projective_points_array
-
-    def spy(*args, **kwargs):
-        rows = original(*args, **kwargs)
-        generated.append(len(rows))
-        return rows
-
-    monkeypatch.setattr(gfp, "projective_points_array", spy)
+    blocks = record_scan_blocks(monkeypatch)
     f13 = PrimeField(13)
+    plane = projective_points_array(2, f13, hi=13**2)[:, 1:]  # F_13^2 in lex order
     seq = points_on_X(accepted_net.net, f13, jobs=1)
-    assert sum(generated) == projective_size(5, 13) > gfp.CHUNK_ROWS
-    assert max(generated) <= gfp.CHUNK_ROWS
-    generated.clear()
+    head = [(h, s) for h, s in blocks if h.any()]
+    (tail_h, tail_s), = [(h, s) for h, s in blocks if not h.any()]
+    prefix = np.concatenate([h for h, _ in head])
+    assert len(head) > 1
+    assert np.array_equal(prefix, projective_points_array(3, f13))
+    assert all(np.array_equal(s, plane) for _, s in head)
+    assert tail_h.shape == (1, 4) and np.array_equal(tail_s, projective_points_array(1, f13))
+    assert len(prefix) * 13**2 + 13 + 1 == projective_size(5, 13) > gfp.CHUNK_ROWS
+    assert max(len(h) * len(s) for h, s in blocks) <= gfp.CHUNK_ROWS
+    # threads append their blocks in any order: check cover and grid size
+    blocks.clear()
     assert points_on_X(accepted_net.net, f13, jobs=3) == seq
-    assert sum(generated) == projective_size(5, 13)
-    assert max(generated) <= gfp.CHUNK_ROWS
+    assert sum(len(h) * len(s) for h, s in blocks) == projective_size(5, 13)
+    assert max(len(h) * len(s) for h, s in blocks) <= gfp.CHUNK_ROWS
     assert seq and all(mat.q(pt, f13) == 0 for pt in seq for mat in accepted_net.net.matrices)
 
 
@@ -166,7 +174,7 @@ def test_regularity_common_radical_vector_flagged():
     assert report.violations
 
 
-def test_lines_through_point_plane_pair():
+def _plane_pair_net() -> QuadricNet:
     # all three forms kill e0, e1 and their span: the line <e0, e1> lies in X
     rng = random.Random(11)
     mats = []
@@ -176,11 +184,45 @@ def test_lines_through_point_plane_pair():
             for j in (0, 1):
                 m[i][j] = 0
         mats.append(GramMatrix.from_rows(m))
-    net = QuadricNet(n=4, m=2, matrices=tuple(mats))
-    found = lines_through_point(net, (1, 0, 0, 0, 0, 0), F5)
+    return QuadricNet(n=4, m=2, matrices=tuple(mats))
+
+
+def _lines_by_mask_walk(net, point, field):
+    # every direction of P^n, lifted with 0 in the pivot slot, tested against
+    # b(P, v'') = 0 and q(v'') = 0 for every form
+    p = field.p
+    rep = canonical_point(point, field)
+    pivot = rep.index(1)
+    rep_vec = np.array(rep, dtype=np.int64)
+
+    def on_line(dirs):
+        lifted = np.insert(dirs, pivot, 0, axis=1)
+        mask = np.ones(len(dirs), dtype=bool)
+        for mat in net.matrices:
+            mask &= (lifted @ (mat.to_array() % p) @ rep_vec) % p == 0
+            mask &= form_values(lifted, mat, field) == 0
+        return mask
+
+    return list(map(tuple, projective_rows_where(net.fiber_size - 2, field, on_line).tolist()))
+
+
+def test_lines_through_point_plane_pair():
+    found = lines_through_point(_plane_pair_net(), (1, 0, 0, 0, 0, 0), F5)
     assert found, "planted line was not detected"
     # the direction e1 (pivot 0 deleted) must be among them
     assert (1, 0, 0, 0, 0) in found
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_lines_through_point_matches_the_mask_walk(p, accepted_net):
+    field = PrimeField(p)
+    net = _plane_pair_net()
+    points = points_on_X(net, field)[::7] + [(1, 0, 0, 0, 0, 0)]
+    for point in points:
+        assert lines_through_point(net, point, field) == _lines_by_mask_walk(net, point, field)
+    assert lines_through_point(net, (1, 0, 0, 0, 0, 0), field)
+    net, point = accepted_net.net, accepted_net.point
+    assert lines_through_point(net, point, field) == [] == _lines_by_mask_walk(net, point, field)
 
 
 def test_lines_through_point_accepted_net_empty(accepted_net):

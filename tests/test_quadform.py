@@ -1,22 +1,38 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quadring import modmat
 from quadring.errors import BudgetExceededError, InputError
-from quadring.gfp import PrimeField, legendre_character
+from quadring.gfp import (
+    PrimeField,
+    legendre_character,
+    projective_points_array,
+    projective_rows_where,
+    projective_size,
+)
 from quadring.quadform import (
     GramMatrix,
     brute_force_count,
     classify,
+    common_zeros,
     count_projective_points,
     diagonalize,
     disc_character,
+    form_values,
     forms_congruent,
     hyperbolic_reduce_at_vector,
 )
 
-from _util import congruent_transform, find_isotropic_vector, random_invertible, random_symmetric
+from _util import (
+    congruent_transform,
+    find_isotropic_vector,
+    random_invertible,
+    random_symmetric,
+    record_scan_blocks,
+)
 
 F3, F5, F7 = PrimeField(3), PrimeField(5), PrimeField(7)
 HYPERBOLIC = GramMatrix.from_rows([[0, 1], [1, 0]])
@@ -96,6 +112,67 @@ def test_closed_form_matches_brute_force_random(size, p):
     for _ in range(300):
         m = random_symmetric(rng, size, p=p)
         assert count_projective_points(m, field) == brute_force_count(m, field)
+
+
+def _on_all_forms(grams, field):
+    def mask(rows):
+        keep = np.ones(len(rows), dtype=bool)
+        for g in grams:
+            keep &= form_values(rows, g, field) == 0
+        return keep
+
+    return mask
+
+
+def _zeros_in_memory(grams, field):
+    # all of P^(N-1) as one array, each form evaluated on every row
+    rows = projective_points_array(grams[0].size - 1, field)
+    return rows[_on_all_forms(grams, field)(rows)]
+
+
+@st.composite
+def _form(draw, size, p):
+    kind = draw(st.sampled_from(["random", "zero", "rank1"]))
+    if kind == "zero":
+        return GramMatrix.zero(size)
+    if kind == "rank1":  # l l^T vanishes exactly where the linear form l does
+        ell = draw(st.lists(st.integers(-p, p), min_size=size, max_size=size))
+        return GramMatrix.from_rows([[a * b for b in ell] for a in ell])
+    rows = [[0] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i, size):
+            rows[i][j] = rows[j][i] = draw(st.integers(-9, 9))
+    return GramMatrix.from_rows(rows)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(data=st.data(), size=st.integers(1, 6), p=st.sampled_from([3, 5, 7, 11]), jobs=st.integers(1, 3))
+def test_common_zeros_match_the_in_memory_scan(data, size, p, jobs):
+    field = PrimeField(p)
+    grams = data.draw(st.lists(_form(size, p), min_size=1, max_size=4))
+    expected = _zeros_in_memory(grams, field)
+    points = projective_size(size - 1, p)
+    assert np.array_equal(common_zeros(grams, field, budget=points, jobs=jobs), expected)
+    assert np.array_equal(projective_rows_where(size - 1, field, _on_all_forms(grams, field), jobs=jobs), expected)
+    with pytest.raises(BudgetExceededError):
+        common_zeros(grams, field, budget=points - 1)
+
+
+def test_common_zeros_split_the_plane_when_it_outgrows_a_chunk(monkeypatch):
+    # with CHUNK_ROWS below p^2, one prefix row meets F_p^2 in several grids
+    from quadring import gfp
+
+    rng = random.Random(5)
+    cases = [
+        (PrimeField(p), [random_symmetric(rng, size, p=p) for _ in range(2)])
+        for size, p in ((3, 3), (4, 5), (5, 3))
+    ]
+    expected = [_zeros_in_memory(grams, field) for field, grams in cases]
+    monkeypatch.setattr(gfp, "CHUNK_ROWS", 4)
+    blocks = record_scan_blocks(monkeypatch)
+    for (field, grams), want in zip(cases, expected):
+        assert len(want) and np.array_equal(common_zeros(grams, field, jobs=2), want)
+    assert max(len(h) * len(s) for h, s in blocks) <= 4
 
 
 def test_count_invariant_under_congruence():

@@ -7,6 +7,7 @@ import pytest
 from quadring.errors import InputError
 from quadring.gfp import PrimeField, enumerate_projective, legendre_character
 from quadring.mpoly import HomPoly
+from quadring.quadform import GramMatrix
 from quadring.netfib import (
     cubic_fiber_grams,
     cubic_with_plane_counts,
@@ -17,7 +18,7 @@ from quadring.netfib import (
     validate_verra_form,
     verra_counts,
 )
-from quadring.netfib.recipes import PLANE_VARS, _gram_at
+from quadring.netfib.recipes import PLANE_VARS, _fiber_grams, _verra_quadric_entries
 
 from _util import plane_cubic
 
@@ -67,6 +68,22 @@ def test_cubic_fiber_gram_degrees_and_symmetry():
             assert grams[i][j].degree == 1
         assert grams[i][3].degree == 2
     assert grams[3][3].degree == 3
+
+
+def _gram_at(entry_polys, s, field):
+    """The fiber Gram over s, one `HomPoly.evaluate` per entry."""
+    return GramMatrix(tuple(tuple(poly.evaluate(s, field) for poly in row) for row in entry_polys))
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_fiber_grams_match_pointwise_evaluation(p):
+    field = PrimeField(p)
+    for entries in (
+        cubic_fiber_grams(random_cubic_with_plane([5], seed=4)),
+        _verra_quadric_entries(_golden_verra_form()),
+    ):
+        pointwise = [_gram_at(entries, s, field) for s in enumerate_projective(2, field)]
+        assert list(_fiber_grams(entries, field)) == pointwise
 
 
 def test_cubic_fiber_gram_matches_substitution():
