@@ -183,6 +183,8 @@ def cmd_count(args: argparse.Namespace) -> int:
     if point is None:
         point = _find_integral_point(net)
     primes = _parse_primes(args.primes)
+    if args.jobs < 1:
+        raise InputError(f"--jobs must be at least 1, got {args.jobs}")
     reports = verify_relations(
         net, point, primes, budget=args.budget, jobs=args.jobs
     )

@@ -1,13 +1,16 @@
 """Small exact linear algebra helpers mod p (row reduction, kernels, dets).
 
-All routines take matrices as sequences of row sequences of ints and return
-plain lists; pivoting is deterministic (first nonzero entry in scan order),
-so every caller gets reproducible bases.
+The row routines take sequences of row sequences of ints and return plain
+lists; pivoting is deterministic (first nonzero entry in scan order), so
+every caller gets reproducible bases.  Integers enter int64 arrays only
+through `residues`, and `matmul_mod` multiplies such arrays exactly.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
+
+import numpy as np
 
 from .gfp import PrimeField
 
@@ -87,3 +90,24 @@ def det_mod(rows: IntRows, field: PrimeField) -> int:
 def matvec(rows: IntRows, v: Sequence[int], field: PrimeField) -> list[int]:
     p = field.p
     return [sum(a * b for a, b in zip(row, v)) % p for row in rows]
+
+
+def residues(values, field: PrimeField) -> np.ndarray:
+    """Nested integers reduced mod p as Python ints, so an entry of any
+    size is exact, then stored as an int64 array of the same shape."""
+    return (np.array(values, dtype=object) % field.p).astype(np.int64)
+
+
+def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p (numpy matmul) for int64 arrays with entries in [0, p).
+    The plain product is exact while t (p - 1)^2 < 2^63 for the inner
+    dimension t; past that, b = b_hi * 2^16 + b_lo keeps each product below
+    2^47 and each sum below 2^63 for t < 2^15, up to p = 2^31."""
+    if a.shape[-1] * (p - 1) ** 2 < 2**63:
+        return a @ b % p
+    out = a @ (b >> 16)
+    out %= p
+    out <<= 16
+    out += a @ (b & 0xFFFF)
+    out %= p
+    return out

@@ -29,7 +29,6 @@ from .reduction import (
     count_reduced_family,
     count_reduced_family_dual,
     hyperbolic_reduce_family,
-    reduced_fiber_gram,
 )
 from .relations import SUPPORTED_SHAPES, CountReport, verify_relations
 from .search import (
@@ -64,7 +63,6 @@ __all__ = [
     "random_cubic_with_plane",
     "random_net_search",
     "random_verra_form",
-    "reduced_fiber_gram",
     "regularity_check",
     "swap_verra_factors",
     "validate_cubic_with_plane",

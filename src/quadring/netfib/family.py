@@ -5,7 +5,8 @@ A QuadricNet holds m+1 integer symmetric (n+2) x (n+2) Gram matrices
 M_0..M_m; the fiber over a base point w is M(w) = sum w_i M_i.  Keeping the
 matrices over Z lets one net be reduced at many primes; primes where the
 reduction misbehaves (corank >= 2 fibers, regularity violations) are meant
-to be skipped and reported by callers, not patched over.
+to be skipped and reported by callers, not patched over.  `fibers` builds
+the Grams of a chunk of base points with one exact `modmat.matmul_mod`.
 
 The geometric conditions "X is smooth" and "no line through P over the
 algebraic closure" are only ever tested at the F_p-rational level here, and
@@ -25,7 +26,7 @@ import numpy as np
 from ..errors import InputError, json_int
 from ..gfp import PrimeField, ProjPoint, canonical_point, enumerate_projective
 from .. import modmat
-from ..quadform import GramMatrix, common_zeros, count_projective_points
+from ..quadform import GramMatrix, common_zeros, count_projective_points, fiber_grams
 
 NET_FORMAT_VERSION = 1
 
@@ -56,25 +57,12 @@ class QuadricNet:
     def fiber_size(self) -> int:
         return self.n + 2
 
-    def fiber_matrix(self, s: Sequence[int], field: PrimeField) -> GramMatrix:
-        """Gram matrix of the fiber over s, at the canonical representative."""
-        rep = canonical_point(s, field)
-        p = field.p
-        size = self.fiber_size
-        rows = [
-            tuple(
-                sum(rep[k] * self.matrices[k].entries[i][j] for k in range(self.m + 1)) % p
-                for j in range(size)
-            )
-            for i in range(size)
-        ]
-        return GramMatrix(tuple(rows))
-
     def fibers(self, field: PrimeField) -> Iterator[GramMatrix]:
-        """The fiber Gram matrix over each point of P^m(F_p), in canonical
-        order."""
-        for s in enumerate_projective(self.m, field):
-            yield self.fiber_matrix(s, field)
+        """The fiber Gram matrix M(w) mod p over each point w of P^m(F_p), in
+        canonical order, by the walk of `quadform.fiber_grams`."""
+        size = self.fiber_size
+        mats = modmat.residues([mat.entries for mat in self.matrices], field).reshape(self.m + 1, -1)
+        return fiber_grams(self.m, field, lambda w: modmat.matmul_mod(w, mats, field.p).reshape(-1, size, size))
 
     def to_document(self, point: Sequence[int] | None = None) -> dict:
         doc = {
@@ -178,17 +166,14 @@ def regularity_check(net: QuadricNet, field: PrimeField) -> RegularityReport:
     corank2 = False
     flat = True
     hist: dict[int, int] = {}
-    for s in enumerate_projective(net.m, field):
-        fib = net.fiber_matrix(s, field)
+    for s, fib in zip(enumerate_projective(net.m, field), net.fibers(field)):
         kernel = modmat.kernel_basis(fib.entries, size, field)
         c = len(kernel)
         hist[c] = hist.get(c, 0) + 1
         if c == 0:
             continue
-        if c >= 2:
-            corank2 = True
-        if c == size:
-            flat = False
+        corank2 |= c >= 2
+        flat &= c < size
         for coeffs in enumerate_projective(c - 1, field):
             u = tuple(
                 sum(coeffs[t] * kernel[t][i] for t in range(c)) % p for i in range(size)
@@ -229,13 +214,12 @@ def lines_through_point(
         raise InputError("point does not lie on the base locus X")
     pivot = rep.index(1)
     kept = [i for i in range(net.fiber_size) if i != pivot]
-    rep_vec = np.array(rep, dtype=np.int64)
-    linear, quadratic = [], []
-    for mat in net.matrices:
-        m = mat.to_array() % p
-        ell = (m @ rep_vec % p)[kept]
-        linear.append(GramMatrix.from_rows(np.outer(ell, ell).tolist()))
-        quadratic.append(GramMatrix.from_rows(m[np.ix_(kept, kept)].tolist()))
+    mats = modmat.residues([mat.entries for mat in net.matrices], field)
+    linear = [
+        GramMatrix.from_array(np.outer(ell, ell))
+        for ell in modmat.matmul_mod(mats, np.array(rep, dtype=np.int64), p)[:, kept]
+    ]
+    quadratic = [GramMatrix.from_array(m[np.ix_(kept, kept)]) for m in mats]
     # P(V/<P>) = P^n
     return list(map(tuple, common_zeros(linear + quadratic, field, budget).tolist()))
 

@@ -51,12 +51,11 @@ from ..gfp import (
     PrimeField,
     legendre_character,
     projective_points_array,
-    projective_row_chunks,
     projective_rows_where,
     projective_size,
 )
 from ..mpoly import HomPoly, evaluate_on_array
-from ..quadform import GramMatrix, classify, double_cover_points
+from ..quadform import GramMatrix, classify, double_cover_points, fiber_grams
 
 CUBIC_VARS = 6
 PLANE_VARS = (3, 4, 5)
@@ -119,12 +118,11 @@ def cubic_fiber_grams(f: HomPoly) -> list[list[HomPoly]]:
 
 def _fiber_grams(entry_polys: Sequence[Sequence[HomPoly]], field: PrimeField) -> Iterator[GramMatrix]:
     """The fiber Gram matrix over each point of P^2(F_p), in canonical
-    order: each entry polynomial is evaluated once per chunk of rows of P^2
-    by `evaluate_on_array`."""
-    for rows in projective_row_chunks(2, field):
-        values = np.array([[evaluate_on_array(poly, rows, field) for poly in row] for row in entry_polys])
-        for gram in values.transpose(2, 0, 1):
-            yield GramMatrix(tuple(map(tuple, gram.tolist())))
+    order, by the walk of `quadform.fiber_grams`: each entry polynomial is
+    evaluated once per chunk of rows of P^2 by `evaluate_on_array`."""
+    return fiber_grams(2, field, lambda rows: np.array(
+        [[evaluate_on_array(poly, rows, field) for poly in row] for row in entry_polys]
+    ).transpose(2, 0, 1))
 
 
 def _double_cover_count(entry_polys: Sequence[Sequence[HomPoly]], field: PrimeField) -> tuple[int, bool]:

@@ -26,10 +26,12 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from ..errors import DegenerateSectionError, InputError
-from ..gfp import PrimeField, canonical_point, enumerate_projective, projective_size
+from ..gfp import PrimeField, enumerate_projective, projective_size
 from .. import modmat
-from ..quadform import GramMatrix, classify, count_projective_points, double_cover_points, restrict
+from ..quadform import GramMatrix, classify, count_projective_points, double_cover_points, fiber_grams, restrict
 from .family import QuadricNet
 
 REDUCED_FORMAT_VERSION = 1
@@ -80,11 +82,26 @@ class ReducedFamily:
         return self.n - 2 * self.k
 
     def fibers(self, field: PrimeField) -> Iterator[GramMatrix]:
-        """The reduced fiber Gram matrix over each point of P^m(F_p), in
-        canonical order, after checking the basis of U mod p."""
+        """The reduced fiber Gram matrix over each point w of P^m(F_p), in
+        canonical order, after checking the basis of U mod p: the quadratic
+        part restricted to the kernel of the bilinear rows B(w), both built
+        per chunk of base rows.  The first w where B(w) drops rank (the section
+        meets the fiber's singular locus) raises DegenerateSectionError naming it."""
         self.check_basis_mod_p(field)
-        for s in enumerate_projective(self.m, field):
-            yield reduced_fiber_gram(self, s, field)
+        p, cols = field.p, self.n - self.k + 1
+        # bilinear[j][i][c] is stored by condition j; the walk needs w_i first
+        bilinear = modmat.residues(self.bilinear, field).transpose(1, 0, 2).reshape(self.m + 1, -1)
+        quad = modmat.residues([g.entries for g in self.quad], field).reshape(self.m + 1, -1)
+
+        def grams(rows: np.ndarray) -> np.ndarray:
+            lins = modmat.matmul_mod(rows, bilinear, p).reshape(-1, self.k + 1, cols).tolist()
+            kernels = [modmat.kernel_basis(lin, cols, field) for lin in lins]
+            for s, kernel in zip(rows.tolist(), kernels):
+                if len(kernel) > cols - self.k - 1:
+                    raise DegenerateSectionError(f"section degenerates over base point {tuple(s)} at p={p}")
+            return restrict(modmat.matmul_mod(rows, quad, p).reshape(-1, cols, cols), np.array(kernels), p)
+
+        return fiber_grams(self.m, field, grams)
 
     def check_basis_mod_p(self, field: PrimeField) -> None:
         """The subspace U must stay (k+1)-dimensional mod p for the model
@@ -192,39 +209,6 @@ def hyperbolic_reduce_family(
         bilinear=bilinear,
         quad=quad,
     )
-
-
-def reduced_fiber_gram(red: ReducedFamily, s: Sequence[int], field: PrimeField) -> GramMatrix:
-    """Gram matrix of the reduced quadric over s: the quadratic part
-    restricted to the intersection of the bilinear conditions.
-
-    A fiber where the bilinear rows drop rank (the section meets the
-    fiber's singular locus) raises DegenerateSectionError.
-    """
-    p = field.p
-    rep = canonical_point(s, field)
-    cols = red.n - red.k + 1
-    lin = [
-        [
-            sum(rep[i] * red.bilinear[j][i][c] for i in range(red.m + 1)) % p
-            for c in range(cols)
-        ]
-        for j in range(red.k + 1)
-    ]
-    if modmat.rank_mod(lin, cols, field) < red.k + 1:
-        raise DegenerateSectionError(
-            f"section degenerates over base point {tuple(s)} at p={field.p}"
-        )
-    gram = GramMatrix.from_rows(
-        [
-            [
-                sum(rep[i] * red.quad[i].entries[a][b] for i in range(red.m + 1)) % p
-                for b in range(cols)
-            ]
-            for a in range(cols)
-        ]
-    )
-    return restrict(gram, modmat.kernel_basis(lin, cols, field), field)
 
 
 def count_reduced_family(red: ReducedFamily, field: PrimeField) -> int:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
 from ..errors import InputError
-from ..gfp import PrimeField, canonical_point, projective_size
+from ..gfp import PrimeField, canonical_point, projective_size, size_within_budget
 from .family import (
     QuadricNet,
     count_total_space,
@@ -40,7 +40,7 @@ from .family import (
     points_on_X,
     regularity_check,
 )
-from .reduction import count_double_cover, count_reduced_family, hyperbolic_reduce_family
+from .reduction import ReducedFamily, count_double_cover, count_reduced_family, hyperbolic_reduce_family
 
 SUPPORTED_SHAPES = ((4, 2), (2, 1))
 
@@ -106,6 +106,7 @@ class CountReport:
 def _report_for_prime(
     net: QuadricNet,
     point: Sequence[int] | None,
+    reduced: ReducedFamily | None,
     field: PrimeField,
     budget: int,
     jobs: int,
@@ -148,7 +149,6 @@ def _report_for_prime(
     qbar = None
     if rep is not None:
         line_found = bool(lines_through_point(net, rep, field, budget=budget))
-        reduced = hyperbolic_reduce_family(net, [list(point)])
         qbar = count_reduced_family(reduced, field)
 
     pi = lambda d: projective_size(d, p)
@@ -189,8 +189,10 @@ def verify_relations(
 
     The point, when given, must be a nonzero integer vector on X over Z
     (used at every prime, so it lies on X mod p wherever it does not vanish
-    mod p); None restricts the report to the point-free residuals.
-    Precondition failures surface as flags and skips, not exceptions.
+    mod p), and the net is reduced along it once, over Z; None restricts
+    the report to the point-free residuals.  Precondition failures surface
+    as flags and skips; a prime whose P^(n+1)(F_p) holds more than `budget`
+    points raises BudgetExceededError before any fiber is counted.
     """
     if (net.n, net.m) not in SUPPORTED_SHAPES:
         raise InputError(
@@ -204,6 +206,9 @@ def verify_relations(
         bad = [i for i, mat in enumerate(net.matrices) if mat.q(point) != 0]
         if bad:
             raise InputError(f"point is not on X over Z (forms {bad} do not vanish)")
+    for p in primes:
+        size_within_budget(net.n + 1, p, budget)  # the X scan's space
+    reduced = None if point is None else hyperbolic_reduce_family(net, [list(point)])
     return [
-        _report_for_prime(net, point, PrimeField(p), budget, jobs) for p in primes
+        _report_for_prime(net, point, reduced, PrimeField(p), budget, jobs) for p in primes
     ]

@@ -1,7 +1,7 @@
 """Single quadratic forms over F_p (p odd): congruence diagonalization,
 rank/corank, signed discriminant, the determinant double-cover count of one
 fiber, exact projective point counts, restriction to a subspace, hyperbolic
-reduction at an isotropic vector, and congruence testing.
+reduction at an isotropic vector, congruence testing, and the fiber walk.
 
 Conventions.  A form is held by its symmetric Gram matrix M with
 q(v) = v^T M v and polar form b(u, v) = u^T M v; this is well defined since
@@ -24,13 +24,13 @@ enumeration oracle in the acceptance suite before anything else trusts it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from . import modmat
 from .errors import InputError
-from .gfp import PrimeField, legendre_character, projective_size, scan_projective
+from .gfp import PrimeField, legendre_character, projective_row_chunks, projective_size, scan_projective
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,10 @@ class GramMatrix:
         return cls(tuple(tuple(int(x) for x in row) for row in rows))
 
     @classmethod
+    def from_array(cls, array: np.ndarray) -> "GramMatrix":
+        return cls(tuple(map(tuple, array.tolist())))
+
+    @classmethod
     def diagonal(cls, diag: Sequence[int]) -> "GramMatrix":
         n = len(diag)
         return cls(tuple(tuple(int(diag[i]) if i == j else 0 for j in range(n)) for i in range(n)))
@@ -67,12 +71,7 @@ class GramMatrix:
         return len(self.entries)
 
     def q(self, v: Sequence[int], field: PrimeField | None = None) -> int:
-        total = sum(
-            self.entries[i][j] * v[i] * v[j]
-            for i in range(self.size)
-            for j in range(self.size)
-        )
-        return total % field.p if field is not None else total
+        return self.b(v, v, field)
 
     def b(self, u: Sequence[int], v: Sequence[int], field: PrimeField | None = None) -> int:
         total = sum(
@@ -81,9 +80,6 @@ class GramMatrix:
             for j in range(self.size)
         )
         return total % field.p if field is not None else total
-
-    def to_array(self) -> np.ndarray:
-        return np.array(self.entries, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -210,13 +206,13 @@ def count_projective_points(matrix: GramMatrix, field: PrimeField) -> int:
 
 
 def _values(rows: np.ndarray, m: np.ndarray, p: int) -> np.ndarray:
-    """v^T m v mod p at every row v, for an int64 Gram array m reduced mod p."""
-    return ((rows @ m % p) * rows).sum(axis=1) % p
+    """v^T m v mod p at every row v, for int64 arrays with entries in [0, p)."""
+    return (modmat.matmul_mod(rows, m, p) * rows % p).sum(axis=1) % p
 
 
 def form_values(points: np.ndarray, matrix: GramMatrix, field: PrimeField) -> np.ndarray:
     """q(v) mod p at every row v of `points` (int64, one point per row)."""
-    return _values(points, matrix.to_array() % field.p, field.p)
+    return _values(points, modmat.residues(matrix.entries, field), field.p)
 
 
 def common_zeros(
@@ -233,14 +229,16 @@ def common_zeros(
     BudgetExceededError when P^(N-1)(F_p) holds more than `budget` points.
     """
     p = field.p
-    nonzero = [g for g in grams if (g.to_array() % p).any()] or list(grams[:1])
-    first, rest = nonzero[0].to_array() % p, nonzero[1:]
+    nonzero = [g for g in grams if modmat.residues(g.entries, field).any()] or list(grams[:1])
+    first, rest = modmat.residues(nonzero[0].entries, field), nonzero[1:]
 
     def zeros(h: np.ndarray, s: np.ndarray) -> np.ndarray:
         k = h.shape[1]
         on_h = _values(h, first[:k, :k], p)
         on_s = _values(s, first[k:, k:], p)
-        cross = 2 * h @ first[:k, k:] % p
+        cross = 2 * modmat.matmul_mod(h, first[:k, k:], p) % p
+        # two values below p and two products below (p - 1)^2: the sum
+        # stays below 2^63 for p < 2^31
         values = on_h[:, None] + on_s
         for j in range(s.shape[1]):
             values += cross[:, j, None] * s[:, j]
@@ -264,20 +262,19 @@ def brute_force_count(matrix: GramMatrix, field: PrimeField, budget: int = 4_000
     return len(common_zeros([matrix], field, budget))
 
 
-def restrict(matrix: GramMatrix, basis: Sequence[Sequence[int]], field: PrimeField) -> GramMatrix:
-    """The form restricted to the span of `basis`: K^T M K mod p, with the
-    basis vectors as the columns of K."""
-    p = field.p
-    n = matrix.size
-    return GramMatrix.from_rows(
-        [
-            [
-                sum(ku[i] * matrix.entries[i][j] * kv[j] for i in range(n) for j in range(n)) % p
-                for kv in basis
-            ]
-            for ku in basis
-        ]
-    )
+def restrict(grams: np.ndarray, bases: np.ndarray, p: int) -> np.ndarray:
+    """K^T M K mod p for Gram arrays M and the basis vectors of K as the rows
+    of `bases` (one of each, or stacks of them), entries in [0, p)."""
+    return modmat.matmul_mod(modmat.matmul_mod(bases, grams, p), np.swapaxes(bases, -1, -2), p)
+
+
+def fiber_grams(m: int, field: PrimeField, grams: Callable[[np.ndarray], np.ndarray]) -> Iterator[GramMatrix]:
+    """The fiber Gram matrix over each point of P^m(F_p), in canonical order:
+    grams(rows) computes the stacked Gram arrays over one chunk of rows of
+    `projective_row_chunks` at once; only the conversion runs per fiber."""
+    for rows in projective_row_chunks(m, field):
+        for gram in grams(rows):
+            yield GramMatrix.from_array(gram)
 
 
 def hyperbolic_reduce_at_vector(
@@ -301,7 +298,8 @@ def hyperbolic_reduce_at_vector(
         raise InputError("reduction vector lies in the radical (degenerate section)")
     # rows cutting out the complement: b(v, .) = 0 and b(e_{j0}, .) = 0
     mw = [matrix.entries[j0][j] % p for j in range(n)]
-    return restrict(matrix, modmat.kernel_basis([mv, mw], n, field), field)
+    basis = np.array(modmat.kernel_basis([mv, mw], n, field), dtype=np.int64).reshape(-1, n)
+    return GramMatrix.from_array(restrict(modmat.residues(matrix.entries, field), basis, p))
 
 
 def forms_congruent(m1: GramMatrix, m2: GramMatrix, field: PrimeField) -> bool:

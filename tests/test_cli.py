@@ -238,6 +238,50 @@ def test_count_budget_exceeded(capsys, pencil_file):
     assert "budget" in err.lower()
 
 
+def test_count_checks_the_budget_before_any_fiber(capsys, monkeypatch):
+    # P^5(F_1000003) is far over the default budget; the regularity walk
+    # over its 10^12 base points must never start
+    from quadring.netfib import relations
+
+    def no_walk(net, field):
+        raise AssertionError("regularity_check ran before the budget check")
+
+    monkeypatch.setattr(relations, "regularity_check", no_walk)
+    code, out, err = run_cli(
+        capsys, "count", "--net", str(GOLDEN / "net.json"), "--primes", "3,1000003"
+    )
+    assert code == 3 and out == ""
+    size = (1000003**6 - 1) // 1000002
+    assert f"P^5(F_1000003) has {size} points, over the budget of 2000000" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_count_rejects_nonpositive_jobs(capsys, jobs):
+    code, out, err = run_cli(
+        capsys, "count", "--net", str(GOLDEN / "net.json"), "--primes", "3", "--jobs", jobs
+    )
+    assert code == 2 and out == ""
+    assert "--jobs must be at least 1" in err
+
+
+def test_count_huge_entries_print_the_golden_reports(capsys, tmp_path):
+    # 3*5*7*11*13 * 2^64 added to entry (1, 1) of M_0: the same net mod 3, 5
+    # and 7 (the point e_0 stays on X over Z), with an entry beyond int64
+    doc = json.loads((GOLDEN / "net.json").read_text())
+    doc["matrices"][0][1 * 6 + 1] += 3 * 5 * 7 * 11 * 13 * 2**64
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    outputs = []
+    for net in (GOLDEN / "net.json", path):
+        for fmt in ("text", "json"):
+            code, out, _ = run_cli(
+                capsys, "count", "--net", str(net), "--primes", "3,5,7", "--format", fmt
+            )
+            assert code == 0
+            outputs.append(out)
+    assert outputs[:2] == outputs[2:]
+
+
 def test_count_bad_primes(capsys, pencil_file):
     for bad in ("4,5", "5,3", "5,5", "0"):
         code, _, _ = run_cli(

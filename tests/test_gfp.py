@@ -110,6 +110,37 @@ def test_rows_where_is_the_filtered_order():
         assert np.array_equal(projective_rows_where(3, f, keep, jobs=jobs), full[keep(full)])
 
 
+def test_scan_starts_no_more_threads_than_cpus(monkeypatch):
+    # a recording executor that runs every part in the calling thread: no
+    # thread is started, whatever `jobs` asks for
+    from quadring import gfp
+
+    pools = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, parts):
+            return map(fn, parts)
+
+    monkeypatch.setattr(gfp, "ThreadPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(gfp.os, "cpu_count", lambda: 3)
+    f = PrimeField(5)
+    keep = lambda rows: rows.sum(axis=1) % 5 == 0
+    expected = projective_rows_where(4, f, keep, jobs=1)
+    assert pools == []
+    for jobs in (2, 10_000):
+        assert np.array_equal(projective_rows_where(4, f, keep, jobs=jobs), expected)
+    assert pools == [2, 3]
+
+
 def test_points_array_budget():
     with pytest.raises(BudgetExceededError):
         projective_points_array(5, PrimeField(101), budget=1000)

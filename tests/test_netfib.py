@@ -4,10 +4,12 @@ import random
 import numpy as np
 import pytest
 
+from quadring import modmat
 from quadring.errors import DegenerateSectionError, InputError
 from quadring.gfp import (
     PrimeField,
     canonical_point,
+    enumerate_projective,
     projective_points_array,
     projective_rows_where,
     projective_size,
@@ -23,7 +25,6 @@ from quadring.netfib import (
     hyperbolic_reduce_family,
     lines_through_point,
     points_on_X,
-    reduced_fiber_gram,
     regularity_check,
     verify_relations,
 )
@@ -46,6 +47,60 @@ def test_net_validation():
         QuadricNet(n=2, m=1, matrices=(GramMatrix.zero(3), GramMatrix.zero(3)))
 
 
+def _fiber_by_sums(net, s, field):
+    """Reference: the fiber Gram over s summed entry by entry in Python ints,
+    at the canonical representative."""
+    rep = canonical_point(s, field)
+    size = net.fiber_size
+    return GramMatrix.from_rows(
+        [
+            [sum(rep[k] * net.matrices[k].entries[i][j] for k in range(net.m + 1)) % field.p for j in range(size)]
+            for i in range(size)
+        ]
+    )
+
+
+def _reduced_fiber_by_sums(red, s, field):
+    """Reference: the reduced fiber Gram over s, with the bilinear rows, the
+    quadratic part and the restriction K^T M K summed in Python ints."""
+    p = field.p
+    rep = canonical_point(s, field)
+    cols = red.n - red.k + 1
+    lin = [
+        [sum(rep[i] * red.bilinear[j][i][c] for i in range(red.m + 1)) % p for c in range(cols)]
+        for j in range(red.k + 1)
+    ]
+    if modmat.rank_mod(lin, cols, field) < red.k + 1:
+        raise DegenerateSectionError(f"section degenerates over base point {tuple(s)} at p={p}")
+    gram = [
+        [sum(rep[i] * red.quad[i].entries[a][b] for i in range(red.m + 1)) % p for b in range(cols)]
+        for a in range(cols)
+    ]
+    basis = modmat.kernel_basis(lin, cols, field)
+    return GramMatrix.from_rows(
+        [
+            [sum(ku[i] * gram[i][j] * kv[j] for i in range(cols) for j in range(cols)) % p for kv in basis]
+            for ku in basis
+        ]
+    )
+
+
+def _fiber_at(family, s, field):
+    return dict(zip(enumerate_projective(family.m, field), family.fibers(field)))[s]
+
+
+def _huge_entry_net(net):
+    """The net with 3*5*7*11*13 * 2^64 added to entry (1, 1) of M_0 and to
+    the off-diagonal pair (2, 3) of M_2: the same net mod 3, 5, 7, 11 and 13,
+    with entries far beyond int64."""
+    shift = 3 * 5 * 7 * 11 * 13 * 2**64
+    mats = [[list(row) for row in mat.entries] for mat in net.matrices]
+    mats[0][1][1] += shift
+    mats[2][2][3] += shift
+    mats[2][3][2] += shift
+    return QuadricNet(n=net.n, m=net.m, matrices=tuple(GramMatrix.from_rows(m) for m in mats))
+
+
 def test_fiber_matrix_examples():
     net = QuadricNet(
         n=4,
@@ -56,8 +111,37 @@ def test_fiber_matrix_examples():
             GramMatrix.zero(6),
         ),
     )
-    assert net.fiber_matrix((1, 0, 0), F7) == GramMatrix.diagonal([1] * 6)
-    assert PENCIL.fiber_matrix((1, 1), F7) == GramMatrix.diagonal([1, 2, 3, 4])
+    assert _fiber_at(net, (1, 0, 0), F7) == GramMatrix.diagonal([1] * 6)
+    assert _fiber_at(PENCIL, (1, 1), F7) == GramMatrix.diagonal([1, 2, 3, 4])
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_net_fibers_match_pointwise_sums(p, accepted_net, accepted_pencil):
+    field = PrimeField(p)
+    nets = [accepted_net.net, accepted_pencil.net, PENCIL, _huge_entry_net(accepted_net.net)]
+    for net in nets:
+        expected = [_fiber_by_sums(net, s, field) for s in enumerate_projective(net.m, field)]
+        assert list(net.fibers(field)) == expected
+    assert list(nets[-1].fibers(field)) == list(nets[0].fibers(field))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_reduced_fibers_match_pointwise_sums(p, accepted_net, accepted_pencil):
+    field = PrimeField(p)
+    reductions = [
+        hyperbolic_reduce_family(result.net, [list(result.point)])
+        for result in (accepted_net, accepted_pencil)
+    ]
+    reductions.append(
+        hyperbolic_reduce_family(
+            _net_with_planted_line(random.Random(5)), [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0]]
+        )
+    )
+    reductions.append(hyperbolic_reduce_family(_huge_entry_net(accepted_net.net), [list(accepted_net.point)]))
+    for red in reductions:
+        expected = [_reduced_fiber_by_sums(red, s, field) for s in enumerate_projective(red.m, field)]
+        assert list(red.fibers(field)) == expected
+    assert list(reductions[-1].fibers(field)) == list(reductions[0].fibers(field))
 
 
 def test_fiber_classification_representative_independent():
@@ -75,7 +159,7 @@ def test_fiber_classification_representative_independent():
             for i in range(4)
         ]
         inv_scaled = classify(GramMatrix.from_rows(scaled), F7)
-        inv = classify(PENCIL.fiber_matrix((1, 1), F7), F7)
+        inv = classify(_fiber_at(PENCIL, (1, 1), F7), F7)
         assert (inv_scaled.rank, inv_scaled.corank) == (inv.rank, inv.corank)
 
 
@@ -199,7 +283,7 @@ def _lines_by_mask_walk(net, point, field):
         lifted = np.insert(dirs, pivot, 0, axis=1)
         mask = np.ones(len(dirs), dtype=bool)
         for mat in net.matrices:
-            mask &= (lifted @ (mat.to_array() % p) @ rep_vec) % p == 0
+            mask &= (lifted @ modmat.residues(mat.entries, field) @ rep_vec) % p == 0
             mask &= form_values(lifted, mat, field) == 0
         return mask
 
@@ -255,12 +339,8 @@ def test_reduce_family_rejects_non_isotropic():
 def test_reduced_fiber_corank_matches_net(accepted_net):
     net, point = accepted_net.net, accepted_net.point
     red = hyperbolic_reduce_family(net, [list(point)])
-    from quadring.gfp import enumerate_projective
-
-    for s in enumerate_projective(2, F5):
-        c_net = classify(net.fiber_matrix(s, F5), F5).corank
-        c_red = classify(reduced_fiber_gram(red, s, F5), F5).corank
-        assert c_net == c_red
+    for g_net, g_red in zip(net.fibers(F5), red.fibers(F5), strict=True):
+        assert classify(g_net, F5).corank == classify(g_red, F5).corank
 
 
 def test_reduced_histograms_match(accepted_net):
@@ -300,7 +380,7 @@ def test_double_cover_net_vs_reduction(accepted_net):
 
 
 def test_double_cover_matches_discriminant_polynomial():
-    from quadring.gfp import enumerate_projective, legendre_character
+    from quadring.gfp import legendre_character
     from quadring.mpoly import determinant_of_linear_matrix
 
     # Gram size 4: the signed determinant is +det, so the cover count can be
@@ -336,6 +416,23 @@ def test_degenerate_section_raises():
     red = hyperbolic_reduce_family(net, [[1, 0, 0, 0]])
     with pytest.raises(DegenerateSectionError):
         count_reduced_family(red, F5)  # fiber (1:0) has B(s) = 0
+
+
+def test_first_degenerate_section_names_its_base_point():
+    # B(w) = (w0 + 2 w1) e_1 vanishes on the line w0 + 2 w1 = 0 of P^2: mod 5
+    # at (1, 2, t) for every t and at (0, 0, 1); the first in canonical order
+    # is (1, 2, 0), not the first point (1, 0, 0) of P^2
+    rng = random.Random(2)
+    mats = []
+    for b in (1, 2, 0):
+        m = [list(row) for row in random_symmetric(rng, 6, p=5).entries]
+        m[0] = [0, b, 0, 0, 0, 0]
+        for i in range(6):
+            m[i][0] = m[0][i]
+        mats.append(GramMatrix.from_rows(m))
+    red = hyperbolic_reduce_family(QuadricNet(n=4, m=2, matrices=tuple(mats)), [[1, 0, 0, 0, 0, 0]])
+    with pytest.raises(DegenerateSectionError, match=r"base point \(1, 2, 0\) at p=5$"):
+        count_reduced_family(red, F5)
 
 
 def _net_with_planted_line(rng):
@@ -381,7 +478,6 @@ def test_line_reduction_count_shadow():
 def test_line_reduction_splitting_independence():
     # two different bases of the same isotropic plane produce fiberwise
     # congruent reduced forms and identical counts
-    from quadring.gfp import enumerate_projective
     from quadring.quadform import forms_congruent
 
     rng = random.Random(5)
@@ -389,9 +485,7 @@ def test_line_reduction_splitting_independence():
     red_a = hyperbolic_reduce_family(net, [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0]])
     red_b = hyperbolic_reduce_family(net, [[2, 4, 0, 0, 0, 0], [2, -2, 0, 0, 0, 0]])
     assert red_b.pivots == (0, 1)
-    for s in enumerate_projective(2, F5):
-        ga = reduced_fiber_gram(red_a, s, F5)
-        gb = reduced_fiber_gram(red_b, s, F5)
+    for ga, gb in zip(red_a.fibers(F5), red_b.fibers(F5), strict=True):
         assert forms_congruent(ga, gb, F5)
     assert count_reduced_family(red_a, F5) == count_reduced_family(red_b, F5)
 
@@ -414,10 +508,7 @@ def test_total_space_all_split_fibers():
         m0 = random_symmetric(rng, 4, p=5)
         m1 = random_symmetric(rng, 4, p=5)
         net = QuadricNet(n=2, m=1, matrices=(m0, m1))
-        fibers = [
-            classify(net.fiber_matrix(s, field), field)
-            for s in [(1, t) for t in range(5)] + [(0, 1)]
-        ]
+        fibers = [classify(g, field) for g in net.fibers(field)]
         if all(f.rank == 4 and f.signed_disc_character == 1 for f in fibers):
             break
     expected_fiber = p**2 + p + 1 + p  # split quadric surface (p+1)^2
@@ -433,6 +524,23 @@ def test_verify_relations_42(accepted_net):
         assert rep.residuals == {"R1": 0, "R2": 0, "R3": 0, "R4": 0}
         assert not rep.line_through_point_found
         assert rep.x_count == rep.y_count
+
+
+def test_verify_relations_reduces_once(accepted_net, monkeypatch):
+    # the reduction is over Z: one per net, not one per prime
+    from quadring.netfib import relations
+
+    calls = []
+    original = relations.hyperbolic_reduce_family
+
+    def counting(net, u_basis):
+        calls.append(u_basis)
+        return original(net, u_basis)
+
+    monkeypatch.setattr(relations, "hyperbolic_reduce_family", counting)
+    reports = verify_relations(accepted_net.net, accepted_net.point, [3, 5, 7])
+    assert calls == [[list(accepted_net.point)]]
+    assert all(rep.residuals["R2"] == 0 for rep in reports)
 
 
 def test_verify_relations_pencil_shape(accepted_pencil):

@@ -273,3 +273,27 @@ def test_forms_congruent_examples():
 
 def test_disc_character_zero_form():
     assert disc_character(GramMatrix.zero(3), F5) == 1
+
+
+def test_matmul_mod_is_exact_below_2_31():
+    # p = 2^31 - 1, the largest prime PrimeField accepts: a plain int64
+    # product of such residues overflows once three terms are added
+    p = 2**31 - 1
+    rng = random.Random(4)
+    a = [[rng.randrange(p - 9, p) for _ in range(5)] for _ in range(4)]
+    b = [[rng.randrange(p - 9, p) for _ in range(3)] for _ in range(5)]
+    expected = [[sum(a[i][t] * b[t][j] for t in range(5)) % p for j in range(3)] for i in range(4)]
+    with np.errstate(over="ignore"):
+        assert (np.array(a) @ np.array(b) % p).tolist() != expected
+    assert modmat.matmul_mod(np.array(a), np.array(b), p).tolist() == expected
+    # a stack against one matrix, as the fiber walks use it
+    assert modmat.matmul_mod(np.array([a, a]), np.array(b), p).tolist() == [expected, expected]
+
+
+def test_residues_reduce_entries_beyond_int64():
+    values = [[2**70 + 3, -(2**65)], [5, -1]]
+    got = modmat.residues(values, F7)
+    assert got.dtype == np.int64
+    assert got.tolist() == [[x % 7 for x in row] for row in values]
+    huge = GramMatrix.from_rows([[2**70, 0], [0, 7 * 2**64 + 1]])
+    assert form_values(np.array([[1, 1]]), huge, F7).tolist() == [(2**70 + 1) % 7]
