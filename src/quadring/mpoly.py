@@ -130,19 +130,22 @@ class HomPoly:
 def evaluate_on_array(f: HomPoly, points: np.ndarray, field: PrimeField) -> np.ndarray:
     """Values of f mod p at every row of `points` (int64, one point per row).
 
-    Coefficients and coordinates are reduced mod p before multiplying, so
-    intermediate magnitudes stay below p^2 * num_terms and never overflow.
+    Coefficients and coordinates are reduced mod p first, and each term
+    takes one coordinate factor at a time, reduced after every product, so
+    no product exceeds (p - 1)^2 < 2^62 and none overflows for p < 2^31.
     """
     p = field.p
-    pts = points % p
-    vals = np.zeros(len(pts), dtype=np.int64)
+    # contiguous columns: faster products than strided ones, same memory
+    cols = [points[:, i] % p for i in range(points.shape[1])]
+    vals = np.zeros(len(points), dtype=np.int64)
     for exps, coeff in f.terms.items():
-        term = np.full(len(pts), coeff % p, dtype=np.int64)
+        term = np.full(len(points), coeff % p, dtype=np.int64)
         for i, e in enumerate(exps):
-            if e:
-                col = pts[:, i]
-                term = term * np.power(col, e) % p
-        vals = (vals + term) % p
+            for _ in range(e):
+                term *= cols[i]
+                term %= p
+        vals += term
+        vals %= p
     return vals
 
 

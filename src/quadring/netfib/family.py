@@ -13,6 +13,8 @@ algebraic closure" are only ever tested at the F_p-rational level here, and
 the reports say so: they certify the absence of F_p-rational violations,
 nothing more.  The relation residuals computed in `relations` fail loudly
 if a geometric hypothesis actually fails, which is the compensating check.
+Both are zero scans on a subspace (`quadform.zeros_on_span`), each charged
+to `budget` for that subspace only.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from ..errors import InputError, json_int
 from ..gfp import PrimeField, ProjPoint, canonical_point, enumerate_projective
 from .. import modmat
-from ..quadform import GramMatrix, common_zeros, count_projective_points, fiber_grams
+from ..quadform import GramMatrix, common_zeros, count_projective_points, fiber_grams, zeros_on_span
 
 NET_FORMAT_VERSION = 1
 
@@ -144,9 +146,10 @@ class RegularityReport:
 
     HEURISTIC: `regular` certifies that no F_p-rational radical vector of a
     degenerate fiber lies on the base locus X; geometric smoothness of X is
-    not certified.  `corank2_found` reports fibers of corank >= 2 (these
-    make the discriminant curve and the double cover singular).  `flat` is
-    the corank < n+2 check (no fiber is the zero quadric).
+    not certified.  Each violation is (base point, canonical point of X in
+    its fiber's radical).  `corank2_found` reports fibers of corank >= 2
+    (these make the discriminant curve and the double cover singular).
+    `flat` is the corank < n+2 check (no fiber is the zero quadric).
     """
 
     p: int
@@ -157,34 +160,23 @@ class RegularityReport:
     corank_histogram: dict[int, int]
 
 
-def regularity_check(net: QuadricNet, field: PrimeField) -> RegularityReport:
-    """Scan every fiber; for each radical vector u of a degenerate fiber,
-    verify some form of the net is nonzero on u."""
-    p = field.p
+def regularity_check(net: QuadricNet, field: PrimeField, budget: int = 2_000_000) -> RegularityReport:
+    """Scan every fiber; the points of X on the kernel of a degenerate fiber
+    come from `quadform.zeros_on_span`, which raises BudgetExceededError
+    when the kernel's projective space has more than `budget` points."""
     size = net.fiber_size
     violations: list[tuple[ProjPoint, ProjPoint]] = []
-    corank2 = False
-    flat = True
     hist: dict[int, int] = {}
     for s, fib in zip(enumerate_projective(net.m, field), net.fibers(field)):
         kernel = modmat.kernel_basis(fib.entries, size, field)
-        c = len(kernel)
-        hist[c] = hist.get(c, 0) + 1
-        if c == 0:
-            continue
-        corank2 |= c >= 2
-        flat &= c < size
-        for coeffs in enumerate_projective(c - 1, field):
-            u = tuple(
-                sum(coeffs[t] * kernel[t][i] for t in range(c)) % p for i in range(size)
-            )
-            if all(mat.q(u, field) == 0 for mat in net.matrices):
-                violations.append((s, u))
+        hist[len(kernel)] = hist.get(len(kernel), 0) + 1
+        if kernel:
+            violations += [(s, tuple(u)) for u in zeros_on_span(net.matrices, kernel, field, budget).tolist()]
     return RegularityReport(
-        p=p,
+        p=field.p,
         regular=not violations,
-        corank2_found=corank2,
-        flat=flat,
+        corank2_found=max(hist) >= 2,
+        flat=size not in hist,
         violations=tuple(violations),
         corank_histogram=hist,
     )
@@ -200,28 +192,23 @@ def lines_through_point(
 
     The point's pivot coordinate is deleted to realize V/<P>; a direction
     v' qualifies when b(P, v'') = 0 and q(v'') = 0 for every form, v''
-    being the lift with 0 in the pivot slot.  Both kinds of condition go to
-    the one zero scan `quadform.common_zeros`: q(v'') is the form with the
-    pivot row and column deleted, and the linear condition l(v') = b(P, v'')
-    enters as the rank-1 form l l^T, which vanishes exactly where l does
-    over a field.  Raises BudgetExceededError when P^n(F_p) has more than
-    `budget` points.  HEURISTIC for the geometric no-line condition: a line
-    defined only over an extension field leaves no trace here.
+    being the lift with 0 in the pivot slot.  `quadform.zeros_on_span`
+    scans the pivot-deleted forms on the kernel of the linear conditions,
+    normally a P^1, and raises BudgetExceededError when that kernel's
+    projective space has more than `budget` points.  HEURISTIC for the
+    geometric no-line condition: a line defined only over an extension
+    field leaves no trace here.
     """
-    p = field.p
     rep = canonical_point(point, field)
     if any(mat.q(rep, field) != 0 for mat in net.matrices):
         raise InputError("point does not lie on the base locus X")
     pivot = rep.index(1)
     kept = [i for i in range(net.fiber_size) if i != pivot]
     mats = modmat.residues([mat.entries for mat in net.matrices], field)
-    linear = [
-        GramMatrix.from_array(np.outer(ell, ell))
-        for ell in modmat.matmul_mod(mats, np.array(rep, dtype=np.int64), p)[:, kept]
-    ]
+    linear = modmat.matmul_mod(mats, np.array(rep, dtype=np.int64), field.p)[:, kept]
+    kernel = modmat.kernel_basis(linear, len(kept), field)
     quadratic = [GramMatrix.from_array(m[np.ix_(kept, kept)]) for m in mats]
-    # P(V/<P>) = P^n
-    return list(map(tuple, common_zeros(linear + quadratic, field, budget).tolist()))
+    return list(map(tuple, zeros_on_span(quadratic, kernel, field, budget).tolist()))
 
 
 def count_total_space(net: QuadricNet, field: PrimeField) -> int:

@@ -18,11 +18,11 @@ every fiber has corank <= 1 *and* X is smooth along the plane.  On the plane
 every partial derivative of F but d/dx3, d/dx4 and d/dx5 vanishes, and
 d/dx_k restricts to the conic Q_k(y, 0) of the monomials x_k * y^e, so X is
 singular at a point of the plane exactly where the three conics share a
-zero; each such F_p-point moves the residual by -p^2.  Both hypotheses are
-checked at the rational level only, and each has a flag in the report:
-corank by `corank2_found`, smoothness along the plane by
-`singular_on_plane`.  `random_cubic_with_plane` returns only cubics that
-raise neither flag.
+zero, read from the yy block of the fiber Grams; each such F_p-point moves
+the residual by -p^2.  Both hypotheses are checked at the rational level
+only, and each has a flag in the report: corank by `corank2_found`,
+smoothness along the plane by `singular_on_plane`.
+`random_cubic_with_plane` returns only cubics that raise neither flag.
 
 Verra setup.  For a (2,2) form G on P^2 x P^2, the double cover
 X -> P^2 x P^2 branched in {G = 0} fibers over the first factor into the
@@ -55,7 +55,7 @@ from ..gfp import (
     projective_size,
 )
 from ..mpoly import HomPoly, evaluate_on_array
-from ..quadform import GramMatrix, classify, double_cover_points, fiber_grams
+from ..quadform import GramMatrix, classify, common_zeros, double_cover_points, fiber_grams
 
 CUBIC_VARS = 6
 PLANE_VARS = (3, 4, 5)
@@ -136,22 +136,14 @@ def _double_cover_count(entry_polys: Sequence[Sequence[HomPoly]], field: PrimeFi
     return y, corank2
 
 
-def _singular_on_plane(f: HomPoly, field: PrimeField) -> bool:
-    """Whether the cubic is singular at an F_p-point of the plane
-    x3 = x4 = x5 = 0, i.e. whether its three plane conics (the coefficients
-    of x3, x4 and x5 at x3 = x4 = x5 = 0) share an F_p-zero on P^2."""
-    conics = [
-        HomPoly(3, 2, {e[:3]: c for e, c in f.terms.items() if e[k] == 1 and sum(e[3:]) == 1})
-        for k in PLANE_VARS
-    ]
-
-    def common_zero(rows: np.ndarray) -> np.ndarray:
-        mask = np.ones(len(rows), dtype=bool)
-        for conic in conics:
-            mask &= evaluate_on_array(conic, rows, field) == 0
-        return mask
-
-    return len(projective_rows_where(2, field, common_zero)) > 0
+def _singular_on_plane(grams: Sequence[Sequence[HomPoly]], field: PrimeField) -> bool:
+    """Whether the cubic of `cubic_fiber_grams` is singular at an F_p-point
+    of the plane x3 = x4 = x5 = 0, i.e. whether its three plane conics share
+    an F_p-zero: the s_k-coefficient of yy entry (i, j) of `grams` is entry
+    (i, j) of the doubled Gram of the conic of x_k."""
+    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    conics = [GramMatrix.from_rows([[grams[i][j].terms.get(e, 0) for j in range(3)] for i in range(3)]) for e in units]
+    return len(common_zeros(conics, field)) > 0
 
 
 @dataclass(frozen=True)
@@ -204,7 +196,7 @@ def cubic_with_plane_counts(
                 y_count=y_count,
                 residual=residual,
                 corank2_found=corank2,
-                singular_on_plane=_singular_on_plane(f, field),
+                singular_on_plane=_singular_on_plane(grams, field),
             )
         )
     return reports

@@ -76,11 +76,6 @@ class ReducedFamily:
         """Dimension of the reduced fiber quadrics: n - 2k - 2."""
         return self.n - 2 * self.k - 2
 
-    @property
-    def gram_size(self) -> int:
-        """Size of the reduced fiber Gram matrices: n - 2k."""
-        return self.n - 2 * self.k
-
     def fibers(self, field: PrimeField) -> Iterator[GramMatrix]:
         """The reduced fiber Gram matrix over each point w of P^m(F_p), in
         canonical order, after checking the basis of U mod p: the quadratic

@@ -112,7 +112,7 @@ def _report_for_prime(
     jobs: int,
 ) -> CountReport:
     p = field.p
-    reg = regularity_check(net, field)
+    reg = regularity_check(net, field, budget=budget)
     base = dict(
         p=p,
         n=net.n,

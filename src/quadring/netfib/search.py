@@ -138,9 +138,10 @@ def random_cubic_with_plane(primes: Sequence[int], seed: int) -> HomPoly:
             cubic = cubic + HomPoly.variable(6, v) * quadric
         if cubic.is_zero():
             continue
-        if any(_singular_on_plane(cubic, PrimeField(p)) for p in primes):
+        grams = cubic_fiber_grams(cubic)
+        if any(_singular_on_plane(grams, PrimeField(p)) for p in primes):
             continue
-        if _fibers_corank_at_most_one(cubic_fiber_grams(cubic), primes):
+        if _fibers_corank_at_most_one(grams, primes):
             return cubic
     raise BudgetExceededError(
         f"no acceptable cubic found in {RECIPE_MAX_ATTEMPTS} attempts (seed {seed})"

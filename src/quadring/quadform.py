@@ -1,7 +1,8 @@
 """Single quadratic forms over F_p (p odd): congruence diagonalization,
 rank/corank, signed discriminant, the determinant double-cover count of one
-fiber, exact projective point counts, restriction to a subspace, hyperbolic
-reduction at an isotropic vector, congruence testing, and the fiber walk.
+fiber, exact projective point counts, common zeros (on a subspace too),
+restriction to a subspace, hyperbolic reduction at an isotropic vector,
+congruence testing, and the fiber walk.
 
 Conventions.  A form is held by its symmetric Gram matrix M with
 q(v) = v^T M v and polar form b(u, v) = u^T M v; this is well defined since
@@ -250,6 +251,23 @@ def common_zeros(
         return rows
 
     return scan_projective(first.shape[0] - 1, field, zeros, budget, jobs)
+
+
+def zeros_on_span(
+    grams: Sequence[GramMatrix], basis: modmat.IntRows, field: PrimeField, budget: int = 4_000_000
+) -> np.ndarray:
+    """The points of P^(N-1)(F_p) in the span of the rows of `basis` where
+    every N x N form vanishes, in canonical order: `common_zeros` of the
+    forms K M K^T on P^(k-1), with `budget` charged for that space, mapped
+    by c -> c K.  With K the reduced row echelon form of the basis, that
+    map keeps points canonical and keeps their order."""
+    size = grams[0].size
+    rref = np.array(modmat.row_reduce(basis, size, field)[0], dtype=np.int64).reshape(-1, size)
+    if len(rref) == 0:
+        return rref
+    mats = modmat.residues([g.entries for g in grams], field)
+    restricted = [GramMatrix.from_array(m) for m in restrict(mats, rref, field.p)]
+    return modmat.matmul_mod(common_zeros(restricted, field, budget), rref, field.p)
 
 
 def brute_force_count(matrix: GramMatrix, field: PrimeField, budget: int = 4_000_000) -> int:

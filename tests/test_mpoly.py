@@ -124,6 +124,21 @@ def test_evaluate_on_array_matches_scalar():
         assert f.evaluate([int(x) for x in row], f7) == int(v)
 
 
+def test_evaluate_on_array_is_exact_at_the_largest_prime():
+    # at p = 2^31 - 1, x0^3 and 5 * x0^2 at x0 = p - 2 = -2 need products
+    # near p^2; a power or coefficient product taken in one int64 step wraps
+    import numpy as np
+
+    field = PrimeField(2**31 - 1)
+    p = field.p
+    x0 = np.array([[p - 2, 1]], dtype=np.int64)
+    assert evaluate_on_array(HomPoly(2, 3, {(3, 0): 1}), x0, field)[0] == p - 8
+    assert evaluate_on_array(HomPoly(2, 2, {(2, 0): 5}), x0, field)[0] == 20
+    f = _random_hompoly(random.Random(2), 2, 5)
+    pts = np.array([[p - 1 - k, p - 3 * k - 2] for k in range(20)], dtype=np.int64)
+    assert evaluate_on_array(f, pts, field).tolist() == [f.evaluate(row, field) for row in pts.tolist()]
+
+
 def test_big_coefficients_stay_exact():
     # determinant of a 6x6 with entries ~1e3 exceeds 64 bits; int math must hold
     rng = random.Random(4)

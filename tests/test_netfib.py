@@ -1,11 +1,12 @@
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from quadring import modmat
-from quadring.errors import DegenerateSectionError, InputError
+from quadring.errors import BudgetExceededError, DegenerateSectionError, InputError
 from quadring.gfp import (
     PrimeField,
     canonical_point,
@@ -24,12 +25,15 @@ from quadring.netfib import (
     count_total_space,
     hyperbolic_reduce_family,
     lines_through_point,
+    load_net,
     points_on_X,
     regularity_check,
     verify_relations,
 )
 
 from _util import random_symmetric, record_scan_blocks
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 F3, F5, F7 = PrimeField(3), PrimeField(5), PrimeField(7)
 
@@ -258,6 +262,19 @@ def test_regularity_common_radical_vector_flagged():
     assert report.violations
 
 
+def test_regularity_zero_fiber_scans_its_kernel_within_the_budget():
+    # the golden net with M_2 = 0: the fiber over (0:0:1) is the zero
+    # quadric, whose radical is all of P^5, so every point of X violates
+    # regularity there; the scan of that kernel is charged to the budget
+    net, _ = load_net(str(GOLDEN / "net_zero_fiber.json"))
+    f13 = PrimeField(13)
+    report = regularity_check(net, f13)
+    assert not report.flat and not report.regular and report.corank2_found
+    assert report.violations == tuple(((0, 0, 1), x) for x in points_on_X(net, f13))
+    with pytest.raises(BudgetExceededError):
+        regularity_check(net, f13, budget=projective_size(5, 13) - 1)
+
+
 def _plane_pair_net() -> QuadricNet:
     # all three forms kill e0, e1 and their span: the line <e0, e1> lies in X
     rng = random.Random(11)
@@ -297,7 +314,7 @@ def test_lines_through_point_plane_pair():
     assert (1, 0, 0, 0, 0) in found
 
 
-@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_lines_through_point_matches_the_mask_walk(p, accepted_net):
     field = PrimeField(p)
     net = _plane_pair_net()
@@ -461,7 +478,7 @@ def test_line_reduction_count_shadow():
     net = _net_with_planted_line(rng)
     red = hyperbolic_reduce_family(net, [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0]])
     assert red.k == 1 and red.pivots == (0, 1)
-    assert red.gram_size == 2 and red.reduced_dim == 0
+    assert red.reduced_dim == 0
     for p in (3, 5, 7):
         field = PrimeField(p)
         reg = regularity_check(net, field)

@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from quadring import modmat
 from quadring.errors import BudgetExceededError, InputError
@@ -24,6 +24,7 @@ from quadring.quadform import (
     form_values,
     forms_congruent,
     hyperbolic_reduce_at_vector,
+    zeros_on_span,
 )
 
 from _util import (
@@ -156,6 +157,36 @@ def test_common_zeros_match_the_in_memory_scan(data, size, p, jobs):
     assert np.array_equal(projective_rows_where(size - 1, field, _on_all_forms(grams, field), jobs=jobs), expected)
     with pytest.raises(BudgetExceededError):
         common_zeros(grams, field, budget=points - 1)
+
+
+@st.composite
+def _basis(draw, size, p):
+    """1 to `size` rows in F_p^size spanning a subspace of dimension >= 1:
+    random ones, possibly dependent, or the identity (all of P^(size-1))."""
+    if draw(st.booleans()):
+        return np.eye(size, dtype=np.int64).tolist()
+    k = draw(st.integers(1, size))
+    rows = draw(st.lists(st.lists(st.integers(0, p - 1), min_size=size, max_size=size), min_size=k, max_size=k))
+    assume(any(map(any, rows)))
+    return rows
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(data=st.data(), size=st.integers(1, 6), p=st.sampled_from([3, 5, 7, 11]))
+def test_zeros_on_span_match_the_in_memory_mask(data, size, p):
+    # oracle: the rows of P^(size-1) orthogonal to the kernel of the basis
+    # (exactly its span) on which every form vanishes
+    field = PrimeField(p)
+    grams = data.draw(st.lists(_form(size, p), min_size=1, max_size=4))
+    basis = data.draw(_basis(size, p))
+    rows = projective_points_array(size - 1, field)
+    normals = np.array(modmat.kernel_basis(basis, size, field), dtype=np.int64).reshape(-1, size)
+    in_span = (rows @ normals.T % p == 0).all(axis=1)
+    expected = rows[in_span & _on_all_forms(grams, field)(rows)]
+    points = projective_size(modmat.rank_mod(basis, size, field) - 1, p)
+    assert np.array_equal(zeros_on_span(grams, basis, field, budget=points), expected)
+    with pytest.raises(BudgetExceededError):
+        zeros_on_span(grams, basis, field, budget=points - 1)
 
 
 def test_common_zeros_split_the_plane_when_it_outgrows_a_chunk(monkeypatch):
