@@ -55,6 +55,12 @@ def _parse_primes(text: str) -> list[int]:
     return primes
 
 
+def _at_least_one(value: int, option: str) -> int:
+    if value < 1:
+        raise InputError(f"{option} must be at least 1, got {value}")
+    return value
+
+
 def _parse_point(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(x) for x in text.split(","))
@@ -183,11 +189,8 @@ def cmd_count(args: argparse.Namespace) -> int:
     if point is None:
         point = _find_integral_point(net)
     primes = _parse_primes(args.primes)
-    if args.jobs < 1:
-        raise InputError(f"--jobs must be at least 1, got {args.jobs}")
-    reports = verify_relations(
-        net, point, primes, budget=args.budget, jobs=args.jobs
-    )
+    budget, jobs = _at_least_one(args.budget, "--budget"), _at_least_one(args.jobs, "--jobs")
+    reports = verify_relations(net, point, primes, budget=budget, jobs=jobs)
     checked = [r for r in reports if not r.skipped]
     ok = bool(checked) and all(
         r.all_zero() and not r.line_through_point_found for r in checked
@@ -345,7 +348,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 def cmd_cubic(args: argparse.Namespace) -> int:
     form = load_cubic_form(args.form)
     primes = _parse_primes(args.primes)
-    reports = cubic_with_plane_counts(form, primes, budget=args.budget)
+    reports = cubic_with_plane_counts(form, primes, budget=_at_least_one(args.budget, "--budget"))
     clean = [r for r in reports if not (r.corank2_found or r.singular_on_plane)]
     ok = bool(clean) and all(r.residual == 0 for r in clean)
     doc = {

@@ -6,7 +6,8 @@ M_0..M_m; the fiber over a base point w is M(w) = sum w_i M_i.  Keeping the
 matrices over Z lets one net be reduced at many primes; primes where the
 reduction misbehaves (corank >= 2 fibers, regularity violations) are meant
 to be skipped and reported by callers, not patched over.  `fibers` builds
-the Grams of a chunk of base points with one exact `modmat.matmul_mod`.
+the Grams of a chunk of base points with one exact `modmat.matmul_mod`, and
+every count classifies them with one `quadform.classify_stack` call.
 
 The geometric conditions "X is smooth" and "no line through P over the
 algebraic closure" are only ever tested at the F_p-rational level here, and
@@ -20,15 +21,17 @@ to `budget` for that subspace only.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from ..errors import InputError, json_int
-from ..gfp import PrimeField, ProjPoint, canonical_point, enumerate_projective
+from ..gfp import PrimeField, ProjPoint, canonical_point
 from .. import modmat
-from ..quadform import GramMatrix, common_zeros, count_projective_points, fiber_grams, zeros_on_span
+from ..quadform import FiberChunk, GramMatrix, classify_stack, common_zeros, fiber_classes, fiber_grams
+from ..quadform import quadric_points, zeros_on_span
 
 NET_FORMAT_VERSION = 1
 
@@ -59,9 +62,9 @@ class QuadricNet:
     def fiber_size(self) -> int:
         return self.n + 2
 
-    def fibers(self, field: PrimeField) -> Iterator[GramMatrix]:
-        """The fiber Gram matrix M(w) mod p over each point w of P^m(F_p), in
-        canonical order, by the walk of `quadform.fiber_grams`."""
+    def fibers(self, field: PrimeField) -> Iterator[FiberChunk]:
+        """(base rows w, stack of fiber Grams M(w) mod p) for each chunk of
+        P^m(F_p), in canonical order, by the walk of `quadform.fiber_grams`."""
         size = self.fiber_size
         mats = modmat.residues([mat.entries for mat in self.matrices], field).reshape(self.m + 1, -1)
         return fiber_grams(self.m, field, lambda w: modmat.matmul_mod(w, mats, field.p).reshape(-1, size, size))
@@ -161,17 +164,19 @@ class RegularityReport:
 
 
 def regularity_check(net: QuadricNet, field: PrimeField, budget: int = 2_000_000) -> RegularityReport:
-    """Scan every fiber; the points of X on the kernel of a degenerate fiber
-    come from `quadform.zeros_on_span`, which raises BudgetExceededError
+    """Classify every fiber; the points of X on the kernel of a degenerate
+    fiber come from `quadform.zeros_on_span`, which raises BudgetExceededError
     when the kernel's projective space has more than `budget` points."""
     size = net.fiber_size
     violations: list[tuple[ProjPoint, ProjPoint]] = []
-    hist: dict[int, int] = {}
-    for s, fib in zip(enumerate_projective(net.m, field), net.fibers(field)):
-        kernel = modmat.kernel_basis(fib.entries, size, field)
-        hist[len(kernel)] = hist.get(len(kernel), 0) + 1
-        if kernel:
-            violations += [(s, tuple(u)) for u in zeros_on_span(net.matrices, kernel, field, budget).tolist()]
+    coranks = []
+    for rows, grams in net.fibers(field):
+        coranks.append(size - classify_stack(grams, field.p)[0])
+        degenerate = coranks[-1] > 0
+        for s, gram in zip(rows[degenerate].tolist(), grams[degenerate].tolist()):
+            kernel = modmat.kernel_basis(gram, size, field)
+            violations += [(tuple(s), tuple(u)) for u in zeros_on_span(net.matrices, kernel, field, budget).tolist()]
+    hist = dict(Counter(np.concatenate(coranks).tolist()))
     return RegularityReport(
         p=field.p,
         regular=not violations,
@@ -212,5 +217,6 @@ def lines_through_point(
 
 
 def count_total_space(net: QuadricNet, field: PrimeField) -> int:
-    """#Q(F_p): sum of fiber quadric counts over the base P^m(F_p)."""
-    return sum(count_projective_points(g, field) for g in net.fibers(field))
+    """#Q(F_p): the fiber quadric counts summed over the base P^m(F_p), by
+    the closed form on the fibers' ranks and signed characters."""
+    return quadric_points(net.fiber_size, *fiber_classes(net.fibers(field), field.p), field.p)

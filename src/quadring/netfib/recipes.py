@@ -55,7 +55,7 @@ from ..gfp import (
     projective_size,
 )
 from ..mpoly import HomPoly, evaluate_on_array
-from ..quadform import GramMatrix, classify, common_zeros, double_cover_points, fiber_grams
+from ..quadform import FiberChunk, GramMatrix, common_zeros, double_cover_count, fiber_classes, fiber_grams
 
 CUBIC_VARS = 6
 PLANE_VARS = (3, 4, 5)
@@ -116,10 +116,10 @@ def cubic_fiber_grams(f: HomPoly) -> list[list[HomPoly]]:
     ]
 
 
-def _fiber_grams(entry_polys: Sequence[Sequence[HomPoly]], field: PrimeField) -> Iterator[GramMatrix]:
-    """The fiber Gram matrix over each point of P^2(F_p), in canonical
-    order, by the walk of `quadform.fiber_grams`: each entry polynomial is
-    evaluated once per chunk of rows of P^2 by `evaluate_on_array`."""
+def _fiber_grams(entry_polys: Sequence[Sequence[HomPoly]], field: PrimeField) -> Iterator[FiberChunk]:
+    """(base rows, fiber Gram stack) for each chunk of P^2(F_p), in
+    canonical order, by the walk of `quadform.fiber_grams`: each entry
+    polynomial is evaluated once per chunk by `evaluate_on_array`."""
     return fiber_grams(2, field, lambda rows: np.array(
         [[evaluate_on_array(poly, rows, field) for poly in row] for row in entry_polys]
     ).transpose(2, 0, 1))
@@ -128,12 +128,8 @@ def _fiber_grams(entry_polys: Sequence[Sequence[HomPoly]], field: PrimeField) ->
 def _double_cover_count(entry_polys: Sequence[Sequence[HomPoly]], field: PrimeField) -> tuple[int, bool]:
     """#Y(F_p) of a quadric fibration over P^2 given by its Gram entry
     polynomials, and whether some fiber has corank >= 2."""
-    y = 0
-    corank2 = False
-    for gram in _fiber_grams(entry_polys, field):
-        corank2 |= classify(gram, field).corank >= 2
-        y += double_cover_points(gram, field)
-    return y, corank2
+    rank, signed = fiber_classes(_fiber_grams(entry_polys, field), field.p)
+    return double_cover_count(len(entry_polys), rank, signed), bool((rank < len(entry_polys) - 1).any())
 
 
 def _singular_on_plane(grams: Sequence[Sequence[HomPoly]], field: PrimeField) -> bool:

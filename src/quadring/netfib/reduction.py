@@ -10,10 +10,11 @@ fixed by the echelon pivots of the given basis of U, and the lift of v'
 puts zeros in the pivot slots.  Any other splitting gives fiberwise
 congruent forms, so determinism wins.
 
-The determinant double cover of an even-sized family counts fiberwise by
-`quadform.double_cover_points`, 1 + chi((-1)^(N/2) det M(w)) at the
-canonical representative; the degree of the signed determinant is even, so
-the value does not depend on the representative.  The (-1)^(N/2) sign
+Every count here reads the fibers' ranks and signed characters from one
+`quadform.classify_stack` call per chunk of base points.  The determinant
+double cover of an even-sized family counts 1 + chi((-1)^(N/2) det M(w)) per
+fiber at the canonical representative; the degree of the signed determinant
+is even, so the value does not depend on the representative.  The sign
 matches the signed discriminant of `quadform`, which is what makes the cover
 count agree between a family and its hyperbolic reduction.
 """
@@ -31,7 +32,7 @@ import numpy as np
 from ..errors import DegenerateSectionError, InputError
 from ..gfp import PrimeField, enumerate_projective, projective_size
 from .. import modmat
-from ..quadform import GramMatrix, classify, count_projective_points, double_cover_points, fiber_grams, restrict
+from ..quadform import FiberChunk, GramMatrix, double_cover_count, fiber_classes, fiber_grams, quadric_points, restrict
 from .family import QuadricNet
 
 REDUCED_FORMAT_VERSION = 1
@@ -76,12 +77,16 @@ class ReducedFamily:
         """Dimension of the reduced fiber quadrics: n - 2k - 2."""
         return self.n - 2 * self.k - 2
 
-    def fibers(self, field: PrimeField) -> Iterator[GramMatrix]:
-        """The reduced fiber Gram matrix over each point w of P^m(F_p), in
-        canonical order, after checking the basis of U mod p: the quadratic
-        part restricted to the kernel of the bilinear rows B(w), both built
-        per chunk of base rows.  The first w where B(w) drops rank (the section
-        meets the fiber's singular locus) raises DegenerateSectionError naming it."""
+    @property
+    def fiber_size(self) -> int:
+        return self.n - 2 * self.k
+
+    def fibers(self, field: PrimeField) -> Iterator[FiberChunk]:
+        """(base rows w, stack of reduced fiber Grams) for each chunk of
+        P^m(F_p), in canonical order, after checking the basis of U mod p: the
+        quadratic part restricted to the kernel of the bilinear rows B(w).  The
+        first w where B(w) drops rank (the section meets the fiber's singular
+        locus) raises DegenerateSectionError naming it."""
         self.check_basis_mod_p(field)
         p, cols = field.p, self.n - self.k + 1
         # bilinear[j][i][c] is stored by condition j; the walk needs w_i first
@@ -92,7 +97,7 @@ class ReducedFamily:
             lins = modmat.matmul_mod(rows, bilinear, p).reshape(-1, self.k + 1, cols).tolist()
             kernels = [modmat.kernel_basis(lin, cols, field) for lin in lins]
             for s, kernel in zip(rows.tolist(), kernels):
-                if len(kernel) > cols - self.k - 1:
+                if len(kernel) > self.fiber_size:
                     raise DegenerateSectionError(f"section degenerates over base point {tuple(s)} at p={p}")
             return restrict(modmat.matmul_mod(rows, quad, p).reshape(-1, cols, cols), np.array(kernels), p)
 
@@ -213,7 +218,7 @@ def count_reduced_family(red: ReducedFamily, field: PrimeField) -> int:
     subspace where the bilinear conditions vanish; its count comes from the
     validated closed form.
     """
-    return sum(count_projective_points(g, field) for g in red.fibers(field))
+    return quadric_points(red.fiber_size, *fiber_classes(red.fibers(field), field.p), field.p)
 
 
 def count_reduced_family_dual(red: ReducedFamily, field: PrimeField) -> int:
@@ -245,10 +250,11 @@ def count_reduced_family_dual(red: ReducedFamily, field: PrimeField) -> int:
 
 def corank_histogram_reduced(red: ReducedFamily, field: PrimeField) -> dict[int, int]:
     """Corank histogram of the reduced fibers; matches the original net's."""
-    return dict(Counter(classify(g, field).corank for g in red.fibers(field)))
+    rank, _ = fiber_classes(red.fibers(field), field.p)
+    return dict(Counter((red.fiber_size - rank).tolist()))
 
 
 def count_double_cover(family: QuadricNet | ReducedFamily, field: PrimeField) -> int:
     """#Y(F_p) for the determinant double cover of an even-sized family:
-    the sum of `double_cover_points` over the fibers."""
-    return sum(double_cover_points(g, field) for g in family.fibers(field))
+    `quadform.double_cover_count` on the fibers' ranks and signed characters."""
+    return double_cover_count(family.fiber_size, *fiber_classes(family.fibers(field), field.p))

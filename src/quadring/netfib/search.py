@@ -17,13 +17,13 @@ from typing import Sequence
 from ..errors import BudgetExceededError, InputError
 from ..gfp import PrimeField
 from ..mpoly import HomPoly
-from ..quadform import GramMatrix, classify
+from ..quadform import GramMatrix
 from .family import QuadricNet, lines_through_point, regularity_check
 from .recipes import (
     PLANE_VARS,
     cubic_fiber_grams,
     swap_verra_factors,
-    _fiber_grams,
+    _double_cover_count,
     _singular_on_plane,
     _verra_quadric_entries,
 )
@@ -84,6 +84,8 @@ def random_net_search(
         raise InputError(f"search supports shapes (4, 2) and (2, 1), got {(n, m)}")
     if entry_bound < 1:
         raise InputError("entry bound must be at least 1")
+    if max_attempts < 1:
+        raise InputError(f"attempts must be at least 1, got {max_attempts}")
     rng = random.Random(seed)
     size = n + 2
     point = (1,) + (0,) * (size - 1)
@@ -118,11 +120,7 @@ def _fibers_corank_at_most_one(
 ) -> bool:
     """Whether every fiber of the quadric fibration over P^2 has corank <= 1
     at every prime."""
-    for p in primes:
-        field = PrimeField(p)
-        if any(classify(gram, field).corank >= 2 for gram in _fiber_grams(entry_polys, field)):
-            return False
-    return True
+    return not any(_double_cover_count(entry_polys, PrimeField(p))[1] for p in primes)
 
 
 def random_cubic_with_plane(primes: Sequence[int], seed: int) -> HomPoly:

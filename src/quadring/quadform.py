@@ -1,8 +1,7 @@
-"""Single quadratic forms over F_p (p odd): congruence diagonalization,
-rank/corank, signed discriminant, the determinant double-cover count of one
-fiber, exact projective point counts, common zeros (on a subspace too),
-restriction to a subspace, hyperbolic reduction at an isotropic vector,
-congruence testing, and the fiber walk.
+"""Quadratic forms over F_p (p odd): rank and signed discriminant of a whole
+stack of Gram matrices at once, the point and double-cover counts read from
+them, common zeros (on a subspace too), restriction to a subspace,
+hyperbolic reduction at an isotropic vector, and the chunked fiber walk.
 
 Conventions.  A form is held by its symmetric Gram matrix M with
 q(v) = v^T M v and polar form b(u, v) = u^T M v; this is well defined since
@@ -17,21 +16,23 @@ Point counts.  For a form of rank r and corank c on N = r + c variables,
     #{q = 0 in P^(N-1)} = N_r * p^c + (p^c - 1)/(p - 1),
 
 where N_r = (p^(r-1) - 1)/(p - 1) for odd r, and for even r the same plus
-eps * p^(r/2 - 1) with eps the signed discriminant character.  Rank 0 means
-the whole P^(N-1).  The closed form is validated against the brute-force
-enumeration oracle in the acceptance suite before anything else trusts it.
+eps * p^(r/2 - 1) with eps the signed discriminant character; N_0 = 0, so
+rank 0 gives the whole P^(N-1).  The counts are Python ints, since sums of
+them pass 2^63 at large p.  The closed form is validated against the
+brute-force enumeration oracle in the acceptance suite before anything else
+trusts it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import modmat
 from .errors import InputError
-from .gfp import PrimeField, legendre_character, projective_row_chunks, projective_size, scan_projective
+from .gfp import PrimeField, projective_row_chunks, scan_projective
 
 
 @dataclass(frozen=True)
@@ -96,124 +97,102 @@ class FormInvariants:
     signed_disc_character: int
 
 
-def diagonalize(matrix: GramMatrix, field: PrimeField) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """Congruence diagonalization over F_p: returns (diag, A) with A^T M A
-    diagonal and diag its diagonal entries.
+def classify_stack(grams: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rank and signed discriminant character (0 at odd rank) of every
+    matrix of a stack (k, N, N) of symmetric residues mod p, by one
+    congruence diagonalization of the whole stack.
 
-    Pivot policy, for determinism: first nonzero diagonal entry in row
-    order; failing that, the first off-diagonal (j, l) in row-major order
-    gets the substitution u_j <- u_j + u_l (valid in odd characteristic)
-    to create a diagonal pivot.
+    Pivot policy: the first nonzero diagonal entry of the remaining block,
+    swapped into place; failing that, the first nonzero off-diagonal (j, l)
+    in row-major order gets u_j <- u_j + u_l, making entry (j, j) =
+    2 b(u_j, u_l) a pivot (p is odd).  A pivot d clears its row and column by
+    u_y <- d u_y - b(u_0, u_y) u_0, leaving d (d B - b b^T): d^2 times the
+    block that division by d leaves, so every pivot choice is the same and
+    the pivots differ by squares.  Every product is of two residues, exact
+    for p < 2^31.
     """
-    p = field.p
-    n = matrix.size
-    b = [[x % p for x in row] for row in matrix.entries]
-    # a holds the basis change as columns: a[i][j] = coordinate i of basis vector j
-    a = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def add_col(dst: int, src: int, factor: int) -> None:
-        # basis_dst += factor * basis_src, updating b = A^T M A symmetrically
-        for i in range(n):
-            a[i][dst] = (a[i][dst] + factor * a[i][src]) % p
-        for i in range(n):
-            b[i][dst] = (b[i][dst] + factor * b[i][src]) % p
-        for j in range(n):
-            b[dst][j] = (b[dst][j] + factor * b[src][j]) % p
-
-    def swap_cols(x: int, y: int) -> None:
-        for i in range(n):
-            a[i][x], a[i][y] = a[i][y], a[i][x]
-        for i in range(n):
-            b[i][x], b[i][y] = b[i][y], b[i][x]
-        b[x], b[y] = b[y], b[x]
-
-    for i in range(n):
-        piv = next((j for j in range(i, n) if b[j][j] != 0), None)
-        if piv is None:
-            pair = next(
-                ((j, l) for j in range(i, n) for l in range(j + 1, n) if b[j][l] != 0),
-                None,
-            )
-            if pair is None:
-                break  # remaining block is zero
-            j, l = pair
-            add_col(j, l, 1)  # now b[j][j] = 2*b[j][l] != 0
-            piv = j
-        if piv != i:
-            swap_cols(i, piv)
-        inv = pow(b[i][i], p - 2, p)
-        for j in range(i + 1, n):
-            if b[i][j] != 0:
-                add_col(j, i, (-b[i][j] * inv) % p)
-
-    diag = tuple(b[i][i] for i in range(n))
-    return diag, tuple(tuple(row) for row in a)
+    b = np.array(grams, dtype=np.int64)
+    k = len(b)
+    every = np.arange(k)
+    rank = np.zeros(k, dtype=np.int64)
+    det = np.ones(k, dtype=np.int64)
+    while b.shape[-1]:
+        size = b.shape[-1]
+        pivots = np.diagonal(b, axis1=1, axis2=2) != 0
+        stuck = ~pivots.any(axis=1)
+        if stuck.any() and size > 1:
+            rows, cols = np.triu_indices(size, 1)
+            off = b[:, rows, cols] != 0
+            fix = np.flatnonzero(stuck & off.any(axis=1))
+            first = off[fix].argmax(axis=1)
+            j, l = rows[first], cols[first]
+            b[fix, :, j] = (b[fix, :, j] + b[fix, :, l]) % p
+            b[fix, j, :] = (b[fix, j, :] + b[fix, l, :]) % p
+            pivots[fix, j] = True
+        active = pivots.any(axis=1)
+        if not active.any():
+            break  # every remaining block is zero
+        piv = pivots.argmax(axis=1)
+        perm = np.tile(np.arange(size), (k, 1))
+        perm[every, piv] = 0
+        perm[:, 0] = piv
+        b = b[every[:, None, None], perm[:, :, None], perm[:, None, :]]
+        d, col = b[:, 0, 0], b[:, 1:, 0]
+        b = (d[:, None, None] * b[:, 1:, 1:] - col[:, :, None] * col[:, None, :]) % p * d[:, None, None] % p
+        rank += active
+        det = np.where(active, det * d % p, det)
+    # chi((-1)^(r/2) det) by Euler's criterion, once per distinct value; the
+    # product of the pivots is never 0
+    values, where = np.unique(np.where(rank // 2 % 2 == 1, p - det, det), return_inverse=True)
+    signed = np.array([1 if pow(v, (p - 1) // 2, p) == 1 else -1 for v in values.tolist()], dtype=np.int64)
+    return rank, np.where(rank % 2 == 0, signed[where], 0)
 
 
 def classify(matrix: GramMatrix, field: PrimeField) -> FormInvariants:
-    """Rank, corank, and (for even rank) the signed discriminant character."""
-    diag, _ = diagonalize(matrix, field)
-    nonzero = [d for d in diag if d != 0]
-    rank = len(nonzero)
-    corank = matrix.size - rank
-    if rank % 2 == 0:
-        det_block = 1
-        for d in nonzero:
-            det_block = det_block * d % field.p
-        sign = -1 if (rank // 2) % 2 else 1
-        signed = legendre_character(sign * det_block, field)
-    else:
-        signed = 0
-    return FormInvariants(rank=rank, corank=corank, signed_disc_character=signed)
+    """Rank, corank, and (for even rank) the signed discriminant character:
+    `classify_stack` on a stack of one."""
+    rank, signed = (int(a[0]) for a in classify_stack(modmat.residues([matrix.entries], field), field.p))
+    return FormInvariants(rank=rank, corank=matrix.size - rank, signed_disc_character=signed)
 
 
-def double_cover_points(matrix: GramMatrix, field: PrimeField) -> int:
-    """Points of the determinant double cover over one fiber of even size N:
-    1 + chi((-1)^(N/2) det M), which is 1 on the branch locus (chi(0) = 0).
-
-    The (-1)^(N/2) sign is the signed-discriminant convention above, so the
-    count is the same for a family and for its hyperbolic reduction.
-    """
-    n = matrix.size
-    if n % 2 != 0:
-        raise InputError("determinant double cover needs an even Gram size")
-    sign = -1 if (n // 2) % 2 else 1
-    return 1 + legendre_character(sign * modmat.det_mod(matrix.entries, field), field)
-
-
-def disc_character(matrix: GramMatrix, field: PrimeField) -> int:
-    """Ordinary discriminant character: chi(det of the nondegenerate block),
-    +1 for the zero form."""
-    diag, _ = diagonalize(matrix, field)
-    det_block = 1
-    for d in diag:
-        if d != 0:
-            det_block = det_block * d % field.p
-    return legendre_character(det_block, field)
+def quadric_points(size: int, rank: np.ndarray, signed: np.ndarray, p: int) -> int:
+    """The sum of #{q = 0 in P^(size-1)(F_p)} over forms on `size`
+    variables with the ranks and signed characters of `classify_stack`: the
+    closed form once per distinct (rank, signed) pair, in Python ints."""
+    pairs, counts = np.unique(np.stack((rank, signed)), axis=1, return_counts=True)
+    total = 0
+    for (r, eps), count in zip(pairs.T.tolist(), counts.tolist()):
+        nondeg, c = 0, size - r  # rank 0: a form on no variables has no zeros
+        if r > 0:
+            nondeg = (p ** (r - 1) - 1) // (p - 1)
+            if r % 2 == 0:
+                nondeg += eps * p ** (r // 2 - 1)
+        total += count * (nondeg * p**c + (p**c - 1) // (p - 1))
+    return total
 
 
 def count_projective_points(matrix: GramMatrix, field: PrimeField) -> int:
-    """Exact #{[v] in P^(N-1)(F_p) : q(v) = 0} by the closed form."""
-    p = field.p
-    inv = classify(matrix, field)
-    n = matrix.size
-    if inv.rank == 0:
-        return projective_size(n - 1, p)
-    r, c = inv.rank, inv.corank
-    nondeg = (p ** (r - 1) - 1) // (p - 1)
-    if r % 2 == 0:
-        nondeg += inv.signed_disc_character * p ** (r // 2 - 1)
-    return nondeg * p**c + (p**c - 1) // (p - 1)
+    """Exact #{[v] in P^(N-1)(F_p) : q(v) = 0} by the closed form:
+    `classify_stack` and `quadric_points` on a stack of one."""
+    rank, signed = classify_stack(modmat.residues([matrix.entries], field), field.p)
+    return quadric_points(matrix.size, rank, signed, field.p)
+
+
+def double_cover_count(size: int, rank: np.ndarray, signed: np.ndarray) -> int:
+    """Points of the determinant double cover over forms of even size N with
+    the ranks and signed characters of `classify_stack`: the sum of
+    1 + chi((-1)^(N/2) det M), which is 1 where rank < N and 1 + the signed
+    character at full rank.  The (-1)^(N/2) sign is the signed-discriminant
+    convention above, so the count is the same for a family and for its
+    hyperbolic reduction."""
+    if size % 2 != 0:
+        raise InputError("determinant double cover needs an even Gram size")
+    return len(rank) + int(signed[rank == size].sum())
 
 
 def _values(rows: np.ndarray, m: np.ndarray, p: int) -> np.ndarray:
     """v^T m v mod p at every row v, for int64 arrays with entries in [0, p)."""
     return (modmat.matmul_mod(rows, m, p) * rows % p).sum(axis=1) % p
-
-
-def form_values(points: np.ndarray, matrix: GramMatrix, field: PrimeField) -> np.ndarray:
-    """q(v) mod p at every row v of `points` (int64, one point per row)."""
-    return _values(points, modmat.residues(matrix.entries, field), field.p)
 
 
 def common_zeros(
@@ -230,8 +209,8 @@ def common_zeros(
     BudgetExceededError when P^(N-1)(F_p) holds more than `budget` points.
     """
     p = field.p
-    nonzero = [g for g in grams if modmat.residues(g.entries, field).any()] or list(grams[:1])
-    first, rest = modmat.residues(nonzero[0].entries, field), nonzero[1:]
+    mats = [modmat.residues(g.entries, field) for g in grams]
+    first, *rest = [m for m in mats if m.any()] or mats[:1]
 
     def zeros(h: np.ndarray, s: np.ndarray) -> np.ndarray:
         k = h.shape[1]
@@ -246,8 +225,8 @@ def common_zeros(
         # flat indices in C order: h index major, s index minor
         r, c = np.divmod(np.flatnonzero(values % p == 0), len(s))
         rows = np.hstack((h[r], s[c]))
-        for g in rest:
-            rows = rows[form_values(rows, g, field) == 0]
+        for m in rest:
+            rows = rows[_values(rows, m, p) == 0]
         return rows
 
     return scan_projective(first.shape[0] - 1, field, zeros, budget, jobs)
@@ -270,29 +249,27 @@ def zeros_on_span(
     return modmat.matmul_mod(common_zeros(restricted, field, budget), rref, field.p)
 
 
-def brute_force_count(matrix: GramMatrix, field: PrimeField, budget: int = 4_000_000) -> int:
-    """Exhaustive count over P^(N-1)(F_p) by the zero scan of
-    `common_zeros`; the oracle for the closed form.
-
-    Refuses (BudgetExceededError) when the projective space holds more than
-    `budget` points.
-    """
-    return len(common_zeros([matrix], field, budget))
-
-
 def restrict(grams: np.ndarray, bases: np.ndarray, p: int) -> np.ndarray:
     """K^T M K mod p for Gram arrays M and the basis vectors of K as the rows
     of `bases` (one of each, or stacks of them), entries in [0, p)."""
     return modmat.matmul_mod(modmat.matmul_mod(bases, grams, p), np.swapaxes(bases, -1, -2), p)
 
 
-def fiber_grams(m: int, field: PrimeField, grams: Callable[[np.ndarray], np.ndarray]) -> Iterator[GramMatrix]:
-    """The fiber Gram matrix over each point of P^m(F_p), in canonical order:
-    grams(rows) computes the stacked Gram arrays over one chunk of rows of
-    `projective_row_chunks` at once; only the conversion runs per fiber."""
+FiberChunk = tuple[np.ndarray, np.ndarray]
+
+
+def fiber_grams(m: int, field: PrimeField, grams: Callable[[np.ndarray], np.ndarray]) -> Iterator[FiberChunk]:
+    """(rows, grams(rows)) for each chunk of rows of P^m(F_p), in canonical
+    order: grams(rows) is the stack (k, N, N) of fiber Grams over k rows."""
     for rows in projective_row_chunks(m, field):
-        for gram in grams(rows):
-            yield GramMatrix.from_array(gram)
+        yield rows, grams(rows)
+
+
+def fiber_classes(chunks: Iterable[FiberChunk], p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rank and signed character of every fiber of a walk, in walk order:
+    one `classify_stack` call per chunk."""
+    ranks, signs = zip(*(classify_stack(grams, p) for _, grams in chunks))
+    return np.concatenate(ranks), np.concatenate(signs)
 
 
 def hyperbolic_reduce_at_vector(
@@ -318,21 +295,3 @@ def hyperbolic_reduce_at_vector(
     mw = [matrix.entries[j0][j] % p for j in range(n)]
     basis = np.array(modmat.kernel_basis([mv, mw], n, field), dtype=np.int64).reshape(-1, n)
     return GramMatrix.from_array(restrict(modmat.residues(matrix.entries, field), basis, p))
-
-
-def forms_congruent(m1: GramMatrix, m2: GramMatrix, field: PrimeField) -> bool:
-    """Whether the forms are congruent over F_p.
-
-    Over a finite field of odd characteristic, rank plus the square class
-    of the discriminant of the nondegenerate block classify forms of a
-    given dimension, so this is a two-invariant comparison.
-    """
-    if m1.size != m2.size:
-        raise InputError("congruence test requires matrices of the same size")
-    i1 = classify(m1, field)
-    i2 = classify(m2, field)
-    if i1.rank != i2.rank:
-        return False
-    if i1.rank == 0:
-        return True
-    return disc_character(m1, field) == disc_character(m2, field)

@@ -1,8 +1,13 @@
-"""Shared helpers for the test suite."""
+"""Shared helpers for the test suite, and the per-matrix Python oracles
+the batched library routines are checked against."""
 
+import math
 import random
 
-from quadring.gfp import PrimeField
+import numpy as np
+
+from quadring.errors import InputError
+from quadring.gfp import PrimeField, legendre_character
 from quadring.mpoly import HomPoly
 from quadring.quadform import GramMatrix
 
@@ -99,3 +104,107 @@ def record_scan_blocks(monkeypatch) -> list:
 
     monkeypatch.setattr(quadform, "scan_projective", spy)
     return blocks
+
+
+def fiber_list(chunks) -> list:
+    """The (base point, fiber Gram) pairs of a chunked fiber walk, one per
+    fiber, in walk order."""
+    return [
+        (tuple(row), GramMatrix.from_array(gram))
+        for rows, grams in chunks
+        for row, gram in zip(rows.tolist(), grams)
+    ]
+
+
+def form_values(points: np.ndarray, matrix: GramMatrix, field: PrimeField) -> np.ndarray:
+    """q(v) mod p at every row v of `points` (int64, one point per row)."""
+    from quadring import modmat
+
+    p = field.p
+    return (modmat.matmul_mod(points, modmat.residues(matrix.entries, field), p) * points % p).sum(axis=1) % p
+
+
+def diagonalize(matrix: GramMatrix, field: PrimeField) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Congruence diagonalization over F_p, one matrix in Python ints:
+    returns (diag, A) with A^T M A diagonal and diag its diagonal entries.
+    The oracle for `quadform.classify_stack`.
+
+    Pivot policy, the same as the batched routine's: first nonzero diagonal
+    entry in row order; failing that, the first off-diagonal (j, l) in
+    row-major order gets the substitution u_j <- u_j + u_l (valid in odd
+    characteristic) to create a diagonal pivot.
+    """
+    p = field.p
+    n = matrix.size
+    b = [[x % p for x in row] for row in matrix.entries]
+    # a holds the basis change as columns: a[i][j] = coordinate i of basis vector j
+    a = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def add_col(dst: int, src: int, factor: int) -> None:
+        # basis_dst += factor * basis_src, updating b = A^T M A symmetrically
+        for i in range(n):
+            a[i][dst] = (a[i][dst] + factor * a[i][src]) % p
+        for i in range(n):
+            b[i][dst] = (b[i][dst] + factor * b[i][src]) % p
+        for j in range(n):
+            b[dst][j] = (b[dst][j] + factor * b[src][j]) % p
+
+    def swap_cols(x: int, y: int) -> None:
+        for i in range(n):
+            a[i][x], a[i][y] = a[i][y], a[i][x]
+        for i in range(n):
+            b[i][x], b[i][y] = b[i][y], b[i][x]
+        b[x], b[y] = b[y], b[x]
+
+    for i in range(n):
+        piv = next((j for j in range(i, n) if b[j][j] != 0), None)
+        if piv is None:
+            pair = next(
+                ((j, l) for j in range(i, n) for l in range(j + 1, n) if b[j][l] != 0),
+                None,
+            )
+            if pair is None:
+                break  # remaining block is zero
+            j, l = pair
+            add_col(j, l, 1)  # now b[j][j] = 2*b[j][l] != 0
+            piv = j
+        if piv != i:
+            swap_cols(i, piv)
+        inv = pow(b[i][i], p - 2, p)
+        for j in range(i + 1, n):
+            if b[i][j] != 0:
+                add_col(j, i, (-b[i][j] * inv) % p)
+
+    diag = tuple(b[i][i] for i in range(n))
+    return diag, tuple(tuple(row) for row in a)
+
+
+def diagonal_invariants(matrix: GramMatrix, field: PrimeField) -> tuple[int, int]:
+    """(rank, signed discriminant character) read from `diagonalize`: the
+    character is chi((-1)^(r/2) * product of the nonzero diagonal) at even
+    rank r and 0 at odd rank."""
+    nonzero = [d for d in diagonalize(matrix, field)[0] if d != 0]
+    rank = len(nonzero)
+    if rank % 2:
+        return rank, 0
+    return rank, legendre_character((-1) ** (rank // 2) * math.prod(nonzero), field)
+
+
+def disc_character(matrix: GramMatrix, field: PrimeField) -> int:
+    """Ordinary discriminant character: chi(det of the nondegenerate block),
+    +1 for the zero form."""
+    return legendre_character(math.prod(d for d in diagonalize(matrix, field)[0] if d != 0), field)
+
+
+def forms_congruent(m1: GramMatrix, m2: GramMatrix, field: PrimeField) -> bool:
+    """Whether the forms are congruent over F_p.
+
+    Over a finite field of odd characteristic, rank plus the square class
+    of the discriminant of the nondegenerate block classify forms of a
+    given dimension, so this is a two-invariant comparison.
+    """
+    if m1.size != m2.size:
+        raise InputError("congruence test requires matrices of the same size")
+    if diagonal_invariants(m1, field)[0] != diagonal_invariants(m2, field)[0]:
+        return False
+    return disc_character(m1, field) == disc_character(m2, field)

@@ -28,14 +28,14 @@ from quadring.netfib import (
 )
 from quadring.quadform import (
     GramMatrix,
-    brute_force_count,
-    count_projective_points,
-    forms_congruent,
+    classify_stack,
+    common_zeros,
     hyperbolic_reduce_at_vector,
+    quadric_points,
 )
 from quadring import nslattice
 
-from _util import find_isotropic_vector
+from _util import find_isotropic_vector, forms_congruent
 
 ACCEPTANCE_PRIMES = [3, 5, 7, 11, 13]
 NET_SEEDS = [1, 2, 3, 4, 5]
@@ -80,6 +80,24 @@ def _gram_from_entries(entries, size: int) -> GramMatrix:
     return GramMatrix.from_rows(rows)
 
 
+def _closed_form_mismatches(entry_rows: np.ndarray, size: int, field: PrimeField, brute: np.ndarray) -> int:
+    """How many of the matrices (upper-triangle entries, one per row) have
+    a brute-force count other than the closed form of their class: one
+    stacked classification, then the closed form once per distinct
+    (rank, signed character) pair."""
+    stack = np.zeros((len(entry_rows), size, size), dtype=np.int64)
+    rows, cols = zip(*_pairs(size))
+    stack[:, rows, cols] = entry_rows
+    stack[:, cols, rows] = entry_rows
+    rank, signed = classify_stack(stack, field.p)
+    mismatches = 0
+    for r, e in set(zip(rank.tolist(), signed.tolist())):
+        group = (rank == r) & (signed == e)
+        closed = quadric_points(size, np.array([r]), np.array([e]), field.p)
+        mismatches += int((brute[group] != closed).sum())
+    return mismatches
+
+
 def test_criterion_1_count_oracle():
     start = time.time()
     # exhaustive: every symmetric 4x4 matrix over F3
@@ -88,12 +106,7 @@ def test_criterion_1_count_oracle():
     codes = np.arange(3**n_entries, dtype=np.int64)
     entry_rows = np.stack([(codes // 3**t) % 3 for t in range(n_entries)], axis=1)
     brute = _batch_brute_counts(entry_rows, 4, field)
-    mismatches = 0
-    for idx in range(len(codes)):
-        m = _gram_from_entries(entry_rows[idx], 4)
-        if count_projective_points(m, field) != int(brute[idx]):
-            mismatches += 1
-    exhaustive_ok = mismatches == 0
+    exhaustive_ok = _closed_form_mismatches(entry_rows, 4, field, brute) == 0
 
     # randomized: 10^4 matrices per (size, prime)
     rng = np.random.default_rng(20250809)
@@ -104,14 +117,11 @@ def test_criterion_1_count_oracle():
             f = PrimeField(p)
             entries = rng.integers(0, p, size=(10_000, len(_pairs(size))), dtype=np.int64)
             brute = _batch_brute_counts(entries, size, f)
-            for idx in range(len(entries)):
-                m = _gram_from_entries(entries[idx], size)
-                if count_projective_points(m, f) != int(brute[idx]):
-                    random_ok = False
-            # tie the brute_force_count operation itself to the batch oracle
+            random_ok &= _closed_form_mismatches(entries, size, f, brute) == 0
+            # tie the library's zero scan itself to the batch oracle
             for idx in range(0, 10_000, 500):
                 m = _gram_from_entries(entries[idx], size)
-                if brute_force_count(m, f) != int(brute[idx]):
+                if len(common_zeros([m], f)) != int(brute[idx]):
                     spot_ok = False
     elapsed = time.time() - start
     _report(
@@ -217,13 +227,11 @@ def test_criterion_4_reduction_invariance(accepted_nets):
 
     import random as pyrandom
 
-    from quadring.quadform import classify
-
     rng = pyrandom.Random(2718)
     f7 = PrimeField(7)
     witt_cases = 0
     witt_ok = True
-    disc_ok = True
+    forms, reduced = [], []
     while witt_cases < 1000:
         rows = [[0] * 6 for _ in range(6)]
         for i in range(6):
@@ -237,13 +245,13 @@ def test_criterion_4_reduction_invariance(accepted_nets):
         r1 = hyperbolic_reduce_at_vector(m, v1, f7)
         r2 = hyperbolic_reduce_at_vector(m, v2, f7)
         witt_ok &= forms_congruent(r1, r2, f7)
-        inv = classify(m, f7)
-        if inv.rank % 2 == 0:
-            # the signed discriminant character survives the reduction
-            disc_ok &= (
-                classify(r1, f7).signed_disc_character == inv.signed_disc_character
-            )
+        forms.append(m.entries)
+        reduced.append(r1.entries)
         witt_cases += 1
+    # the signed discriminant character survives the reduction at even rank
+    rank, signed = classify_stack(np.array(forms), 7)
+    even = rank % 2 == 0
+    disc_ok = np.array_equal(signed[even], classify_stack(np.array(reduced), 7)[1][even])
     _report(
         4,
         hist_ok and cover_ok and witt_ok and disc_ok,

@@ -264,6 +264,24 @@ def test_count_rejects_nonpositive_jobs(capsys, jobs):
     assert "--jobs must be at least 1" in err
 
 
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_count_rejects_nonpositive_budget(capsys, budget):
+    code, out, err = run_cli(
+        capsys, "count", "--net", str(GOLDEN / "net.json"), "--primes", "3", "--budget", budget
+    )
+    assert code == 2 and out == ""
+    assert "--budget must be at least 1" in err
+
+
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_cubic_rejects_nonpositive_budget(capsys, budget):
+    code, out, err = run_cli(
+        capsys, "cubic", "--form", str(GOLDEN / "cubic_form.json"), "--primes", "5", "--budget", budget
+    )
+    assert code == 2 and out == ""
+    assert "--budget must be at least 1" in err
+
+
 def test_count_huge_entries_print_the_golden_reports(capsys, tmp_path):
     # 3*5*7*11*13 * 2^64 added to entry (1, 1) of M_0: the same net mod 3, 5
     # and 7 (the point e_0 stays on X over Z), with an entry beyond int64
@@ -359,6 +377,15 @@ def test_random_budget_exhaustion(capsys):
         "random", "--n", "4", "--m", "2", "--seed", "1", "--attempts", "1",
     )
     assert code == 3
+
+
+@pytest.mark.parametrize("attempts", ["0", "-2"])
+def test_random_rejects_nonpositive_attempts(capsys, attempts):
+    code, out, err = run_cli(
+        capsys, "random", "--n", "4", "--m", "2", "--seed", "1", "--attempts", attempts
+    )
+    assert code == 2 and out == ""
+    assert "attempts must be at least 1" in err
 
 
 def test_random_deterministic_output(capsys):

@@ -15,21 +15,24 @@ from quadring.gfp import (
 )
 from quadring.quadform import (
     GramMatrix,
-    brute_force_count,
     classify,
+    classify_stack,
     common_zeros,
     count_projective_points,
-    diagonalize,
-    disc_character,
-    form_values,
-    forms_congruent,
+    double_cover_count,
     hyperbolic_reduce_at_vector,
+    quadric_points,
     zeros_on_span,
 )
 
 from _util import (
     congruent_transform,
+    diagonal_invariants,
+    diagonalize,
+    disc_character,
     find_isotropic_vector,
+    form_values,
+    forms_congruent,
     random_invertible,
     random_symmetric,
     record_scan_blocks,
@@ -90,29 +93,75 @@ def test_count_examples():
     conic = GramMatrix.diagonal([1, 1, 1])
     assert count_projective_points(conic, F5) == 6  # smooth conic is a P^1
     assert count_projective_points(SPLIT_4, F3) == 16  # (p+1)^2
-    assert brute_force_count(SPLIT_4, F3) == 16
+    assert len(common_zeros([SPLIT_4], F3)) == 16
     nonsplit = GramMatrix.diagonal([1, 1, 1, 2])
     assert classify(nonsplit, F3).signed_disc_character == -1
     assert count_projective_points(nonsplit, F3) == 10  # p^2 + 1
-    assert brute_force_count(nonsplit, F3) == 10
+    assert len(common_zeros([nonsplit], F3)) == 10
+    assert count_projective_points(GramMatrix.zero(3), F5) == 31  # all of P^2
 
 
 def test_brute_force_examples():
-    assert brute_force_count(GramMatrix.zero(2), F3) == 4  # all of P^1
+    assert len(common_zeros([GramMatrix.zero(2)], F3)) == 4  # all of P^1
     for field in (F3, F5, F7):
         rank1 = GramMatrix.from_rows([[1, 0], [0, 0]])
-        assert brute_force_count(rank1, field) == 1  # the point (0:1)
+        assert len(common_zeros([rank1], field)) == 1  # the point (0:1)
     with pytest.raises(BudgetExceededError):
-        brute_force_count(GramMatrix.zero(6), F7, budget=100)
+        common_zeros([GramMatrix.zero(6)], F7, budget=100)
 
 
 @pytest.mark.parametrize("size,p", [(4, 3), (5, 5), (6, 7)])
 def test_closed_form_matches_brute_force_random(size, p):
     field = PrimeField(p)
     rng = random.Random(size * 100 + p)
-    for _ in range(300):
-        m = random_symmetric(rng, size, p=p)
-        assert count_projective_points(m, field) == brute_force_count(m, field)
+    mats = [random_symmetric(rng, size, p=p) for _ in range(300)]
+    rank, signed = classify_stack(np.array([m.entries for m in mats]), p)
+    brute = [len(common_zeros([m], field)) for m in mats]
+    for i in range(len(mats)):
+        assert quadric_points(size, rank[i : i + 1], signed[i : i + 1], p) == brute[i]
+    assert quadric_points(size, rank, signed, p) == sum(brute)
+
+
+@st.composite
+def _stack(draw, size, p):
+    """Symmetric size x size residue matrices mod p: sums of r random
+    rank-one terms c v v^T for every r in 0..size (r = 0 is the zero
+    matrix), and a zero-diagonal matrix with a nonzero off-diagonal entry
+    (the u_j <- u_j + u_l pivot)."""
+    residues = st.integers(0, p - 1)
+    mats = []
+    for r in range(size + 1):
+        m = np.zeros((size, size), dtype=object)
+        for _ in range(r):
+            v = np.array(draw(st.lists(residues, min_size=size, max_size=size)), dtype=object)
+            m = m + draw(st.integers(1, p - 1)) * np.outer(v, v)
+        mats.append(m)
+    if size > 1:
+        m = np.zeros((size, size), dtype=object)
+        for i in range(size):
+            for j in range(i + 1, size):
+                m[i, j] = m[j, i] = draw(residues)
+        i, j = draw(st.lists(st.integers(0, size - 1), min_size=2, max_size=2, unique=True))
+        m[i, j] = m[j, i] = draw(st.integers(1, p - 1))
+        mats.append(m)
+    return [GramMatrix.from_rows((m % p).tolist()) for m in mats]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data(), size=st.integers(1, 6), p=st.sampled_from([3, 5, 7, 101, 2**31 - 1]))
+def test_classify_stack_matches_the_diagonalize_oracle(data, size, p):
+    field = PrimeField(p)
+    mats = data.draw(_stack(size, p))
+    rank, signed = classify_stack(np.array([m.entries for m in mats], dtype=np.int64), p)
+    assert list(zip(rank.tolist(), signed.tolist())) == [diagonal_invariants(m, field) for m in mats]
+    if size % 2:
+        with pytest.raises(InputError):
+            double_cover_count(size, rank, signed)
+        return
+    # the determinant oracle: 1 + chi((-1)^(N/2) det M) per matrix
+    sign = (-1) ** (size // 2)
+    expected = sum(1 + legendre_character(sign * modmat.det_mod(m.entries, field), field) for m in mats)
+    assert double_cover_count(size, rank, signed) == expected
 
 
 def _on_all_forms(grams, field):

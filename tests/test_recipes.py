@@ -20,7 +20,7 @@ from quadring.netfib import (
 )
 from quadring.netfib.recipes import PLANE_VARS, _fiber_grams, _verra_quadric_entries
 
-from _util import plane_cubic
+from _util import fiber_list, plane_cubic
 
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -82,8 +82,8 @@ def test_fiber_grams_match_pointwise_evaluation(p):
         cubic_fiber_grams(random_cubic_with_plane([5], seed=4)),
         _verra_quadric_entries(_golden_verra_form()),
     ):
-        pointwise = [_gram_at(entries, s, field) for s in enumerate_projective(2, field)]
-        assert list(_fiber_grams(entries, field)) == pointwise
+        pointwise = [(s, _gram_at(entries, s, field)) for s in enumerate_projective(2, field)]
+        assert fiber_list(_fiber_grams(entries, field)) == pointwise
 
 
 def test_cubic_fiber_gram_matches_substitution():
