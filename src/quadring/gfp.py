@@ -15,6 +15,9 @@ h in the order of P^(n-2), then s lexicographically; the points with h = 0
 come last, in the order of P^1.  The prefix rows, the rows s of F_p^2 (the
 pivot-0 rows of P^2 without their leading 1) and the P^1 tail are all read
 from :func:`projective_points_array`, so the order still has one source.
+The zero scan of forms on P^(N-1) (`quadform.common_zeros`) solves for the
+last coordinate and walks this split of P^(N-2) only: the points (u, t) of
+P^(N-1) with u in P^(N-2) come in the order of u, then t, before e_last.
 
 Everything here is immutable and pure, hence safe to share across threads.
 """
@@ -32,10 +35,13 @@ from .errors import BudgetExceededError
 
 ProjPoint = tuple[int, ...]
 
-# Most points of P^n(F_p) handled at once by one scan block: 2^18 rows of
-# P^5 take 12.6 MB as int64 (a block's grid of values 2 MB), and each numpy
-# call still covers enough points to hide its fixed cost.
-CHUNK_ROWS = 1 << 18
+# Most points of P^n(F_p) handled at once by one scan block.  The solved
+# zero scan holds several arrays of one value or root per cell of a block
+# (0.5 MB each as int64), and each numpy call still covers enough points to
+# hide its fixed cost: on the seed-42 net, 2^17 cells raised the peak RSS of
+# `count` at 3..23 from 37 to 41 MB, and 2^15 cells slowed the X scan at
+# p = 53 by a tenth.
+CHUNK_ROWS = 1 << 16
 
 # Rows per chunk of the walks that do Python work at every point
 # (`enumerate_projective`, the fiber walk): 2^10 rows raised the fiber
@@ -88,8 +94,9 @@ def legendre_character(a: int, field: PrimeField) -> int:
 
 
 def projective_size(n: int, p: int) -> int:
-    """Number of points of P^n(F_p), i.e. (p^(n+1) - 1) / (p - 1)."""
-    if n < 0:
+    """Number of points of P^n(F_p), i.e. (p^(n+1) - 1) / (p - 1); P^-1 is
+    empty."""
+    if n < -1:
         raise ValueError(f"negative dimension: {n}")
     return (p ** (n + 1) - 1) // (p - 1)
 
@@ -114,7 +121,7 @@ def size_within_budget(n: int, p: int, budget: int) -> int:
     size = projective_size(n, p)
     if size > budget:
         raise BudgetExceededError(
-            f"P^{n}(F_{p}) has {size} points, over the budget of {budget}"
+            f"the scan walks P^{n}(F_{p}), which has {size} points, over the budget of {budget}"
         )
     return size
 
@@ -174,16 +181,17 @@ def scan_projective(
     budget: int = 4_000_000,
     jobs: int = 1,
 ) -> np.ndarray:
-    """The points of P^n(F_p) that `keep` selects, in canonical order.
+    """The rows `keep` finds on the points of P^n(F_p), in the canonical
+    order of the points.
 
     The walk is the prefix x F_p^2 split of the module docstring.  keep(h, s)
     gets a block of prefix rows h and a block of rows s, at most CHUNK_ROWS
-    pairs in all, and returns the rows (h_i, s_j) it keeps in the C order of
-    (i, j).  Each of `jobs` threads walks one contiguous part of the prefix
-    index range, so memory stays bounded at any budget and the result does
-    not depend on `jobs`; there are never more parts, hence threads, than
-    `os.cpu_count()`.  Raises BudgetExceededError when P^n(F_p) has more
-    than `budget` points.
+    pairs in all, and returns the rows it finds for the points (h_i, s_j)
+    in the C order of (i, j).  Each of `jobs` threads walks one contiguous
+    part of the prefix index range, so memory stays bounded at any budget
+    and the result does not depend on `jobs`; there are never more parts,
+    hence threads, than `os.cpu_count()`.  Raises BudgetExceededError when
+    P^n(F_p) has more than `budget` points.
     """
     p = field.p
     size_within_budget(n, p, budget)
@@ -221,24 +229,6 @@ def scan_projective(
         with ThreadPoolExecutor(max_workers=len(parts)) as pool:
             heads = list(pool.map(scan, parts))
     return np.concatenate([kept for head in heads for kept in head] + tail)
-
-
-def projective_rows_where(
-    n: int,
-    field: PrimeField,
-    keep: Callable[[np.ndarray], np.ndarray],
-    budget: int = 4_000_000,
-    jobs: int = 1,
-) -> np.ndarray:
-    """The rows of P^n(F_p), in canonical order, where the boolean mask
-    keep(rows) is true: the walk of `scan_projective`, with each block
-    expanded to its full rows before the mask is applied."""
-
-    def block(h: np.ndarray, s: np.ndarray) -> np.ndarray:
-        rows = np.hstack((np.repeat(h, len(s), axis=0), np.tile(s, (len(h), 1))))
-        return rows[keep(rows)]
-
-    return scan_projective(n, field, block, budget, jobs)
 
 
 def split_ranges(total: int, parts: int) -> list[tuple[int, int]]:

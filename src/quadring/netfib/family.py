@@ -134,11 +134,13 @@ def points_on_X(
     """All canonical points of P^(n+1)(F_p) on which every form of the net
     vanishes, in canonical enumeration order.
 
-    The scan is `quadform.common_zeros`: the first form is evaluated on
-    blocks of P^(n-1) x F_p^2 and the P^1 tail, the others only on its
-    zeros; the prefix is split into one index range per job, and the result
-    does not depend on `jobs`.  Raises BudgetExceededError when P^(n+1)(F_p)
-    has more than `budget` points.
+    The scan is `quadform.common_zeros`, solved for the last coordinate t:
+    it walks P^n in blocks of P^(n-2) x F_p^2 and the P^1 tail, solves the
+    first form for t at every point u of a block, tests the other forms only
+    at those roots, and adds e_last when every form's last diagonal entry
+    is 0.  The prefix is split into one index range per job, and the result
+    does not depend on `jobs`.  Raises BudgetExceededError when P^n(F_p) has
+    more than `budget` points.
     """
     return list(map(tuple, common_zeros(net.matrices, field, budget, jobs).tolist()))
 

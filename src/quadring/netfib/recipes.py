@@ -47,15 +47,18 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from ..errors import InputError
+from .. import modmat
 from ..gfp import (
+    CHUNK_ROWS,
     PrimeField,
     legendre_character,
     projective_points_array,
-    projective_rows_where,
     projective_size,
+    size_within_budget,
 )
 from ..mpoly import HomPoly, evaluate_on_array
 from ..quadform import FiberChunk, GramMatrix, common_zeros, double_cover_count, fiber_classes, fiber_grams
+from ..quadform import quadratic_roots
 
 CUBIC_VARS = 6
 PLANE_VARS = (3, 4, 5)
@@ -142,6 +145,24 @@ def _singular_on_plane(grams: Sequence[Sequence[HomPoly]], field: PrimeField) ->
     return len(common_zeros(conics, field)) > 0
 
 
+def _cubic_x_count(f: HomPoly, field: PrimeField, budget: int) -> int:
+    """#X(F_p) for a cubic through the plane, solved for x2: f is
+    A x2^2 + B x2 + C with forms A, B, C in u = (x0, x1, x3, x4, x5), so X is
+    the points (u, x2) for the roots x2 of `quadratic_roots` on (A, B / 2, C)
+    at each u of P^4, walked in blocks of CHUNK_ROWS rows, and the point e2,
+    on X since f lies in (x3, x4, x5).  Raises BudgetExceededError when
+    P^4(F_p) has more than `budget` points."""
+    p = field.p
+    size = size_within_budget(4, p, budget)
+    coeffs = [HomPoly(5, 3 - e, {x[:2] + x[3:]: c for x, c in f.terms.items() if x[2] == e}) for e in (2, 1, 0)]
+    count = 1
+    for lo in range(0, size, CHUNK_ROWS):
+        u = projective_points_array(4, field, budget, lo, min(lo + CHUNK_ROWS, size))
+        a, b, c = (evaluate_on_array(g, u, field) for g in coeffs)
+        count += len(quadratic_roots(a, b * ((p + 1) // 2) % p, c, p)[0])
+    return count
+
+
 @dataclass(frozen=True)
 class CubicReport:
     """Counts for one prime of the plane-projection recipe."""
@@ -173,16 +194,14 @@ def cubic_with_plane_counts(
     """Per-prime residual #X - (1 + p^2 + p^4 + p * #Y) for a cubic through
     the plane x3 = x4 = x5 = 0; expected 0 whenever corank <= 1 everywhere
     and the cubic is smooth along the plane, the two hypotheses the report
-    flags."""
+    flags.  #X is counted by solving for x2 over P^4 (`_cubic_x_count`),
+    an independent route beside the fibration; a prime whose P^4(F_p) holds
+    more than `budget` points raises BudgetExceededError."""
     grams = cubic_fiber_grams(f)
     reports = []
     for p in primes:
         field = PrimeField(p)
-        x_count = len(
-            projective_rows_where(
-                5, field, lambda rows: evaluate_on_array(f, rows, field) == 0, budget
-            )
-        )
+        x_count = _cubic_x_count(f, field, budget)
         y_count, corank2 = _double_cover_count(grams, field)
         residual = x_count - (1 + p**2 + p**4 + p * y_count)
         reports.append(
@@ -275,6 +294,27 @@ class VerraReport:
         }
 
 
+def _verra_x_count(g: HomPoly, field: PrimeField) -> int:
+    """#X(F_p), the sum of 1 + chi(G(s, t)) over P^2 x P^2.  G(s, t) is
+    m(s)^T K m(t) for the quadratic monomials m and the 6 x 6 matrix K of
+    coefficients, so one product gives m(s)^T K at every s, and one product
+    per block of s with the m(t) gives G on the block's grid of (s, t)."""
+    p = field.p
+    plane = projective_points_array(2, field)
+    pairs = [(i, j) for i in range(3) for j in range(i, 3)]
+    mono = np.stack([plane[:, i] * plane[:, j] % p for i, j in pairs], axis=1)
+    index = {tuple(int(k == i) + int(k == j) for k in range(3)): n for n, (i, j) in enumerate(pairs)}
+    coeffs = [[0] * 6 for _ in range(6)]
+    for exps, c in g.terms.items():
+        coeffs[index[exps[:3]]][index[exps[3:]]] = c
+    left = modmat.matmul_mod(mono, modmat.residues(coeffs, field), p)
+    chi = np.array([legendre_character(a, field) for a in range(p)])
+    step = max(1, CHUNK_ROWS // len(plane))
+    return len(plane) ** 2 + sum(
+        int(chi[modmat.matmul_mod(left[lo : lo + step], mono.T, p)].sum()) for lo in range(0, len(plane), step)
+    )
+
+
 def verra_counts(g: HomPoly, primes: Sequence[int]) -> list[VerraReport]:
     """Counts of the branched double cover of P^2 x P^2 and of the two
     determinant covers, with the residuals tying them together."""
@@ -284,12 +324,7 @@ def verra_counts(g: HomPoly, primes: Sequence[int]) -> list[VerraReport]:
     reports = []
     for p in primes:
         field = PrimeField(p)
-        chi = np.array([legendre_character(a, field) for a in range(p)])
-        plane = projective_points_array(2, field)
-        x_count = 0
-        for s in plane:
-            pairs = np.hstack((np.broadcast_to(s, plane.shape), plane))
-            x_count += len(plane) + int(chi[evaluate_on_array(g, pairs, field)].sum())
+        x_count = _verra_x_count(g, field)
         y1, c1 = _double_cover_count(first, field)
         y2, c2 = _double_cover_count(second, field)
         base = (p**2 + 1) * projective_size(2, p)

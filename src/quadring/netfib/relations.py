@@ -191,8 +191,9 @@ def verify_relations(
     (used at every prime, so it lies on X mod p wherever it does not vanish
     mod p), and the net is reduced along it once, over Z; None restricts
     the report to the point-free residuals.  Precondition failures surface
-    as flags and skips; a prime whose P^(n+1)(F_p) holds more than `budget`
-    points raises BudgetExceededError before any fiber is counted.
+    as flags and skips; a prime whose P^n(F_p), the space the X scan walks,
+    holds more than `budget` points raises BudgetExceededError before any
+    fiber is counted.
     """
     if (net.n, net.m) not in SUPPORTED_SHAPES:
         raise InputError(
@@ -207,7 +208,7 @@ def verify_relations(
         if bad:
             raise InputError(f"point is not on X over Z (forms {bad} do not vanish)")
     for p in primes:
-        size_within_budget(net.n + 1, p, budget)  # the X scan's space
+        size_within_budget(net.n, p, budget)  # the X scan's space
     reduced = None if point is None else hyperbolic_reduce_family(net, [list(point)])
     return [
         _report_for_prime(net, point, reduced, PrimeField(p), budget, jobs) for p in primes

@@ -21,10 +21,17 @@ rank 0 gives the whole P^(N-1).  The counts are Python ints, since sums of
 them pass 2^63 at large p.  The closed form is validated against the
 brute-force enumeration oracle in the acceptance suite before anything else
 trusts it.
+
+Common zeros.  `common_zeros` never walks all of P^(N-1): in its last
+coordinate t a form is a t^2 + 2 b(u) t + c(u), so it walks u over P^(N-2)
+and solves for t (`quadratic_roots`: square roots and inverses from tables
+of F_p), which costs O(p^(N-2)) array work and is what `--budget` is charged
+for.  The full scan of P^(N-1) is kept only as the tests' oracle.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -32,7 +39,7 @@ import numpy as np
 
 from . import modmat
 from .errors import InputError
-from .gfp import PrimeField, projective_row_chunks, scan_projective
+from .gfp import PrimeField, projective_row_chunks, scan_projective, size_within_budget
 
 
 @dataclass(frozen=True)
@@ -190,9 +197,109 @@ def double_cover_count(size: int, rank: np.ndarray, signed: np.ndarray) -> int:
     return len(rank) + int(signed[rank == size].sum())
 
 
-def _values(rows: np.ndarray, m: np.ndarray, p: int) -> np.ndarray:
-    """v^T m v mod p at every row v, for int64 arrays with entries in [0, p)."""
-    return (modmat.matmul_mod(rows, m, p) * rows % p).sum(axis=1) % p
+# Largest p whose square roots and inverses are tabulated once for all of
+# F_p (`_table`); past it each block solves for its distinct values only.
+TABLE_PRIMES = 1 << 12
+
+
+def _sqrt_mod(v: int, p: int) -> int:
+    """A square root of v mod p, or -1 when v is not a square: Euler's
+    criterion, then Tonelli-Shanks."""
+    if v == 0:
+        return 0
+    if pow(v, (p - 1) // 2, p) != 1:
+        return -1
+    q, m = p - 1, 0
+    while q % 2 == 0:
+        q, m = q // 2, m + 1
+    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    c, t, r = pow(z, q, p), pow(v, q, p), pow(v, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
+def _inverse_mod(v: int, p: int) -> int:
+    """The inverse of v mod p, and 0 at 0."""
+    return pow(v, p - 2, p)
+
+
+@functools.lru_cache(maxsize=64)
+def _table(fn: Callable[[int, int], int], p: int) -> np.ndarray:
+    """fn(v, p) for every v in F_p, read-only since every caller shares it."""
+    table = np.array([fn(v, p) for v in range(p)], dtype=np.int64)
+    table.flags.writeable = False
+    return table
+
+
+def _lookup(fn: Callable[[int, int], int], values: np.ndarray, p: int) -> np.ndarray:
+    """fn(v, p) at every entry of a flat residue array."""
+    if p <= TABLE_PRIMES:
+        return _table(fn, p)[values]
+    distinct, where = np.unique(values, return_inverse=True)
+    return np.array([fn(v, p) for v in distinct.tolist()], dtype=np.int64)[where]
+
+
+def _mod(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p for an int64 array, as x - (x // p) p: numpy divides by a
+    scalar about twice as fast as it takes the remainder."""
+    q = x // p
+    q *= p
+    return np.subtract(x, q, out=q)
+
+
+def _root_runs(a: np.ndarray, b: np.ndarray, c: np.ndarray, p: int) -> tuple[np.ndarray, ...]:
+    """The cells of `quadratic_roots` that have roots, and for each its
+    smallest root, the step to the next and the number of roots.  Its own
+    function so that its temporaries are freed before the roots are
+    expanded, where a scan block's memory peaks."""
+    r = _lookup(_sqrt_mod, _mod(b * b + (p - a) * c, p), p)  # b^2 where a = 0
+    cells = np.flatnonzero(np.where(a != 0, r >= 0, (b != 0) | (c == 0)))
+    a, b, c, r = a[cells], b[cells], c[cells], r[cells]
+    quad = a != 0
+    inv = _lookup(_inverse_mod, _mod(np.where(quad, a, 2 * b), p), p)  # 0 where a = b = 0
+    one = _mod(np.where(quad, p - b + r, p - c) * inv, p)
+    other = _mod(np.where(quad, 2 * p - b - r, p - c) * inv, p)
+    every = inv == 0
+    return cells, np.minimum(one, other), np.where(every, 1, abs(one - other)), np.where(every, p, 1 + (one != other))
+
+
+def quadratic_roots(a: np.ndarray, b: np.ndarray, c: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every root t in F_p of a t^2 + 2 b t + c = 0 at every cell of the flat
+    residue arrays a, b and c, as (cell index, t) pairs in cell order, the
+    smaller root first.
+
+    a != 0: t = (-b +- r) / a for r^2 = b^2 - a c, none when that is no
+    square.  a = 0: the equation is linear, with the one root -c / 2b when
+    b != 0, every t when b = c = 0 and none otherwise.
+    """
+    cells, low, step, count = _root_runs(a, b, c, p)
+    # t = the smallest root + (index of the root in its cell) * step
+    t = np.arange(count.sum())
+    t -= np.repeat(np.cumsum(count) - count, count)
+    t *= np.repeat(step, count)
+    t += np.repeat(low, count)
+    return np.repeat(cells, count), t
+
+
+def _linear_and_constant(m: np.ndarray, h: np.ndarray, s: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """b(u) and c(u) mod p on the grid u = (h_i, s_j), for the form m written
+    as q(u, t) = a t^2 + 2 b(u) t + c(u) in its last coordinate t: b is a
+    column over h plus a row over s, and c is q(h, 0) + q(0, s) plus the
+    cross terms 2 (M_hs^T h) . s.  s has at most two columns, so every sum
+    below has two values below p and at most two products below (p - 1)^2,
+    and stays below 2^63 for p < 2^31."""
+    k, cols = h.shape[1], s.T.copy()
+    hm = modmat.matmul_mod(h, m[:k], p)
+    sm = sum(col[:, None] * m[k + j, k:] for j, col in enumerate(cols)) % p
+    c = (hm[:, :k] * h % p).sum(axis=1)[:, None] % p + sum(sm[:, j] * col for j, col in enumerate(cols)) % p
+    for j, col in enumerate(cols):
+        c += 2 * hm[:, k + j, None] % p * col
+    return _mod(hm[:, -1, None] + sm[:, -1], p), _mod(c, p)
 
 
 def common_zeros(
@@ -201,35 +308,40 @@ def common_zeros(
     """The points of P^(N-1)(F_p) where every form vanishes, in canonical
     order, for one or more N x N Gram matrices.
 
-    Walks the blocks h x s of `scan_projective`.  On a block the first form
-    that is nonzero mod p is q(h, 0) + 2 (M_hs^T h) . s + q(0, s), a sum of
-    one column over h and one row over s, so it costs a few operations per
-    point and no point rows are built; only its zeros, about 1/p of the
-    block, are expanded to rows and filtered by the other forms.  Raises
-    BudgetExceededError when P^(N-1)(F_p) holds more than `budget` points.
+    Solves for the last coordinate t.  Every point but e_last is (u, t) with
+    u in P^(N-2) and t in F_p, and the canonical order is that of u, then t,
+    then e_last.  A form is q(u, t) = a t^2 + 2 b(u) t + c(u) with a its last
+    diagonal entry.  On a block h x s of `scan_projective` over P^(N-2), b
+    and c of the first nonzero form come from values over h and over s
+    without building rows, and `quadratic_roots` solves it at every u.  The
+    other forms are tested only at those roots, about one per u, as
+    c + (2 b + a t) t with their b and c read from the same kind of grid.
+    e_last is a zero exactly when every last diagonal entry is 0.  Raises
+    BudgetExceededError when P^(N-2)(F_p) holds more than `budget` points.
     """
     p = field.p
     mats = [modmat.residues(g.entries, field) for g in grams]
     first, *rest = [m for m in mats if m.any()] or mats[:1]
+    last = first.shape[0] - 1
+    # e_last, kept when no form has a t^2 term
+    tail = np.eye(1, last + 1, last, dtype=np.int64)[: int(not any(m[last, last] for m in mats))]
+
+    def roots(h: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        b, c = _linear_and_constant(first, h, s, p)
+        return quadratic_roots(np.broadcast_to(first[last, last], b.size), b.ravel(), c.ravel(), p)
 
     def zeros(h: np.ndarray, s: np.ndarray) -> np.ndarray:
-        k = h.shape[1]
-        on_h = _values(h, first[:k, :k], p)
-        on_s = _values(s, first[k:, k:], p)
-        cross = 2 * modmat.matmul_mod(h, first[:k, k:], p) % p
-        # two values below p and two products below (p - 1)^2: the sum
-        # stays below 2^63 for p < 2^31
-        values = on_h[:, None] + on_s
-        for j in range(s.shape[1]):
-            values += cross[:, j, None] * s[:, j]
-        # flat indices in C order: h index major, s index minor
-        r, c = np.divmod(np.flatnonzero(values % p == 0), len(s))
-        rows = np.hstack((h[r], s[c]))
+        cell, t = roots(h, s)  # the first form's grids are freed here
         for m in rest:
-            rows = rows[_values(rows, m, p) == 0]
-        return rows
+            b, c = _linear_and_constant(m, h, s, p)
+            on = _mod(c.ravel()[cell] + _mod(2 * b.ravel()[cell] + m[last, last] * t, p) * t, p) == 0
+            cell, t = cell[on], t[on]
+        return np.hstack((h[cell // len(s)], s[cell % len(s)], t[:, None]))
 
-    return scan_projective(first.shape[0] - 1, field, zeros, budget, jobs)
+    if last == 0:  # P^0 is e_last alone, and the walk over P^-1 is empty
+        size_within_budget(-1, p, budget)
+        return tail
+    return np.concatenate((scan_projective(last - 1, field, zeros, budget, jobs), tail))
 
 
 def zeros_on_span(
@@ -239,7 +351,9 @@ def zeros_on_span(
     every N x N form vanishes, in canonical order: `common_zeros` of the
     forms K M K^T on P^(k-1), with `budget` charged for that space, mapped
     by c -> c K.  With K the reduced row echelon form of the basis, that
-    map keeps points canonical and keeps their order."""
+    map keeps points canonical and keeps their order.  `common_zeros`
+    solves for the last of the k coordinates, so the budget is charged for
+    P^(k-2)."""
     size = grams[0].size
     rref = np.array(modmat.row_reduce(basis, size, field)[0], dtype=np.int64).reshape(-1, size)
     if len(rref) == 0:

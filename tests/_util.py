@@ -7,7 +7,7 @@ import random
 import numpy as np
 
 from quadring.errors import InputError
-from quadring.gfp import PrimeField, legendre_character
+from quadring.gfp import PrimeField, legendre_character, projective_size
 from quadring.mpoly import HomPoly
 from quadring.quadform import GramMatrix
 
@@ -104,6 +104,39 @@ def record_scan_blocks(monkeypatch) -> list:
 
     monkeypatch.setattr(quadform, "scan_projective", spy)
     return blocks
+
+
+def projective_rows_where(n: int, field: PrimeField, keep, budget: int = 4_000_000, jobs: int = 1) -> np.ndarray:
+    """The rows of P^n(F_p), in canonical order, where the boolean mask
+    keep(rows) is true: the walk of `gfp.scan_projective`, with each block
+    expanded to its full rows before the mask is applied.  The in-memory
+    mask oracle."""
+    from quadring.gfp import scan_projective
+
+    def block(h: np.ndarray, s: np.ndarray) -> np.ndarray:
+        rows = np.hstack((np.repeat(h, len(s), axis=0), np.tile(s, (len(h), 1))))
+        return rows[keep(rows)]
+
+    return scan_projective(n, field, block, budget, jobs)
+
+
+def on_all_forms(grams, field: PrimeField):
+    """The mask of the rows on which every form vanishes."""
+
+    def mask(rows: np.ndarray) -> np.ndarray:
+        keep = np.ones(len(rows), dtype=bool)
+        for g in grams:
+            keep &= form_values(rows, g, field) == 0
+        return keep
+
+    return mask
+
+
+def full_scan_zeros(grams, field: PrimeField) -> np.ndarray:
+    """The brute-force oracle of `quadform.common_zeros`: every form
+    evaluated at every point of P^(N-1)(F_p), block by block."""
+    size = grams[0].size
+    return projective_rows_where(size - 1, field, on_all_forms(grams, field), projective_size(size - 1, field.p))
 
 
 def fiber_list(chunks) -> list:

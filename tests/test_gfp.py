@@ -9,10 +9,11 @@ from quadring.gfp import (
     enumerate_projective,
     legendre_character,
     projective_points_array,
-    projective_rows_where,
     projective_size,
     split_ranges,
 )
+
+from _util import projective_rows_where
 
 
 def test_prime_field_validation():

@@ -12,7 +12,6 @@ from quadring.gfp import (
     canonical_point,
     enumerate_projective,
     projective_points_array,
-    projective_rows_where,
     projective_size,
 )
 from quadring.quadform import GramMatrix, classify, fiber_classes
@@ -31,7 +30,7 @@ from quadring.netfib import (
     verify_relations,
 )
 
-from _util import fiber_list, form_values, forms_congruent, random_symmetric, record_scan_blocks
+from _util import fiber_list, form_values, forms_congruent, projective_rows_where, random_symmetric, record_scan_blocks
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -218,30 +217,31 @@ def test_points_on_x_jobs_partition_invariance(accepted_net):
 
 
 def test_points_on_x_scans_in_bounded_chunks(accepted_net, monkeypatch):
-    # P^5(F_13) has 402,234 points.  The scan must cover each exactly once,
-    # as blocks (rows of P^3) x F_13^2 and the tail {0} x P^1, in grids of
-    # at most CHUNK_ROWS cells, and split across threads to the same list
+    # The scan solves for x5, so it walks P^4(F_17), 88,741 points: each
+    # exactly once, as blocks (rows of P^2) x F_17^2 and the tail {0} x P^1,
+    # in grids of at most CHUNK_ROWS cells, and split across threads to the
+    # same list
     from quadring import gfp
 
     blocks = record_scan_blocks(monkeypatch)
-    f13 = PrimeField(13)
-    plane = projective_points_array(2, f13, hi=13**2)[:, 1:]  # F_13^2 in lex order
-    seq = points_on_X(accepted_net.net, f13, jobs=1)
+    f17 = PrimeField(17)
+    plane = projective_points_array(2, f17, hi=17**2)[:, 1:]  # F_17^2 in lex order
+    seq = points_on_X(accepted_net.net, f17, jobs=1)
     head = [(h, s) for h, s in blocks if h.any()]
     (tail_h, tail_s), = [(h, s) for h, s in blocks if not h.any()]
     prefix = np.concatenate([h for h, _ in head])
     assert len(head) > 1
-    assert np.array_equal(prefix, projective_points_array(3, f13))
+    assert np.array_equal(prefix, projective_points_array(2, f17))
     assert all(np.array_equal(s, plane) for _, s in head)
-    assert tail_h.shape == (1, 4) and np.array_equal(tail_s, projective_points_array(1, f13))
-    assert len(prefix) * 13**2 + 13 + 1 == projective_size(5, 13) > gfp.CHUNK_ROWS
+    assert tail_h.shape == (1, 3) and np.array_equal(tail_s, projective_points_array(1, f17))
+    assert len(prefix) * 17**2 + 17 + 1 == projective_size(4, 17) > gfp.CHUNK_ROWS
     assert max(len(h) * len(s) for h, s in blocks) <= gfp.CHUNK_ROWS
     # threads append their blocks in any order: check cover and grid size
     blocks.clear()
-    assert points_on_X(accepted_net.net, f13, jobs=3) == seq
-    assert sum(len(h) * len(s) for h, s in blocks) == projective_size(5, 13)
+    assert points_on_X(accepted_net.net, f17, jobs=3) == seq
+    assert sum(len(h) * len(s) for h, s in blocks) == projective_size(4, 17)
     assert max(len(h) * len(s) for h, s in blocks) <= gfp.CHUNK_ROWS
-    assert seq and all(mat.q(pt, f13) == 0 for pt in seq for mat in accepted_net.net.matrices)
+    assert seq and all(mat.q(pt, f17) == 0 for pt in seq for mat in accepted_net.net.matrices)
 
 
 def test_regularity_pencil_example():
@@ -265,14 +265,15 @@ def test_regularity_common_radical_vector_flagged():
 def test_regularity_zero_fiber_scans_its_kernel_within_the_budget():
     # the golden net with M_2 = 0: the fiber over (0:0:1) is the zero
     # quadric, whose radical is all of P^5, so every point of X violates
-    # regularity there; the scan of that kernel is charged to the budget
+    # regularity there; the scan of that kernel, solved for its last
+    # coordinate, is charged to the budget for P^4
     net, _ = load_net(str(GOLDEN / "net_zero_fiber.json"))
     f13 = PrimeField(13)
     report = regularity_check(net, f13)
     assert not report.flat and not report.regular and report.corank2_found
     assert report.violations == tuple(((0, 0, 1), x) for x in points_on_X(net, f13))
     with pytest.raises(BudgetExceededError):
-        regularity_check(net, f13, budget=projective_size(5, 13) - 1)
+        regularity_check(net, f13, budget=projective_size(4, 13) - 1)
 
 
 def _plane_pair_net() -> QuadricNet:

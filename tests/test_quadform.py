@@ -10,7 +10,6 @@ from quadring.gfp import (
     PrimeField,
     legendre_character,
     projective_points_array,
-    projective_rows_where,
     projective_size,
 )
 from quadring.quadform import (
@@ -33,6 +32,9 @@ from _util import (
     find_isotropic_vector,
     form_values,
     forms_congruent,
+    full_scan_zeros,
+    on_all_forms,
+    projective_rows_where,
     random_invertible,
     random_symmetric,
     record_scan_blocks,
@@ -164,20 +166,10 @@ def test_classify_stack_matches_the_diagonalize_oracle(data, size, p):
     assert double_cover_count(size, rank, signed) == expected
 
 
-def _on_all_forms(grams, field):
-    def mask(rows):
-        keep = np.ones(len(rows), dtype=bool)
-        for g in grams:
-            keep &= form_values(rows, g, field) == 0
-        return keep
-
-    return mask
-
-
 def _zeros_in_memory(grams, field):
     # all of P^(N-1) as one array, each form evaluated on every row
     rows = projective_points_array(grams[0].size - 1, field)
-    return rows[_on_all_forms(grams, field)(rows)]
+    return rows[on_all_forms(grams, field)(rows)]
 
 
 @st.composite
@@ -201,9 +193,9 @@ def test_common_zeros_match_the_in_memory_scan(data, size, p, jobs):
     field = PrimeField(p)
     grams = data.draw(st.lists(_form(size, p), min_size=1, max_size=4))
     expected = _zeros_in_memory(grams, field)
-    points = projective_size(size - 1, p)
+    points = projective_size(size - 2, p)  # the solved scan walks P^(N-2)
     assert np.array_equal(common_zeros(grams, field, budget=points, jobs=jobs), expected)
-    assert np.array_equal(projective_rows_where(size - 1, field, _on_all_forms(grams, field), jobs=jobs), expected)
+    assert np.array_equal(projective_rows_where(size - 1, field, on_all_forms(grams, field), jobs=jobs), expected)
     with pytest.raises(BudgetExceededError):
         common_zeros(grams, field, budget=points - 1)
 
@@ -231,11 +223,65 @@ def test_zeros_on_span_match_the_in_memory_mask(data, size, p):
     rows = projective_points_array(size - 1, field)
     normals = np.array(modmat.kernel_basis(basis, size, field), dtype=np.int64).reshape(-1, size)
     in_span = (rows @ normals.T % p == 0).all(axis=1)
-    expected = rows[in_span & _on_all_forms(grams, field)(rows)]
-    points = projective_size(modmat.rank_mod(basis, size, field) - 1, p)
+    expected = rows[in_span & on_all_forms(grams, field)(rows)]
+    points = projective_size(modmat.rank_mod(basis, size, field) - 2, p)
     assert np.array_equal(zeros_on_span(grams, basis, field, budget=points), expected)
     with pytest.raises(BudgetExceededError):
         zeros_on_span(grams, basis, field, budget=points - 1)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    data=st.data(),
+    size=st.integers(1, 6),
+    p=st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23]),
+    last=st.sampled_from(["free", "all", "first"]),
+    jobs=st.integers(1, 2),
+)
+def test_solved_common_zeros_match_the_full_scan(data, size, p, last, jobs):
+    # "all": every form's last diagonal entry is 0 mod p, so e_last is a
+    # zero and the first form is linear in t; "first": only the first
+    # nonzero form's is, so the forms tested at its roots are not
+    assume(projective_size(size - 1, p) <= 200_000)
+    field = PrimeField(p)
+    grams = [[list(row) for row in g.entries] for g in data.draw(st.lists(_form(size, p), min_size=1, max_size=4))]
+    nonzero = [g for g in grams if any(x % p for row in g for x in row)]
+    for g in {"free": [], "all": grams, "first": nonzero[:1]}[last]:
+        g[-1][-1] = p * data.draw(st.integers(-2, 2))
+    grams = [GramMatrix.from_rows(g) for g in grams]
+    assert np.array_equal(common_zeros(grams, field, jobs=jobs), full_scan_zeros(grams, field))
+
+
+@pytest.mark.parametrize("p", [5, 13, 17])
+def test_common_zeros_without_tables_match_the_full_scan(monkeypatch, p):
+    # past TABLE_PRIMES the roots and inverses come from Tonelli-Shanks and
+    # pow on each block's distinct values; 17 - 1 = 2^4 takes every
+    # Tonelli-Shanks step
+    from quadring import quadform
+
+    rng = random.Random(p)
+    field = PrimeField(p)
+    cases = [[random_symmetric(rng, size, p=p) for _ in range(k)] for size in (2, 3, 4) for k in (1, 2)]
+    cases.append([GramMatrix.from_rows([[1, 1, 0], [1, 0, 2], [0, 2, 0]])])  # linear in the last coordinate
+    expected = [full_scan_zeros(grams, field) for grams in cases]
+    monkeypatch.setattr(quadform, "TABLE_PRIMES", 2)
+    for grams, want in zip(cases, expected):
+        assert np.array_equal(common_zeros(grams, field), want)
+
+
+@pytest.mark.parametrize("p", [10_007, 998_244_353, 2**31 - 1])
+def test_common_zeros_on_a_line_at_large_primes(p):
+    # on P^1 the walk is the one point u = 1: (x1 - r x0)(x1 - r' x0), doubled
+    # to stay integral, has the zeros (1 : r) and (1 : r'); x1^2 - n x0^2 with
+    # n no square has none; x0 (c x0 + 2 x1) has (1 : -c/2) and e_last
+    field = PrimeField(p)
+    r, r2, c = 3, p - 12, 7
+    split = GramMatrix.from_rows([[2 * r * r2, -(r + r2)], [-(r + r2), 2]])
+    assert common_zeros([split], field, budget=1).tolist() == [[1, r], [1, r2]]
+    n = next(n for n in range(2, p) if legendre_character(n, field) == -1)
+    assert len(common_zeros([GramMatrix.diagonal([-n, 1])], field, budget=1)) == 0
+    linear = GramMatrix.from_rows([[c, 1], [1, 0]])
+    assert common_zeros([linear], field, budget=1).tolist() == [[1, (p - c) * (p + 1) // 2 % p], [0, 1]]
 
 
 def test_common_zeros_split_the_plane_when_it_outgrows_a_chunk(monkeypatch):

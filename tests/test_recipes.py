@@ -3,10 +3,11 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from quadring.errors import InputError
-from quadring.gfp import PrimeField, enumerate_projective, legendre_character
-from quadring.mpoly import HomPoly
+from quadring.errors import BudgetExceededError, InputError
+from quadring.gfp import PrimeField, enumerate_projective, legendre_character, projective_size
+from quadring.mpoly import HomPoly, evaluate_on_array
 from quadring.quadform import GramMatrix
 from quadring.netfib import (
     cubic_fiber_grams,
@@ -20,7 +21,7 @@ from quadring.netfib import (
 )
 from quadring.netfib.recipes import PLANE_VARS, _fiber_grams, _verra_quadric_entries
 
-from _util import fiber_list, plane_cubic
+from _util import fiber_list, plane_cubic, projective_rows_where
 
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -28,6 +29,11 @@ GOLDEN = Path(__file__).parent / "data" / "golden"
 
 def _monomial(*exps):
     return tuple(exps)
+
+
+def _golden_cubic():
+    doc = json.loads((GOLDEN / "cubic_form.json").read_text())
+    return HomPoly(doc["num_vars"], doc["degree"], {tuple(e): c for e, c in doc["terms"]})
 
 
 def _golden_verra_form():
@@ -116,6 +122,48 @@ def test_cubic_residual_stable_across_primes():
     cubic = random_cubic_with_plane([5, 7, 11], seed=2)
     reports = cubic_with_plane_counts(cubic, [5, 7, 11])
     assert [r.residual for r in reports] == [0, 0, 0]
+
+
+def _without(cubic, *monomials):
+    return HomPoly(6, 3, {e: c for e, c in cubic.terms.items() if e not in monomials})
+
+
+CUBICS_FOR_X = {
+    "golden": lambda: _golden_cubic(),
+    # no x2^2 term: A = 0 everywhere, so x2 solves a linear equation
+    "no_x2_squared": lambda: _without(plane_cubic(3, 1), (0, 0, 2, 1, 0, 0), (0, 0, 2, 0, 1, 0), (0, 0, 2, 0, 0, 1)),
+    # no x2^2 x3, x2 x3^2, x3^3: A, B and C vanish together at u = e3, off
+    # the plane, so the line through e2 and e3 lies on X
+    "line_through_e3": lambda: _without(plane_cubic(4, 1), (0, 0, 2, 1, 0, 0), (0, 0, 1, 2, 0, 0), (0, 0, 0, 3, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
+@pytest.mark.parametrize("kind", sorted(CUBICS_FOR_X))
+def test_cubic_x_count_matches_brute_force(kind, p):
+    # oracle: the cubic evaluated at every point of P^5
+    cubic, field = CUBICS_FOR_X[kind](), PrimeField(p)
+    zeros = projective_rows_where(5, field, lambda rows: evaluate_on_array(cubic, rows, field) == 0, budget=10**6)
+    assert cubic_with_plane_counts(cubic, [p], budget=projective_size(4, p))[0].x_count == len(zeros)
+    with pytest.raises(BudgetExceededError):
+        cubic_with_plane_counts(cubic, [p], budget=projective_size(4, p) - 1)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 10**6),
+    x0_squared=st.integers(-2, 2),
+    drop=st.sampled_from([0, 1, 3]),
+    p=st.sampled_from([3, 5, 7]),
+)
+def test_random_cubic_x_counts_match_brute_force(seed, x0_squared, drop, p):
+    # random cubics through the plane with the first `drop` terms of the
+    # x2^2 coefficient A removed (all three: A = 0); the plane itself is
+    # where A, B and C vanish together for every cubic
+    cubic = _without(plane_cubic(seed, x0_squared), *[(0, 0, 2, *e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))][:drop])
+    field = PrimeField(p)
+    zeros = projective_rows_where(5, field, lambda rows: evaluate_on_array(cubic, rows, field) == 0)
+    assert cubic_with_plane_counts(cubic, [p])[0].x_count == len(zeros)
 
 
 def test_cubic_degenerate_flags_corank():
