@@ -7,6 +7,10 @@ Machine-readable output is a single JSON document with sorted keys and a
 format_version field; identical inputs (and seed) produce byte-identical
 documents whatever the --jobs setting, since worker counts only partition
 index ranges whose integer merges are order-free.
+
+The numeric layers (`gfp`, `mpoly`, `netfib`, and numpy beneath them) are
+imported inside the handlers that run them, so `groth` and `disc` start
+without loading numpy.
 """
 
 from __future__ import annotations
@@ -14,24 +18,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import grothring, nslattice
 from .errors import BudgetExceededError, InputError, json_int
-from .gfp import PrimeField
-from .mpoly import HomPoly
-from .netfib import (
-    CountReport,
-    QuadricNet,
-    count_double_cover,
-    count_reduced_family,
-    cubic_with_plane_counts,
-    hyperbolic_reduce_family,
-    load_net,
-    random_net_search,
-    verify_relations,
-    verra_counts,
-)
+
+if TYPE_CHECKING:
+    from .mpoly import HomPoly
+    from .netfib import CountReport, QuadricNet
 
 FORMAT_VERSION = 1
 
@@ -39,6 +33,8 @@ DEFAULT_PRIMES = "3,5,7,11,13"
 
 
 def _parse_primes(text: str) -> list[int]:
+    from .gfp import PrimeField
+
     try:
         primes = [int(x) for x in text.split(",") if x.strip() != ""]
     except ValueError as exc:
@@ -93,6 +89,8 @@ def _load_json(path: str) -> dict:
 def load_cubic_form(path: str) -> HomPoly:
     """Cubic form file: {"num_vars": 6, "degree": 3, "terms": [[[e...], c]]};
     the coefficients of repeated monomials add up."""
+    from .mpoly import HomPoly
+
     doc = _load_json(path)
     try:
         nv = json_int(doc["num_vars"], "num_vars")
@@ -109,6 +107,8 @@ def load_cubic_form(path: str) -> HomPoly:
 def load_verra_form(path: str) -> HomPoly:
     """(2,2) form file: an 81-entry tensor T flattened by ((i*3+j)*3+k)*3+l,
     the coefficient multiplying s_i s_j t_k t_l."""
+    from .mpoly import HomPoly
+
     doc = _load_json(path)
     tensor = doc.get("tensor")
     if not isinstance(tensor, list) or len(tensor) != 81:
@@ -184,6 +184,8 @@ def _report_line(rep: CountReport) -> str:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
+    from .netfib import load_net, verify_relations
+
     net, file_point = load_net(args.net)
     point = _parse_point(args.point) if args.point else file_point
     if point is None:
@@ -279,6 +281,8 @@ def cmd_disc(args: argparse.Namespace) -> int:
 
 
 def cmd_random(args: argparse.Namespace) -> int:
+    from .netfib import random_net_search
+
     primes = _parse_primes(args.primes)
     result = random_net_search(
         args.n,
@@ -309,6 +313,9 @@ def cmd_random(args: argparse.Namespace) -> int:
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
+    from .gfp import PrimeField
+    from .netfib import count_double_cover, count_reduced_family, hyperbolic_reduce_family, load_net
+
     net, file_point = load_net(args.net)
     point = _parse_point(args.point) if args.point else file_point
     if point is None:
@@ -346,6 +353,8 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def cmd_cubic(args: argparse.Namespace) -> int:
+    from .netfib import cubic_with_plane_counts
+
     form = load_cubic_form(args.form)
     primes = _parse_primes(args.primes)
     reports = cubic_with_plane_counts(form, primes, budget=_at_least_one(args.budget, "--budget"))
@@ -370,6 +379,8 @@ def cmd_cubic(args: argparse.Namespace) -> int:
 
 
 def cmd_verra(args: argparse.Namespace) -> int:
+    from .netfib import verra_counts
+
     form = load_verra_form(args.form)
     primes = _parse_primes(args.primes)
     reports = verra_counts(form, primes)

@@ -25,7 +25,6 @@ Everything here is immutable and pure, hence safe to share across threads.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -226,6 +225,9 @@ def scan_projective(
     if len(parts) == 1:
         heads = [scan(parts[0])]
     else:
+        # Imported here: only --jobs > 1 pays for the pool's modules.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=len(parts)) as pool:
             heads = list(pool.map(scan, parts))
     return np.concatenate([kept for head in heads for kept in head] + tail)

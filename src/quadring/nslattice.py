@@ -9,10 +9,19 @@ The isomorphism criterion: the pair is isomorphic iff a^2 - d*b^2 = 8 or
 a^2 - d*b^2 = -8 has an integer solution.  Square discriminants reduce to
 a finite factor-pair search; for the rest the solver is exact:
 
-  * d >= 65: |N| and |N/4| are both below sqrt(d), so every solution in
-    lowest terms is a convergent of the continued fraction of sqrt(d);
-    scanning two full periods of convergent values (together with doubled
-    solutions of N/4 for the imprimitive class) decides solvability.
+  * d >= 65: one walk of the continued fraction of sqrt(d) decides both
+    signs.  A solution has gcd(a, b) = 1 or 2, since gcd^2 divides 8, so it
+    is (p, q) with p^2 - d*q^2 = N or (2p, 2q) with p^2 - d*q^2 = N/4,
+    gcd(p, q) = 1.  |N| and |N/4| are both below sqrt(d), so every such
+    (p, q) is a convergent p_k/q_k.  Its value needs no big-int product:
+    p_k^2 - d*q_k^2 = (-1)^(k+1) Q_(k+1), with Q the PQa denominator.  The
+    values repeat with the period l of the expansion, their signs
+    alternating with k; when l is odd the sign of a value flips from one
+    period to the next.  Two periods therefore meet every value of either
+    sign, and the first meeting is the least solution of its class, since
+    later ones are multiplied by a unit and have larger q.  The walk keeps
+    the first, hence least, (b, a) for +8 and for -8: a value +-8 gives
+    (p, q), a value +-2 gives (2p, 2q).
   * 1 < d < 65 nonsquare: the fundamental unit (t, u) of x^2 - d*y^2 = 1 is
     tiny here, and the classical bounds y <= u*sqrt(|N|/(2(t +- 1))) cap a
     direct scan.
@@ -86,16 +95,17 @@ def _solve_square(d: int, rhs: int) -> tuple[int, int] | None:
 
 
 def sqrt_cf_convergents(d: int):
-    """Yield (p, q, Q) along two full periods of the continued fraction of
-    sqrt(d) (d nonsquare); Q is the PQa denominator whose value 1 marks the
-    end of a period."""
+    """Yield (p, q, v) along two full periods of the continued fraction of
+    sqrt(d) (d nonsquare): the convergent p/q and its value
+    v = p^2 - d*q^2 = (-1)^(k+1) Q_(k+1), read from the PQa denominators."""
     a0 = isqrt(d)
     if a0 * a0 == d:
         raise InputError(f"{d} is a perfect square")
     p_prev, q_prev = 1, 0
     p_cur, q_cur = a0, 1
-    yield p_cur, q_cur, 1
     pp, qq = a0, d - a0 * a0
+    yield p_cur, q_cur, -qq
+    sign = 1
     completed = 0
     while completed < 2:
         a = (a0 + pp) // qq
@@ -105,31 +115,32 @@ def sqrt_cf_convergents(d: int):
         qq = (d - pp * pp) // qq
         if qq == 1:
             completed += 1
-        yield p_cur, q_cur, qq
+        yield p_cur, q_cur, sign * qq
+        sign = -sign
 
 
 def pell_fundamental(d: int) -> tuple[int, int]:
     """The least (t, u) with t^2 - d*u^2 = 1, t + u*sqrt(d) > 1."""
-    for p, q, _ in sqrt_cf_convergents(d):
-        if p * p - d * q * q == 1:
+    for p, q, v in sqrt_cf_convergents(d):
+        if v == 1:
             return p, q
     raise AssertionError(f"no fundamental unit within two periods for d={d}")
 
 
-def _solve_by_convergents(d: int, rhs: int) -> tuple[int, int] | None:
-    """Decision for nonsquare d with sqrt(d) > |rhs|: scan two periods of
-    convergents for values rhs (primitive class) and rhs/4 (doubling class)."""
-    quarter = rhs // 4 if rhs % 4 == 0 else None
-    candidates = []
-    for p, q, _ in sqrt_cf_convergents(d):
-        v = p * p - d * q * q
-        if v == rhs:
-            candidates.append((p, q))
-        if quarter is not None and v == quarter:
-            candidates.append((2 * p, 2 * q))
-    if not candidates:
-        return None
-    return min(candidates, key=lambda ab: (ab[1], ab[0]))
+def _solve_by_convergents(d: int) -> dict[int, tuple[int, int] | None]:
+    """Both signs for nonsquare d with sqrt(d) > 8, from one walk of two
+    periods: values +-8 give (p, q), values +-2 give (2p, 2q).  The first
+    hit of each sign is its least solution: q never falls along the walk,
+    so only a doubled hit (2p_j, 2q_j) could be overtaken, and a later hit
+    (p_k, q_k) of the same sign is at least two steps on (the signs of
+    consecutive values alternate), so q_k >= q_(j+1) + q_j >= 2 q_j."""
+    first: dict[int, tuple[int, int]] = {}
+    for p, q, v in sqrt_cf_convergents(d):
+        if v == 8 or v == -8:
+            first.setdefault(v, (p, q))
+        elif v == 2 or v == -2:
+            first.setdefault(4 * v, (2 * p, 2 * q))
+    return {rhs: first.get(rhs) for rhs in ALLOWED_RHS}
 
 
 def _solve_by_bounded_scan(d: int, rhs: int) -> tuple[int, int] | None:
@@ -149,6 +160,16 @@ def _solve_by_bounded_scan(d: int, rhs: int) -> tuple[int, int] | None:
     return None
 
 
+def _least_solutions(d: int) -> dict[int, tuple[int, int] | None]:
+    """The minimal nonnegative solution (least b, then least a) of
+    a^2 - d*b^2 = rhs for each rhs in ALLOWED_RHS, None where unsolvable."""
+    if isqrt(d) ** 2 == d:
+        return {rhs: _solve_square(d, rhs) for rhs in ALLOWED_RHS}
+    if d > 64:
+        return _solve_by_convergents(d)
+    return {rhs: _solve_by_bounded_scan(d, rhs) for rhs in ALLOWED_RHS}
+
+
 def solve_pell_like(d: int, rhs: int) -> tuple[int, int] | None:
     """Exact decision of a^2 - d*b^2 = rhs for rhs in {8, -8}; returns a
     minimal nonnegative solution (least b, then least a) or None."""
@@ -156,21 +177,16 @@ def solve_pell_like(d: int, rhs: int) -> tuple[int, int] | None:
         raise InputError(f"discriminant must be positive, got {d}")
     if rhs not in ALLOWED_RHS:
         raise InputError(f"right-hand side must be one of {ALLOWED_RHS}")
-    if isqrt(d) ** 2 == d:
-        return _solve_square(d, rhs)
-    if d > 64:
-        return _solve_by_convergents(d, rhs)
-    return _solve_by_bounded_scan(d, rhs)
+    return _least_solutions(d)[rhs]
 
 
 def classify_discriminant(d: int) -> DiscriminantVerdict:
-    """Isomorphic when either sign is solvable; otherwise the pair is
-    nontrivially L-equivalent exactly when the obstruction dies (d = 1 mod
-    8), and obstructed otherwise."""
+    """Isomorphic when either sign is solvable (+8 reported first);
+    otherwise the pair is nontrivially L-equivalent exactly when the
+    obstruction dies (d = 1 mod 8), and obstructed otherwise."""
     if d < 1:
         raise InputError(f"discriminant must be positive, got {d}")
-    for rhs in ALLOWED_RHS:
-        sol = solve_pell_like(d, rhs)
+    for rhs, sol in _least_solutions(d).items():
         if sol is not None:
             return DiscriminantVerdict(
                 d=d,
@@ -185,14 +201,3 @@ def classify_discriminant(d: int) -> DiscriminantVerdict:
 
 def classify_ns(ch: int, c2: int) -> DiscriminantVerdict:
     return classify_discriminant(discriminant(ch, c2))
-
-
-def enumerate_nontrivial(limit: int) -> list[int]:
-    """All d <= limit classified nontrivially-L-equivalent, ascending."""
-    if limit < 1:
-        raise InputError(f"limit must be at least 1, got {limit}")
-    return [
-        d
-        for d in range(1, limit + 1)
-        if d % 8 == 1 and classify_discriminant(d).classification == NONTRIVIAL
-    ]

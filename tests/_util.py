@@ -1,11 +1,12 @@
 """Shared helpers for the test suite, and the per-matrix Python oracles
-the batched library routines are checked against."""
+the batched library routines and the Pell solver are checked against."""
 
 import math
 import random
 
 import numpy as np
 
+from quadring import nslattice
 from quadring.errors import InputError
 from quadring.gfp import PrimeField, legendre_character, projective_size
 from quadring.mpoly import HomPoly
@@ -241,3 +242,83 @@ def forms_congruent(m1: GramMatrix, m2: GramMatrix, field: PrimeField) -> bool:
     if diagonal_invariants(m1, field)[0] != diagonal_invariants(m2, field)[0]:
         return False
     return disc_character(m1, field) == disc_character(m2, field)
+
+
+def _two_period_convergents(d: int):
+    """(p, q) along two full periods of the continued fraction of sqrt(d),
+    d nonsquare, walked independently of `nslattice`."""
+    a0 = math.isqrt(d)
+    p_prev, q_prev = 1, 0
+    p_cur, q_cur = a0, 1
+    yield p_cur, q_cur
+    pp, qq = a0, d - a0 * a0
+    completed = 0
+    while completed < 2:
+        a = (a0 + pp) // qq
+        p_cur, p_prev = a * p_cur + p_prev, p_cur
+        q_cur, q_prev = a * q_cur + q_prev, q_cur
+        pp = a * qq - pp
+        qq = (d - pp * pp) // qq
+        if qq == 1:
+            completed += 1
+        yield p_cur, q_cur
+
+
+def convergent_solution(d: int, rhs: int) -> tuple[int, int] | None:
+    """The per-sign two-period scan for nonsquare d > 64: the least (b, a)
+    among convergents with p^2 - d*q^2 = rhs (as (p, q)) or rhs/4 (as
+    (2p, 2q)), each value from the big-int product itself."""
+    candidates = []
+    for p, q in _two_period_convergents(d):
+        v = p * p - d * q * q
+        if v == rhs:
+            candidates.append((p, q))
+        if 4 * v == rhs:
+            candidates.append((2 * p, 2 * q))
+    if not candidates:
+        return None
+    return min(candidates, key=lambda ab: (ab[1], ab[0]))
+
+
+# The classical bounds b <= u*sqrt(8/(2(t + 1))) for +8 and
+# b <= u*sqrt(8/(2(t - 1))) for -8, with (t, u) the fundamental unit, are at
+# most 10,763 for nonsquare d <= 64 (d = 61, +8), and a square d = e^2
+# factors as (a - e*b)(a + e*b), so e*b <= 8: scanning b up to this bound
+# decides every d the convergent scan does not cover.
+SMALL_D_B_BOUND = 20_000
+
+
+def least_pell_solution(d: int, rhs: int) -> tuple[int, int] | None:
+    """The least (b, then a) nonnegative solution of a^2 - d*b^2 = rhs:
+    the two-period scan for nonsquare d > 64, a direct scan of b otherwise."""
+    if d > 64 and math.isqrt(d) ** 2 != d:
+        return convergent_solution(d, rhs)
+    b = np.arange(SMALL_D_B_BOUND + 1, dtype=np.int64)
+    r = rhs + d * b * b
+    a = np.sqrt(np.maximum(r, 0).astype(np.float64)).round().astype(np.int64)
+    hits = np.flatnonzero((r >= 0) & (a * a == r))
+    if not hits.size:
+        return None
+    b0 = int(hits[0])
+    return math.isqrt(rhs + d * b0 * b0), b0
+
+
+def oracle_verdict(d: int) -> tuple[str, tuple[int, int, int] | None]:
+    """(classification, solution) of `nslattice.classify_discriminant` from
+    the oracle solutions, +8 before -8."""
+    for rhs in nslattice.ALLOWED_RHS:
+        sol = least_pell_solution(d, rhs)
+        if sol is not None:
+            return nslattice.ISOMORPHIC, (sol[0], sol[1], rhs)
+    return (nslattice.NONTRIVIAL if d % 8 == 1 else nslattice.OBSTRUCTED), None
+
+
+def enumerate_nontrivial(limit: int) -> list[int]:
+    """All d <= limit classified nontrivially-L-equivalent, ascending."""
+    if limit < 1:
+        raise InputError(f"limit must be at least 1, got {limit}")
+    return [
+        d
+        for d in range(1, limit + 1)
+        if d % 8 == 1 and nslattice.classify_discriminant(d).classification == nslattice.NONTRIVIAL
+    ]

@@ -35,7 +35,7 @@ from quadring.quadform import (
 )
 from quadring import nslattice
 
-from _util import find_isotropic_vector, forms_congruent
+from _util import enumerate_nontrivial, find_isotropic_vector, forms_congruent
 
 ACCEPTANCE_PRIMES = [3, 5, 7, 11, 13]
 NET_SEEDS = [1, 2, 3, 4, 5]
@@ -355,7 +355,7 @@ def test_criterion_7_arithmetic():
                     # minimal solution above the scan bound: the scan must
                     # confirm nothing smaller exists
                     oracle_ok &= brute is None
-    nontrivial = nslattice.enumerate_nontrivial(10_000)
+    nontrivial = enumerate_nontrivial(10_000)
     squares_ok = all(
         e * e in nontrivial for e in range(5, 100, 2) if e * e <= 10_000
     )

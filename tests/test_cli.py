@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -503,3 +506,31 @@ def test_verra_command(capsys, tmp_path):
     )
     assert code == 0
     assert "dY=0" in out
+
+
+@pytest.mark.parametrize(
+    "argv,stdout_start",
+    [
+        (["groth", "--derive", "all"], "identity: theorem-main\n"),
+        (["disc", "--ns", "3,-2"], "d=25 nontrivially-L-equivalent brauer_vanishes=true\n"),
+    ],
+    ids=["groth", "disc"],
+)
+def test_entry_point_runs_groth_and_disc_without_numpy(argv, stdout_start):
+    # `python -m quadring` as a user runs it; -X importtime lists on stderr
+    # every module the process imports, so numpy must never appear there.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "quadring", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(stdout_start)
+    imported = {
+        line.rsplit("|", 1)[-1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert "quadring.cli" in imported
+    assert not [name for name in imported if name.split(".")[0] == "numpy"]

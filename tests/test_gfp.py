@@ -113,7 +113,10 @@ def test_rows_where_is_the_filtered_order():
 
 def test_scan_starts_no_more_threads_than_cpus(monkeypatch):
     # a recording executor that runs every part in the calling thread: no
-    # thread is started, whatever `jobs` asks for
+    # thread is started, whatever `jobs` asks for; the scan imports the pool
+    # class from concurrent.futures when it builds one
+    import concurrent.futures
+
     from quadring import gfp
 
     pools = []
@@ -131,7 +134,7 @@ def test_scan_starts_no_more_threads_than_cpus(monkeypatch):
         def map(self, fn, parts):
             return map(fn, parts)
 
-    monkeypatch.setattr(gfp, "ThreadPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(gfp.os, "cpu_count", lambda: 3)
     f = PrimeField(5)
     keep = lambda rows: rows.sum(axis=1) % 5 == 0

@@ -13,6 +13,10 @@ replaced by the zero matrix, skipped at every prime, and
 `net_plane_pair.json` is a net whose forms all vanish on the line
 <e0, e1>, with point e0: skipped at p = 3 and flagged with a line through
 the point at 5..13.
+
+`disc.stdout` (`disc --range 1..5000`, JSON) and `disc.text.stdout`
+(`disc --range 1..300`, text) are the verdicts printed while each sign of
+a^2 - d*b^2 = +-8 still had its own continued-fraction walk.
 """
 
 from pathlib import Path
@@ -31,6 +35,7 @@ CASES = [
     ("verra", ["verra", "--form", str(GOLDEN / "verra_form.json"), "--primes", "3,5,7,11"]),
     ("reduce", ["reduce", "--net", NET, "--primes", "5,7"]),
     ("groth", ["groth", "--derive", "all"]),
+    ("disc", ["disc", "--range", "1..5000"]),
 ]
 
 
@@ -50,3 +55,8 @@ def test_skipped_and_flagged_count_output_is_unchanged(capsys, net, fmt):
     argv = ["count", "--net", str(GOLDEN / f"net_{net}.json"), "--primes", "3,5,7,11,13", "--format", fmt]
     assert cli_main(argv) == 1
     assert capsys.readouterr().out == (GOLDEN / f"count_{net}.{fmt}.stdout").read_text(encoding="utf-8")
+
+
+def test_disc_text_output_is_unchanged(capsys):
+    assert cli_main(["disc", "--range", "1..300"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "disc.text.stdout").read_text(encoding="utf-8")

@@ -1,9 +1,12 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from quadring.errors import InputError
 from quadring import nslattice as ns
+
+from _util import enumerate_nontrivial, least_pell_solution, oracle_verdict
 
 
 def test_discriminant_examples():
@@ -98,14 +101,14 @@ def test_verdict_solutions_exact():
 
 
 def test_enumerate_nontrivial():
-    out = ns.enumerate_nontrivial(100)
+    out = enumerate_nontrivial(100)
     assert set(out) >= {25, 49, 81}  # odd squares above 9
     assert 9 not in out  # (1, 1) solves the -8 equation
     assert all(d % 8 == 1 for d in out)
     assert out == sorted(out)
-    assert ns.enumerate_nontrivial(9) == []
+    assert enumerate_nontrivial(9) == []
     with pytest.raises(InputError):
-        ns.enumerate_nontrivial(0)
+        enumerate_nontrivial(0)
 
 
 def test_odd_squares_above_nine_unsolvable():
@@ -132,3 +135,36 @@ def test_even_curve_degree_never_nontrivial():
 def test_classify_ns_matches_discriminant():
     v = ns.classify_ns(3, -2)
     assert v.d == 25 and v.classification == ns.NONTRIVIAL
+
+
+def test_convergent_values_come_from_the_pqa_denominators():
+    for d in list(range(2, 400)) + [61, 94, 421, 9_999, 999_999]:
+        if math.isqrt(d) ** 2 == d:
+            continue
+        walk = list(ns.sqrt_cf_convergents(d))
+        assert all(p * p - d * q * q == v for p, q, v in walk)
+        assert sum(v == 1 for _, _, v in walk) >= 1
+
+
+def test_classification_matches_the_two_period_oracle_up_to_20000():
+    for d in range(1, 20_001):
+        v = ns.classify_discriminant(d)
+        assert (v.classification, v.solution) == oracle_verdict(d), d
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(min_value=1, max_value=10**6))
+@example(61)
+@example(999_999)
+@example(994_009)  # 997^2
+def test_one_walk_solutions_are_the_least_certified_witnesses(d):
+    verdict = ns.classify_discriminant(d)
+    for rhs in ns.ALLOWED_RHS:
+        got = ns.solve_pell_like(d, rhs)
+        assert got == least_pell_solution(d, rhs)
+        if got is not None:
+            a, b = got
+            assert a * a - d * b * b == rhs
+    if verdict.solution is not None:
+        a, b, rhs = verdict.solution
+        assert a * a - d * b * b == rhs
