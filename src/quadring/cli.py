@@ -2,7 +2,8 @@
 rendering, and discriminant tables.
 
 Exit codes partition the outcomes: 0 success, 1 a mathematical residual
-failed, 2 malformed input, 3 an enumeration or search budget ran out.
+failed, 2 malformed input (a reduction point whose section degenerates at
+a requested prime included), 3 an enumeration or search budget ran out.
 Machine-readable output is a single JSON document with sorted keys and a
 format_version field; identical inputs (and seed) produce byte-identical
 documents whatever the --jobs setting, since worker counts only partition
@@ -21,7 +22,7 @@ import sys
 from typing import TYPE_CHECKING, Sequence
 
 from . import grothring, nslattice
-from .errors import BudgetExceededError, InputError, json_int
+from .errors import BudgetExceededError, DegenerateSectionError, InputError, json_int
 
 if TYPE_CHECKING:
     from .mpoly import HomPoly
@@ -492,7 +493,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2 if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, DegenerateSectionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetExceededError as exc:

@@ -2,8 +2,10 @@
 
 The row routines take sequences of row sequences of ints and return plain
 lists; pivoting is deterministic (first nonzero entry in scan order), so
-every caller gets reproducible bases.  Integers enter int64 arrays only
-through `residues`, and `matmul_mod` multiplies such arrays exactly.
+every caller gets reproducible bases.  `kernel_stack` runs the same
+elimination on a whole stack of int64 matrices at once.  Integers enter
+int64 arrays only through `residues`, and `matmul_mod` multiplies such
+arrays exactly.
 """
 
 from __future__ import annotations
@@ -87,9 +89,53 @@ def det_mod(rows: IntRows, field: PrimeField) -> int:
     return det
 
 
-def matvec(rows: IntRows, v: Sequence[int], field: PrimeField) -> list[int]:
-    p = field.p
-    return [sum(a * b for a, b in zip(row, v)) % p for row in rows]
+def _inverse(values: np.ndarray, p: int) -> np.ndarray:
+    """values^(p-2) mod p elementwise, by square and multiply: the inverse
+    of every nonzero residue.  Each product is of two residues, exact for
+    p < 2^31."""
+    out, base, e = np.ones_like(values), values % p, p - 2
+    while e:
+        if e & 1:
+            out = out * base % p
+        base = base * base % p
+        e >>= 1
+    return out
+
+
+def kernel_stack(mats: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rank and right kernel of every matrix of a stack (k, r, c) of int64
+    residues mod p, by one Gauss-Jordan elimination of the whole stack with
+    `row_reduce`'s rule: pivot on the first nonzero entry in scan order and
+    scale the pivot row to 1.
+
+    The kernels come as a stack (k, c, c): row f of a member is the vector
+    `kernel_basis` gives for its free column f, with 1 in that column, and
+    rows at pivot columns are zero.  So the nonzero rows, in order, are the
+    member's `kernel_basis`.  Every product is of two residues, exact for
+    p < 2^31.
+    """
+    a = np.array(mats, dtype=np.int64) % p
+    count, nrows, ncols = a.shape
+    rank = np.zeros(count, dtype=np.int64)
+    # pivot[b, i, c] = 1 where row i of member b has its pivot in column c
+    pivot = np.zeros_like(a)
+    for c in range(ncols):
+        nonzero = (a[:, :, c] != 0) & (np.arange(nrows) >= rank[:, None])
+        hit = np.flatnonzero(nonzero.any(axis=1))
+        if not hit.size:
+            continue
+        at, to = nonzero[hit].argmax(axis=1), rank[hit]
+        top, swapped = a[hit, at], a[hit, to]
+        a[hit, at] = swapped
+        top = top * _inverse(top[:, c], p)[:, None] % p
+        sub = (a[hit] - a[hit, :, c, None] * top[:, None, :]) % p
+        sub[np.arange(len(hit)), to] = top
+        a[hit] = sub
+        pivot[hit, to, c] = 1
+        rank[hit] += 1
+    # v_f = e_f - sum_i a[i, f] e_(pivot column of row i): one term per entry
+    kernels = (np.eye(ncols, dtype=np.int64) - np.swapaxes(a, 1, 2) @ pivot) % p
+    return rank, kernels * (pivot.sum(axis=1) == 0)[:, :, None]
 
 
 def residues(values, field: PrimeField) -> np.ndarray:

@@ -24,7 +24,6 @@ from .recipes import (
 from .reduction import (
     REDUCED_FORMAT_VERSION,
     ReducedFamily,
-    corank_histogram_reduced,
     count_double_cover,
     count_reduced_family,
     count_reduced_family_dual,
@@ -49,7 +48,6 @@ __all__ = [
     "CubicReport",
     "VerraReport",
     "SearchResult",
-    "corank_histogram_reduced",
     "count_double_cover",
     "count_reduced_family",
     "count_reduced_family_dual",

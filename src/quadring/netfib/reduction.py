@@ -21,7 +21,6 @@ count agree between a family and its hyperbolic reduction.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -84,9 +83,10 @@ class ReducedFamily:
     def fibers(self, field: PrimeField) -> Iterator[FiberChunk]:
         """(base rows w, stack of reduced fiber Grams) for each chunk of
         P^m(F_p), in canonical order, after checking the basis of U mod p: the
-        quadratic part restricted to the kernel of the bilinear rows B(w).  The
-        first w where B(w) drops rank (the section meets the fiber's singular
-        locus) raises DegenerateSectionError naming it."""
+        quadratic part restricted to the kernel of the bilinear rows B(w), with
+        one `modmat.kernel_stack` elimination per chunk.  The first w where
+        B(w) drops rank (the section meets the fiber's singular locus) raises
+        DegenerateSectionError naming it."""
         self.check_basis_mod_p(field)
         p, cols = field.p, self.n - self.k + 1
         # bilinear[j][i][c] is stored by condition j; the walk needs w_i first
@@ -94,12 +94,14 @@ class ReducedFamily:
         quad = modmat.residues([g.entries for g in self.quad], field).reshape(self.m + 1, -1)
 
         def grams(rows: np.ndarray) -> np.ndarray:
-            lins = modmat.matmul_mod(rows, bilinear, p).reshape(-1, self.k + 1, cols).tolist()
-            kernels = [modmat.kernel_basis(lin, cols, field) for lin in lins]
-            for s, kernel in zip(rows.tolist(), kernels):
-                if len(kernel) > self.fiber_size:
-                    raise DegenerateSectionError(f"section degenerates over base point {tuple(s)} at p={p}")
-            return restrict(modmat.matmul_mod(rows, quad, p).reshape(-1, cols, cols), np.array(kernels), p)
+            lins = modmat.matmul_mod(rows, bilinear, p).reshape(-1, self.k + 1, cols)
+            rank, kernels = modmat.kernel_stack(lins, p)
+            degenerate = np.flatnonzero(rank < self.k + 1)
+            if degenerate.size:
+                s = tuple(rows[degenerate[0]].tolist())
+                raise DegenerateSectionError(f"section degenerates over base point {s} at p={p}")
+            bases = kernels[kernels.any(axis=2)].reshape(len(rows), self.fiber_size, cols)
+            return restrict(modmat.matmul_mod(rows, quad, p).reshape(-1, cols, cols), bases, p)
 
         return fiber_grams(self.m, field, grams)
 
@@ -246,12 +248,6 @@ def count_reduced_family_dual(red: ReducedFamily, field: PrimeField) -> int:
         if dim > 0:
             total += projective_size(dim - 1, p)
     return total
-
-
-def corank_histogram_reduced(red: ReducedFamily, field: PrimeField) -> dict[int, int]:
-    """Corank histogram of the reduced fibers; matches the original net's."""
-    rank, _ = fiber_classes(red.fibers(field), field.p)
-    return dict(Counter((red.fiber_size - rank).tolist()))
 
 
 def count_double_cover(family: QuadricNet | ReducedFamily, field: PrimeField) -> int:

@@ -1,7 +1,7 @@
 """Quadratic forms over F_p (p odd): rank and signed discriminant of a whole
 stack of Gram matrices at once, the point and double-cover counts read from
-them, common zeros (on a subspace too), restriction to a subspace,
-hyperbolic reduction at an isotropic vector, and the chunked fiber walk.
+them, common zeros (on a subspace too), restriction to a subspace, and
+the chunked fiber walk.
 
 Conventions.  A form is held by its symmetric Gram matrix M with
 q(v) = v^T M v and polar form b(u, v) = u^T M v; this is well defined since
@@ -384,28 +384,3 @@ def fiber_classes(chunks: Iterable[FiberChunk], p: int) -> tuple[np.ndarray, np.
     one `classify_stack` call per chunk."""
     ranks, signs = zip(*(classify_stack(grams, p) for _, grams in chunks))
     return np.concatenate(ranks), np.concatenate(signs)
-
-
-def hyperbolic_reduce_at_vector(
-    matrix: GramMatrix, v: Sequence[int], field: PrimeField
-) -> GramMatrix:
-    """The form induced on v-perp / <v> for an isotropic v outside the radical.
-
-    Picks w with b(v, w) = 1 and restricts the form to the complement
-    {u : b(v, u) = 0 and b(w, u) = 0}.  The rank drops by exactly two and
-    the corank is preserved; for even ranks the signed discriminant
-    character is invariant (that is the point of the (-1)^t convention).
-    """
-    p = field.p
-    n = matrix.size
-    vred = [x % p for x in v]
-    if matrix.q(vred, field) != 0:
-        raise InputError("reduction vector is not isotropic")
-    mv = modmat.matvec(matrix.entries, vred, field)
-    j0 = next((j for j in range(n) if mv[j] != 0), None)
-    if j0 is None:
-        raise InputError("reduction vector lies in the radical (degenerate section)")
-    # rows cutting out the complement: b(v, .) = 0 and b(e_{j0}, .) = 0
-    mw = [matrix.entries[j0][j] % p for j in range(n)]
-    basis = np.array(modmat.kernel_basis([mv, mw], n, field), dtype=np.int64).reshape(-1, n)
-    return GramMatrix.from_array(restrict(modmat.residues(matrix.entries, field), basis, p))

@@ -3,14 +3,15 @@ the batched library routines and the Pell solver are checked against."""
 
 import math
 import random
+from collections import Counter
 
 import numpy as np
 
-from quadring import nslattice
+from quadring import modmat, nslattice
 from quadring.errors import InputError
 from quadring.gfp import PrimeField, legendre_character, projective_size
 from quadring.mpoly import HomPoly
-from quadring.quadform import GramMatrix
+from quadring.quadform import GramMatrix, fiber_classes, restrict
 
 
 def random_symmetric(rng: random.Random, size: int, p: int | None = None, bound: int = 9) -> GramMatrix:
@@ -23,8 +24,6 @@ def random_symmetric(rng: random.Random, size: int, p: int | None = None, bound:
 
 
 def random_invertible(rng: random.Random, size: int, field: PrimeField) -> list[list[int]]:
-    from quadring import modmat
-
     while True:
         a = [[rng.randrange(field.p) for _ in range(size)] for _ in range(size)]
         if modmat.det_mod(a, field) != 0:
@@ -46,13 +45,48 @@ def congruent_transform(m: GramMatrix, a: list[list[int]], field: PrimeField) ->
     return GramMatrix.from_rows(ata)
 
 
+def matvec(rows, v, field: PrimeField) -> list[int]:
+    """M v mod p in Python ints."""
+    p = field.p
+    return [sum(a * b for a, b in zip(row, v)) % p for row in rows]
+
+
+def hyperbolic_reduce_at_vector(matrix: GramMatrix, v, field: PrimeField) -> GramMatrix:
+    """The form induced on v-perp / <v> for an isotropic v outside the radical.
+
+    Picks w with b(v, w) = 1 and restricts the form to the complement
+    {u : b(v, u) = 0 and b(w, u) = 0}.  The rank drops by exactly two and
+    the corank is preserved; for even ranks the signed discriminant
+    character is invariant (that is the point of the (-1)^t convention).
+    The one-form oracle of the reduction that `netfib` does for a family.
+    """
+    p = field.p
+    n = matrix.size
+    vred = [x % p for x in v]
+    if matrix.q(vred, field) != 0:
+        raise InputError("reduction vector is not isotropic")
+    mv = matvec(matrix.entries, vred, field)
+    j0 = next((j for j in range(n) if mv[j] != 0), None)
+    if j0 is None:
+        raise InputError("reduction vector lies in the radical (degenerate section)")
+    # rows cutting out the complement: b(v, .) = 0 and b(e_{j0}, .) = 0
+    mw = [matrix.entries[j0][j] % p for j in range(n)]
+    basis = np.array(modmat.kernel_basis([mv, mw], n, field), dtype=np.int64).reshape(-1, n)
+    return GramMatrix.from_array(restrict(modmat.residues(matrix.entries, field), basis, p))
+
+
+def corank_histogram_reduced(red, field: PrimeField) -> dict[int, int]:
+    """Corank histogram of a reduced family's fibers; matches the original
+    net's `regularity_check` histogram."""
+    rank, _ = fiber_classes(red.fibers(field), field.p)
+    return dict(Counter((red.fiber_size - rank).tolist()))
+
+
 def find_isotropic_vector(
     m: GramMatrix, field: PrimeField, rng: random.Random, avoid: tuple[int, ...] | None = None
 ) -> tuple[int, ...] | None:
     """A random isotropic vector outside the radical, or None after a bounded
     number of trials."""
-    from quadring import modmat
-
     p = field.p
     n = m.size
     for _ in range(400):
@@ -63,7 +97,7 @@ def find_isotropic_vector(
             continue
         if m.q(v, field) != 0:
             continue
-        if all(x == 0 for x in modmat.matvec(m.entries, v, field)):
+        if all(x == 0 for x in matvec(m.entries, v, field)):
             continue
         return v
     return None
@@ -152,8 +186,6 @@ def fiber_list(chunks) -> list:
 
 def form_values(points: np.ndarray, matrix: GramMatrix, field: PrimeField) -> np.ndarray:
     """q(v) mod p at every row v of `points` (int64, one point per row)."""
-    from quadring import modmat
-
     p = field.p
     return (modmat.matmul_mod(points, modmat.residues(matrix.entries, field), p) * points % p).sum(axis=1) % p
 

@@ -15,7 +15,6 @@ from quadring.cli import main as cli_main
 from quadring.gfp import PrimeField, projective_points_array
 from quadring.grothring import GRExpr, derive
 from quadring.netfib import (
-    corank_histogram_reduced,
     count_double_cover,
     cubic_with_plane_counts,
     hyperbolic_reduce_family,
@@ -30,12 +29,17 @@ from quadring.quadform import (
     GramMatrix,
     classify_stack,
     common_zeros,
-    hyperbolic_reduce_at_vector,
     quadric_points,
 )
 from quadring import nslattice
 
-from _util import enumerate_nontrivial, find_isotropic_vector, forms_congruent
+from _util import (
+    corank_histogram_reduced,
+    enumerate_nontrivial,
+    find_isotropic_vector,
+    forms_congruent,
+    hyperbolic_reduce_at_vector,
+)
 
 ACCEPTANCE_PRIMES = [3, 5, 7, 11, 13]
 NET_SEEDS = [1, 2, 3, 4, 5]

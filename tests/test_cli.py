@@ -452,6 +452,20 @@ def test_reduce_requires_point(capsys, tmp_path):
     assert "point" in err
 
 
+def test_reduce_degenerate_section_exits_two(capsys, tmp_path):
+    # the pencil of test_degenerate_section_raises: e0 lies in the radical of
+    # the fiber over (1:0), so the section through it degenerates there
+    rows1 = [[0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    rows2 = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 2, 0], [0, 0, 0, 3]]
+    net = QuadricNet(n=2, m=1, matrices=(GramMatrix.from_rows(rows1), GramMatrix.from_rows(rows2)))
+    path = tmp_path / "degenerate.json"
+    path.write_text(json.dumps(net.to_document()))
+    code, out, err = run_cli(capsys, "reduce", "--net", str(path), "--point", "1,0,0,0", "--primes", "5")
+    assert code == 2
+    assert out == ""
+    assert err == "error: section degenerates over base point (1, 0) at p=5\n"
+
+
 def test_cubic_command(capsys, tmp_path):
     from quadring.netfib import random_cubic_with_plane
 

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,6 @@ from quadring.gfp import (
 from quadring.quadform import GramMatrix, classify, fiber_classes
 from quadring.netfib import (
     QuadricNet,
-    corank_histogram_reduced,
     count_double_cover,
     count_reduced_family,
     count_reduced_family_dual,
@@ -30,7 +30,7 @@ from quadring.netfib import (
     verify_relations,
 )
 
-from _util import fiber_list, form_values, forms_congruent, projective_rows_where, random_symmetric, record_scan_blocks
+from _util import corank_histogram_reduced, fiber_list, form_values, forms_congruent, projective_rows_where, random_symmetric, record_scan_blocks
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -469,6 +469,41 @@ def _net_with_planted_line(rng):
         report = regularity_check(net, F5)
         if report.regular and report.flat and not report.corank2_found:
             return net
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_planted_line_reduced_grams_match_pointwise_sums(p):
+    # k = 1: two bilinear rows per fiber.  At p = 13 the section degenerates,
+    # and both routes name the same first base point.
+    red = hyperbolic_reduce_family(
+        _net_with_planted_line(random.Random(5)), [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0]]
+    )
+    field = PrimeField(p)
+    try:
+        expected = [(s, _reduced_fiber_by_sums(red, s, field)) for s in enumerate_projective(red.m, field)]
+    except DegenerateSectionError as exc:
+        with pytest.raises(DegenerateSectionError, match=re.escape(str(exc)) + "$"):
+            fiber_list(red.fibers(field))
+        return
+    assert fiber_list(red.fibers(field)) == expected
+
+
+def test_reduced_family_counts_call_no_kernel_basis(monkeypatch):
+    # the reduced fibers' kernels come from one batched elimination per chunk
+    net, point = load_net(str(GOLDEN / "net.json"))
+    red = hyperbolic_reduce_family(net, [list(point)])
+    calls = []
+    original = modmat.kernel_basis
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(modmat, "kernel_basis", counting)
+    field = PrimeField(53)
+    assert count_reduced_family(red, field) == 8202016
+    assert count_double_cover(red, field) == 2962
+    assert calls == []
 
 
 def test_line_reduction_count_shadow():

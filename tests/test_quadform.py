@@ -19,7 +19,6 @@ from quadring.quadform import (
     common_zeros,
     count_projective_points,
     double_cover_count,
-    hyperbolic_reduce_at_vector,
     quadric_points,
     zeros_on_span,
 )
@@ -33,6 +32,7 @@ from _util import (
     form_values,
     forms_congruent,
     full_scan_zeros,
+    hyperbolic_reduce_at_vector,
     on_all_forms,
     projective_rows_where,
     random_invertible,
