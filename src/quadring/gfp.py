@@ -7,6 +7,9 @@ nonzero coordinate equal to 1.  The canonical points of P^n(F_p) carry a
 fixed total order, generated only by :func:`projective_points_array`, and
 every enumeration and zero scan in the package walks them in that order,
 which makes results independent of how the index range is split up.
+Points found in another order (the X count by projection walks an
+adapted basis) are put in it by :func:`canonical_rows`, which sorts on
+the same key: pivot position, then the coordinates.
 
 Zero scans walk P^n (n >= 2) as (P^(n-2) x F_p^2) followed by
 ({0}^(n-1) x P^1): a point with a nonzero prefix h = (x_0..x_(n-2)) is the
@@ -112,6 +115,16 @@ def canonical_point(coords: Sequence[int], field: PrimeField) -> ProjPoint:
             s = field.inv(c)
             return tuple(x * s % p for x in reduced)
     raise ValueError("zero vector does not define a projective point")
+
+
+def canonical_rows(rows: np.ndarray, p: int) -> np.ndarray:
+    """Nonzero int64 rows of residues as canonical points, each scaled so
+    that its leftmost nonzero entry is 1, sorted in the canonical order."""
+    lead = (rows != 0).argmax(axis=1)
+    values, where = np.unique(rows[np.arange(len(rows)), lead], return_inverse=True)
+    inverses = np.array([pow(v, p - 2, p) for v in values.tolist()], dtype=np.int64)
+    rows = rows * inverses[where.ravel(), None] % p
+    return rows[np.lexsort(np.vstack((rows.T[::-1], lead)))]
 
 
 def size_within_budget(n: int, p: int, budget: int) -> int:

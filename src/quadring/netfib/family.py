@@ -9,6 +9,12 @@ to be skipped and reported by callers, not patched over.  `fibers` builds
 the Grams of a chunk of base points with one exact `modmat.matmul_mod`, and
 every count classifies them with one `quadform.classify_stack` call.
 
+The base locus X in P^(n+1) is counted by one of two scans.  Given a
+point P of X, `points_on_X` projects from it, the route of the blow-up
+model: a walk of P^(n-1) (`proportional_zeros`) plus the lines through
+P.  Without one, it solves the forms for their last coordinate over P^n
+(`quadform.common_zeros`).
+
 The geometric conditions "X is smooth" and "no line through P over the
 algebraic closure" are only ever tested at the F_p-rational level here, and
 the reports say so: they certify the absence of F_p-rational violations,
@@ -28,10 +34,10 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from ..errors import InputError, json_int
-from ..gfp import PrimeField, ProjPoint, canonical_point
+from ..gfp import PrimeField, ProjPoint, canonical_point, canonical_rows, scan_projective
 from .. import modmat
 from ..quadform import FiberChunk, GramMatrix, classify_stack, common_zeros, fiber_classes, fiber_grams
-from ..quadform import quadric_points, zeros_on_span
+from ..quadform import _linear_and_constant, _mod, quadratic_roots, quadric_points, restrict, zeros_on_span
 
 NET_FORMAT_VERSION = 1
 
@@ -130,19 +136,135 @@ def points_on_X(
     field: PrimeField,
     budget: int = 2_000_000,
     jobs: int = 1,
+    point: Sequence[int] | None = None,
+    lines: Sequence[ProjPoint] | None = None,
 ) -> list[ProjPoint]:
     """All canonical points of P^(n+1)(F_p) on which every form of the net
-    vanishes, in canonical enumeration order.
+    vanishes, in canonical enumeration order.  The result does not depend
+    on the route or on `jobs`: each route splits its walk into one index
+    range per job.
 
-    The scan is `quadform.common_zeros`, solved for the last coordinate t:
-    it walks P^n in blocks of P^(n-2) x F_p^2 and the P^1 tail, solves the
-    first form for t at every point u of a block, tests the other forms only
-    at those roots, and adds e_last when every form's last diagonal entry
-    is 0.  The prefix is split into one index range per job, and the result
-    does not depend on `jobs`.  Raises BudgetExceededError when P^n(F_p) has
+    Without `point`, the scan is `quadform.common_zeros`, solved for the
+    last coordinate: it walks P^n, charged to `budget`.
+
+    With a point P of X, the scan projects from P.  A point other than P
+    is sP + v with v_pivot = 0, and q_j(sP + v) = 2s B_j(v) + q_j(v) for
+    B_j = b_j(P, .).  So [v] with B(v) = 0 carries p points of X when
+    q(v) = 0, which are the directions of `lines_through_point` (`lines`,
+    when the caller has them already), and [v] with B(v) != 0 carries one
+    point when q(v) is a multiple of B(v).  In a basis of v-space whose
+    first m+1 vectors map onto the unit vectors under B and whose others
+    span ker B, these [v] are `proportional_zeros` of the forms,
+    a walk of P^(n-1) charged to `budget`.  When B has rank below m+1
+    (P lies in the radical of a fiber), the route falls back to the
+    solved scan.  Raises BudgetExceededError when the space walked has
     more than `budget` points.
     """
+    if point is not None:
+        found = _points_by_projection(net, point, field, budget, jobs, lines)
+        if found is not None:
+            return found
     return list(map(tuple, common_zeros(net.matrices, field, budget, jobs).tolist()))
+
+
+def _polar_rows(net: QuadricNet, point: Sequence[int], field: PrimeField):
+    """(P, the coordinates other than P's pivot, the net's Grams mod p, the
+    rows of the linear forms b_j(P, .) on those coordinates) for a point P
+    of X; raises InputError when P is not on X."""
+    rep = canonical_point(point, field)
+    if any(mat.q(rep, field) != 0 for mat in net.matrices):
+        raise InputError("point does not lie on the base locus X")
+    kept = [i for i in range(net.fiber_size) if i != rep.index(1)]
+    mats = modmat.residues([mat.entries for mat in net.matrices], field)
+    return rep, kept, mats, modmat.matmul_mod(mats, np.array(rep, dtype=np.int64), field.p)[:, kept]
+
+
+def _points_by_projection(
+    net: QuadricNet,
+    point: Sequence[int],
+    field: PrimeField,
+    budget: int,
+    jobs: int,
+    lines: Sequence[ProjPoint] | None,
+) -> list[ProjPoint] | None:
+    """`points_on_X` by projection from the point, or None when B has rank
+    below m+1."""
+    p = field.p
+    rep, kept, mats, linear = _polar_rows(net, point, field)
+    if lines is None:
+        lines = lines_through_point(net, rep, field, budget)
+    # T [B | I] reduces to [R | T]: every pivot lies inside B exactly when
+    # B has full rank, and then the columns of T put on B's pivot columns
+    # are vectors L_j with B L_j = e_j
+    k, dim = len(linear), len(kept)
+    rref, pivots = modmat.row_reduce(np.hstack((linear, np.eye(k, dtype=np.int64))).tolist(), dim + k, field)
+    if pivots[-1] >= dim:
+        return None
+    basis = np.zeros((k, dim), dtype=np.int64)
+    basis[:, pivots] = np.array(rref, dtype=np.int64)[:, dim:].T
+    basis = np.vstack((basis, np.array(modmat.kernel_basis(linear, dim, field), dtype=np.int64).reshape(-1, dim)))
+    forms = restrict(mats[:, kept][:, :, kept], basis, p)
+    rows, factor = proportional_zeros(forms, field, budget, jobs)
+    # sP + v: s = -l / 2 where q(v) = l B(v), every s on a line direction,
+    # and P itself as v = 0, s = 1
+    directions = np.array(lines, dtype=np.int64).reshape(-1, dim)
+    vectors = np.vstack((modmat.matmul_mod(rows, basis, p), np.repeat(directions, p, axis=0), np.zeros((1, dim), dtype=np.int64)))
+    shifts = np.concatenate((factor * ((p - 1) // 2) % p, np.tile(np.arange(p), len(directions)), [1]))
+    points = np.zeros((len(vectors), net.fiber_size), dtype=np.int64)
+    points[:, kept] = vectors
+    points = (points + shifts[:, None] * np.array(rep, dtype=np.int64)) % p
+    return list(map(tuple, canonical_rows(points, p).tolist()))
+
+
+def proportional_zeros(
+    mats: np.ndarray, field: PrimeField, budget: int = 4_000_000, jobs: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
+    """The points [y] of P^(N-1)(F_p) whose head h = (y_0, .., y_(k-1)) is
+    not 0 and at which the values of the k forms are a multiple of it,
+    q_j(y) = l h_j, for a stack (k, N, N) of 2 <= k < N Gram matrices of
+    residues: the canonical rows y in canonical order, and the factor l of
+    each.
+
+    Solved for the last coordinate t like `quadform.common_zeros`: on a
+    block of the walk of P^(N-2), each q_j is a_j t^2 + 2 b_j(u) t + c_j(u),
+    and the minor h_0 q_1 - h_1 q_0, whose coefficients need no pivot, is
+    solved at every u by `quadratic_roots`; it vanishes at every t where
+    h_0 = h_1 = 0, about one u in p^2.  Every q_j is tested at those roots.
+    The rows with h = 0, e_last among them, are left out.  Raises
+    BudgetExceededError when P^(N-2)(F_p) holds more than `budget` points.
+    """
+    p = field.p
+    k, size = mats.shape[:2]
+    if not 2 <= k < size:
+        raise InputError(f"need 2 <= k < N forms, got {k} on {size} variables")
+    a = [m[-1, -1] for m in mats]
+
+    def zeros(h: np.ndarray, s: np.ndarray) -> np.ndarray:
+        (b0, c0), (b1, c1), *_ = grids = [_linear_and_constant(m, h, s, p) for m in mats]
+        # the first two coordinates of u = (h_i, s_j), as a column or a row
+        x, y = (h[:, l, None] if l < h.shape[1] else s[None, :, l - h.shape[1]] for l in (0, 1))
+        cell, t = quadratic_roots(
+            np.broadcast_to(_mod(x * a[1] - y * a[0], p), b0.shape).ravel(),
+            _mod(x * b1 - y * b0, p).ravel(),
+            _mod(x * c1 - y * c0, p).ravel(),
+            p,
+        )
+        i = cell // len(s)
+        j = cell - i * len(s)
+        head = [h[i, l] if l < h.shape[1] else s[j, l - h.shape[1]] for l in range(k)]
+        values = [_mod(c.ravel()[cell] + _mod(2 * b.ravel()[cell] + a_l * t, p) * t, p) for (b, c), a_l in zip(grids, a)]
+        # l = q_i at the pivot i of the head, the first nonzero entry
+        factor = values[-1]
+        for h_l, v_l in zip(head[-2::-1], values[-2::-1]):
+            factor = np.where(h_l != 0, v_l, factor)
+        on = np.logical_or.reduce([h_l != 0 for h_l in head])
+        for h_l, v_l in zip(head, values):
+            on &= _mod(v_l - h_l * factor, p) == 0
+        on = np.flatnonzero(on)
+        return np.hstack((h[i[on]], s[j[on]], t[on, None], factor[on, None]))
+
+    found = scan_projective(size - 2, field, zeros, budget, jobs)
+    return found[:, :-1], found[:, -1]
 
 
 @dataclass(frozen=True)
@@ -206,13 +328,7 @@ def lines_through_point(
     geometric no-line condition: a line defined only over an extension
     field leaves no trace here.
     """
-    rep = canonical_point(point, field)
-    if any(mat.q(rep, field) != 0 for mat in net.matrices):
-        raise InputError("point does not lie on the base locus X")
-    pivot = rep.index(1)
-    kept = [i for i in range(net.fiber_size) if i != pivot]
-    mats = modmat.residues([mat.entries for mat in net.matrices], field)
-    linear = modmat.matmul_mod(mats, np.array(rep, dtype=np.int64), field.p)[:, kept]
+    _, kept, mats, linear = _polar_rows(net, point, field)
     kernel = modmat.kernel_basis(linear, len(kept), field)
     quadratic = [GramMatrix.from_array(m[np.ix_(kept, kept)]) for m in mats]
     return list(map(tuple, zeros_on_span(quadratic, kernel, field, budget).tolist()))

@@ -140,16 +140,13 @@ def _report_for_prime(
                 skipped=True, skip_reason=f"point vanishes mod {p}", **base
             )
 
-    x_points = points_on_X(net, field, budget=budget, jobs=jobs)
-    x = len(x_points)
+    # one line scan per prime: its directions are the line term of the X
+    # count by projection from the point, and they set the line flag
+    lines = None if rep is None else lines_through_point(net, rep, field, budget=budget)
+    x = len(points_on_X(net, field, budget=budget, jobs=jobs, point=rep, lines=lines))
     q = count_total_space(net, field)
     y = count_double_cover(net, field)
-
-    line_found = False
-    qbar = None
-    if rep is not None:
-        line_found = bool(lines_through_point(net, rep, field, budget=budget))
-        qbar = count_reduced_family(reduced, field)
+    qbar = None if rep is None else count_reduced_family(reduced, field)
 
     pi = lambda d: projective_size(d, p)
     residuals: dict[str, int] = {}
@@ -173,7 +170,7 @@ def _report_for_prime(
         qbar_count=qbar,
         y_count=y,
         residuals=residuals,
-        line_through_point_found=line_found,
+        line_through_point_found=bool(lines),
         **base,
     )
 
@@ -191,9 +188,10 @@ def verify_relations(
     (used at every prime, so it lies on X mod p wherever it does not vanish
     mod p), and the net is reduced along it once, over Z; None restricts
     the report to the point-free residuals.  Precondition failures surface
-    as flags and skips; a prime whose P^n(F_p), the space the X scan walks,
-    holds more than `budget` points raises BudgetExceededError before any
-    fiber is counted.
+    as flags and skips.  A prime whose space the X scan walks holds more
+    than `budget` points raises BudgetExceededError before any fiber is
+    counted: P^(n-1)(F_p) when a point is given, since the scan projects
+    from it (`points_on_X`), and P^n(F_p) otherwise.
     """
     if (net.n, net.m) not in SUPPORTED_SHAPES:
         raise InputError(
@@ -208,7 +206,7 @@ def verify_relations(
         if bad:
             raise InputError(f"point is not on X over Z (forms {bad} do not vanish)")
     for p in primes:
-        size_within_budget(net.n, p, budget)  # the X scan's space
+        size_within_budget(net.n - (point is not None), p, budget)  # the X scan's space
     reduced = None if point is None else hyperbolic_reduce_family(net, [list(point)])
     return [
         _report_for_prime(net, point, reduced, PrimeField(p), budget, jobs) for p in primes

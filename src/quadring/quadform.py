@@ -26,7 +26,9 @@ Common zeros.  `common_zeros` never walks all of P^(N-1): in its last
 coordinate t a form is a t^2 + 2 b(u) t + c(u), so it walks u over P^(N-2)
 and solves for t (`quadratic_roots`: square roots and inverses from tables
 of F_p), which costs O(p^(N-2)) array work and is what `--budget` is charged
-for.  The full scan of P^(N-1) is kept only as the tests' oracle.
+for.  For N = 2 the walk is the one point of P^0, and its quadratic is
+solved on scalars.  The full scan of P^(N-1) is kept only as the tests'
+oracle.
 """
 
 from __future__ import annotations
@@ -295,11 +297,12 @@ def _linear_and_constant(m: np.ndarray, h: np.ndarray, s: np.ndarray, p: int) ->
     and stays below 2^63 for p < 2^31."""
     k, cols = h.shape[1], s.T.copy()
     hm = modmat.matmul_mod(h, m[:k], p)
-    sm = sum(col[:, None] * m[k + j, k:] for j, col in enumerate(cols)) % p
-    c = (hm[:, :k] * h % p).sum(axis=1)[:, None] % p + sum(sm[:, j] * col for j, col in enumerate(cols)) % p
+    # (M^T s)_i for the columns i of s and t, each a contiguous row over s
+    sm = [_mod(sum(m[k + j, i] * col for j, col in enumerate(cols)), p) for i in range(k, len(m))]
+    c = ((hm[:, :k] * h % p).sum(axis=1) % p)[:, None] + _mod(sum(v * col for v, col in zip(sm, cols)), p)
     for j, col in enumerate(cols):
         c += 2 * hm[:, k + j, None] % p * col
-    return _mod(hm[:, -1, None] + sm[:, -1], p), _mod(c, p)
+    return _mod(hm[:, -1, None] + sm[-1], p), _mod(c, p)
 
 
 def common_zeros(
@@ -341,7 +344,26 @@ def common_zeros(
     if last == 0:  # P^0 is e_last alone, and the walk over P^-1 is empty
         size_within_budget(-1, p, budget)
         return tail
+    if last == 1:  # the walk over P^0 is u = 1: one quadratic on scalars
+        size_within_budget(0, p, budget)
+        a, b, c = (int(x) for x in (first[1, 1], first[0, 1], first[0, 0]))
+        t = np.array(_scalar_roots(a, b, c, p), dtype=np.int64)
+        for m in rest:
+            t = t[_mod(m[0, 0] + _mod(2 * m[0, 1] + m[1, 1] * t, p) * t, p) == 0]
+        return np.concatenate((np.stack((np.ones_like(t), t), axis=1), tail))
     return np.concatenate((scan_projective(last - 1, field, zeros, budget, jobs), tail))
+
+
+def _scalar_roots(a: int, b: int, c: int, p: int) -> Sequence[int]:
+    """The roots t in F_p of a t^2 + 2 b t + c = 0 for residues a, b and c,
+    ascending: `quadratic_roots` at one cell, in Python ints."""
+    if a:
+        r = _sqrt_mod((b * b - a * c) % p, p)
+        inv = _inverse_mod(a, p)
+        return [] if r < 0 else sorted({(p - b + r) * inv % p, (p - b - r) * inv % p})
+    if b:
+        return [(p - c) * _inverse_mod(2 * b, p) % p]
+    return [] if c else range(p)
 
 
 def zeros_on_span(

@@ -242,8 +242,9 @@ def test_count_budget_exceeded(capsys, pencil_file):
 
 
 def test_count_checks_the_budget_before_any_fiber(capsys, monkeypatch):
-    # P^4(F_1000003), the space the X scan walks, is far over the default
-    # budget; the regularity walk over its 10^12 base points must never start
+    # P^3(F_1000003), the space the X scan walks when it projects from the
+    # net's point, is far over the default budget; the regularity walk over
+    # its 10^12 base points must never start
     from quadring.netfib import relations
 
     def no_walk(net, field):
@@ -254,20 +255,30 @@ def test_count_checks_the_budget_before_any_fiber(capsys, monkeypatch):
         capsys, "count", "--net", str(GOLDEN / "net.json"), "--primes", "3,1000003"
     )
     assert code == 3 and out == ""
-    size = (1000003**5 - 1) // 1000002
-    assert f"P^4(F_1000003), which has {size} points, over the budget of 2000000" in err
+    size = (1000003**4 - 1) // 1000002
+    assert f"P^3(F_1000003), which has {size} points, over the budget of 2000000" in err
 
 
-def test_count_default_budget_reaches_37(capsys):
-    # the X scan walks P^4: #P^4(F_37) = 1,926,221 fits the default budget
-    # of 2,000,000, and #P^4(F_41) = 2,896,405 does not
-    code, out, _ = run_cli(capsys, "count", "--net", str(GOLDEN / "net.json"), "--primes", "37", "--format", "json")
+def test_count_default_budget_reaches_113(capsys):
+    # with the net's point the X scan projects from it and walks P^3:
+    # #P^3(F_113) = 1,455,780 fits the default budget of 2,000,000, and
+    # #P^3(F_127) = 2,064,640 does not
+    code, out, _ = run_cli(capsys, "count", "--net", str(GOLDEN / "net.json"), "--primes", "113", "--format", "json")
     (report,) = json.loads(out)["reports"]
     assert code == 0 and not report["skipped"]
     assert set(report["residuals"].values()) == {0}
-    code, out, err = run_cli(capsys, "count", "--net", str(GOLDEN / "net.json"), "--primes", "41")
+    code, out, err = run_cli(capsys, "count", "--net", str(GOLDEN / "net.json"), "--primes", "127")
     assert code == 3 and out == ""
-    assert "P^4(F_41), which has 2896405 points, over the budget of 2000000" in err
+    assert "P^3(F_127), which has 2064640 points, over the budget of 2000000" in err
+
+
+@pytest.mark.parametrize("prime", ["23", "53"])
+def test_count_golden_net_jobs_do_not_change_bytes(capsys, prime):
+    # the X count by projection splits its walk of P^3 across the jobs
+    args = ("count", "--net", str(GOLDEN / "net.json"), "--primes", prime, "--jobs")
+    code, one, _ = run_cli(capsys, *args, "1")
+    assert code == 0 and "R4=0" in one
+    assert run_cli(capsys, *args, "2") == (0, one, "")
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])

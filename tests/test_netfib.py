@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quadring import modmat
 from quadring.errors import BudgetExceededError, DegenerateSectionError, InputError
@@ -16,6 +17,7 @@ from quadring.gfp import (
     projective_size,
 )
 from quadring.quadform import GramMatrix, classify, fiber_classes
+from quadring.netfib.family import proportional_zeros
 from quadring.netfib import (
     QuadricNet,
     count_double_cover,
@@ -242,6 +244,126 @@ def test_points_on_x_scans_in_bounded_chunks(accepted_net, monkeypatch):
     assert sum(len(h) * len(s) for h, s in blocks) == projective_size(4, 17)
     assert max(len(h) * len(s) for h, s in blocks) <= gfp.CHUNK_ROWS
     assert seq and all(mat.q(pt, f17) == 0 for pt in seq for mat in accepted_net.net.matrices)
+
+
+@st.composite
+def _planted_net(draw):
+    """A random (4,2) or (2,1) net of residues mod p <= 23 with a planted
+    point P of X at a random pivot, and one of: nothing more, a rational
+    line <P, w> inside X, or P in the radical of M_0, so that the linear
+    forms b_j(P, .) lose rank."""
+    n, m = draw(st.sampled_from([(4, 2), (2, 1)]))
+    p = draw(st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23]))
+    plant = draw(st.sampled_from(["point", "line", "rank drop"]))
+    size, residue = n + 2, st.integers(0, p - 1)
+    pivot = draw(st.integers(0, size - 1))
+    point = np.array([0] * pivot + [1] + [draw(residue) for _ in range(size - pivot - 1)], dtype=np.int64)
+    mats = []
+    for _ in range(m + 1):
+        upper = np.array([[draw(residue) if j >= i else 0 for j in range(size)] for i in range(size)], dtype=np.int64)
+        mats.append(upper + np.triu(upper, 1).T)
+    if plant == "rank drop":  # T P = 0 for T = I - P e_pivot^T, so M_0 P = 0
+        t = np.eye(size, dtype=np.int64)
+        t[:, pivot] -= point
+        mats[0] = t.T @ mats[0] @ t % p
+    if plant == "line":  # canonical w with w_pivot = 0: q(w) = b(P, w) = 0
+        other = draw(st.integers(0, size - 1).filter(lambda i: i != pivot))
+        w = np.array([0] * other + [1] + [draw(residue) for _ in range(size - other - 1)], dtype=np.int64)
+        w[pivot] = 0
+        for mat in mats:
+            mat[other, other] -= w @ mat @ w
+            mat[pivot, other] -= point @ mat @ w
+            mat[other, pivot] = mat[pivot, other]
+    for mat in mats:
+        mat[pivot, pivot] -= point @ mat @ point
+    net = QuadricNet(n=n, m=m, matrices=tuple(GramMatrix.from_array(mat % p) for mat in mats))
+    return net, tuple(point.tolist()), PrimeField(p), plant
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_planted_net())
+def test_points_on_x_by_projection_match_the_solved_scan(planted):
+    # the projection from P against the solved scan of P^n, through a
+    # planted line (p points per direction) and a rank drop of b(P, .)
+    # (the fallback to the solved scan)
+    net, point, field, plant = planted
+    expected = points_on_X(net, field)
+    lines = lines_through_point(net, point, field)
+    kept = [i for i in range(net.fiber_size) if i != point.index(1)]
+    polar = [[row[i] for i in kept] for row in (np.array([m.entries for m in net.matrices]) @ point).tolist()]
+    projects = modmat.rank_mod(polar, len(kept), field) == net.m + 1
+    assert not projects or plant != "rank drop"  # the others may drop by chance
+    assert lines or plant != "line"
+    assert points_on_X(net, field, point=point) == expected
+    assert points_on_X(net, field, jobs=2, point=point, lines=lines) == expected
+    walked = projective_size(net.n - projects, field.p)
+    assert points_on_X(net, field, budget=walked, point=point) == expected
+    with pytest.raises(BudgetExceededError):
+        points_on_X(net, field, budget=walked - 1, point=point)
+
+
+def test_points_on_x_by_projection_solve_linear_cells(monkeypatch):
+    # the solved minor h_0 q_1 - h_1 q_0 has the t^2 coefficient
+    # h_0 a_1 - h_1 a_0, which vanishes on a hyperplane of the walk; there
+    # the minor is linear in t, and at h_0 = h_1 = 0 every t is a root
+    from quadring.netfib import family
+
+    net, point = load_net(str(GOLDEN / "net.json"))
+    original = family.quadratic_roots
+    linear, every = [], []
+
+    def spy(a, b, c, p):
+        linear.append(((a == 0) & (b != 0)).sum())
+        every.append(((a == 0) & (b == 0) & (c == 0)).sum())
+        return original(a, b, c, p)
+
+    monkeypatch.setattr(family, "quadratic_roots", spy)
+    for p in (5, 7, 11, 13):
+        field = PrimeField(p)
+        assert points_on_X(net, field, point=point) == points_on_X(net, field)
+        assert sum(linear) > 0 and sum(every) > 0
+        linear.clear()
+        every.clear()
+
+
+def test_points_on_x_by_projection_need_a_point_on_x():
+    with pytest.raises(InputError, match="does not lie on the base locus"):
+        points_on_X(PENCIL, F7, point=(1, 0, 0, 0))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(data=st.data(), size=st.integers(3, 6), p=st.sampled_from([3, 5, 7, 11]), jobs=st.integers(1, 2))
+def test_proportional_zeros_match_the_in_memory_scan(data, size, p, jobs):
+    # oracle: every row of P^(N-1), the values of the k forms against the
+    # head h = (y_0, .., y_(k-1)) scaled by the value at its pivot; without
+    # t^2 terms the solved minor is linear in t at every u, and a zero form
+    # makes a minor vanish at every t
+    field = PrimeField(p)
+    k = data.draw(st.integers(2, size - 1))
+    entries = data.draw(st.lists(st.integers(0, p - 1), min_size=k * size * size, max_size=k * size * size))
+    upper = np.array(entries, dtype=np.int64).reshape(k, size, size)
+    mats = np.triu(upper) + np.swapaxes(np.triu(upper, 1), 1, 2)
+    if data.draw(st.booleans()):
+        mats[:, -1, -1] = 0
+    if data.draw(st.booleans()):
+        mats[data.draw(st.integers(0, k - 1))] = 0
+    rows = projective_points_array(size - 1, field)
+    values = np.stack([form_values(rows, GramMatrix.from_array(m), field) for m in mats], axis=1)
+    head = rows[:, :k]
+    factor = values[np.arange(len(rows)), (head != 0).argmax(axis=1)]
+    on = head.any(axis=1) & ((values - head * factor[:, None]) % p == 0).all(axis=1)
+    points = projective_size(size - 2, p)
+    found, scale = proportional_zeros(mats, field, budget=points, jobs=jobs)
+    assert np.array_equal(found, rows[on]) and np.array_equal(scale, factor[on])
+    with pytest.raises(BudgetExceededError):
+        proportional_zeros(mats, field, budget=points - 1)
+
+
+def test_proportional_zeros_need_fewer_forms_than_variables():
+    with pytest.raises(InputError):
+        proportional_zeros(np.zeros((3, 3, 3), dtype=np.int64), F7)
+    with pytest.raises(InputError):
+        proportional_zeros(np.zeros((1, 3, 3), dtype=np.int64), F7)
 
 
 def test_regularity_pencil_example():
@@ -587,6 +709,16 @@ def test_golden_net_fiber_counts_at_large_primes(p, q, y, qbar, hist):
     assert regularity_check(net, field).corank_histogram == hist == corank_histogram_reduced(red, field)
 
 
+@pytest.mark.parametrize("p, x", [(101, 10302), (211, 44600)])
+def test_golden_net_x_by_projection_at_large_primes(p, x):
+    # #X by projection from the point against #Y from the classified
+    # fibers, which shares no code with it (R4 = #X - #Y = 0)
+    net, point = load_net(str(GOLDEN / "net.json"))
+    field = PrimeField(p)
+    assert len(points_on_X(net, field, budget=projective_size(3, p), point=point)) == x
+    assert count_double_cover(net, field) == x
+
+
 def test_verify_relations_42(accepted_net):
     reports = verify_relations(accepted_net.net, accepted_net.point, [3, 5, 7])
     for rep in reports:
@@ -594,6 +726,19 @@ def test_verify_relations_42(accepted_net):
         assert rep.residuals == {"R1": 0, "R2": 0, "R3": 0, "R4": 0}
         assert not rep.line_through_point_found
         assert rep.x_count == rep.y_count
+
+
+def test_verify_relations_without_a_point_is_charged_p4():
+    # without a point the X scan is the solved scan of P^4:
+    # #P^4(F_37) = 1,926,221 fits the default budget, #P^4(F_41) = 2,896,405
+    # does not, and with the point P^3(F_41) fits
+    net, point = load_net(str(GOLDEN / "net.json"))
+    (report,) = verify_relations(net, None, [37])
+    assert report.point is None and report.x_count == report.y_count == 1439
+    assert set(report.residuals.values()) == {0}
+    with pytest.raises(BudgetExceededError, match=r"P\^4\(F_41\), which has 2896405 points, over the budget of 2000000"):
+        verify_relations(net, None, [41])
+    assert verify_relations(net, point, [41])[0].x_count == 1749
 
 
 def test_verify_relations_reduces_once(accepted_net, monkeypatch):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -19,6 +20,7 @@ from quadring.quadform import (
     common_zeros,
     count_projective_points,
     double_cover_count,
+    quadratic_roots,
     quadric_points,
     zeros_on_span,
 )
@@ -198,6 +200,22 @@ def test_common_zeros_match_the_in_memory_scan(data, size, p, jobs):
     assert np.array_equal(projective_rows_where(size - 1, field, on_all_forms(grams, field), jobs=jobs), expected)
     with pytest.raises(BudgetExceededError):
         common_zeros(grams, field, budget=points - 1)
+
+
+def test_common_zeros_on_p1_solve_one_quadratic_on_scalars():
+    # N = 2: the walk is the one point u = 1, where the first form is
+    # a t^2 + 2 b t + c; every (a, b, c) of F_7 against `quadratic_roots` at
+    # one cell, alone and with a second form tested at its roots
+    p = 7
+    field = PrimeField(p)
+    other = GramMatrix.from_rows([[1, 2], [2, 3]])
+    for a, b, c in itertools.product(range(p), repeat=3):
+        form = GramMatrix.from_rows([[c, b], [b, a]])
+        _, t = quadratic_roots(np.array([a]), np.array([b]), np.array([c]), p)
+        expected = [[1, x] for x in t.tolist()] + [[0, 1]] * (a == 0)
+        assert common_zeros([form], field, budget=1).tolist() == expected
+        both = [row for row in expected if other.q(row, field) == 0]
+        assert common_zeros([form, other], field, budget=1).tolist() == both
 
 
 @st.composite
