@@ -9,7 +9,8 @@ P^2_(x3:x4:x5) fibers it into quadric surfaces: substituting
 G_s a quadratic form in (y, t) whose Gram entries are polynomials in s (the
 yy block linear, the yt entries quadratic, the tt entry cubic).  Scaling
 the representative of s rescales t, so fiber counts and determinant
-characters are representative-independent.  The expected count identity is
+characters are representative-independent.  The expected count identity,
+the `cubic-plane` derivation of `grothring` read at L = p, is
 
     #X = 1 + p^2 + p^4 + p * #Y
 
@@ -28,7 +29,8 @@ Verra setup.  For a (2,2) form G on P^2 x P^2, the double cover
 X -> P^2 x P^2 branched in {G = 0} fibers over the first factor into the
 quadric surfaces {w^2 = G(s, t)} with Gram diag(1) + (-Gram_t(G(s, .))),
 and symmetrically over the second factor.  Both fibrations produce a
-degree-2 double cover, and when each has fibers of corank <= 1,
+degree-2 double cover, and when each has fibers of corank <= 1, the two
+routes of the `verra` derivation read at L = p give
 
     #X = (p^2 + 1) * #P^2 + p * #Y_i     for i = 1, 2,
 
@@ -48,12 +50,12 @@ import numpy as np
 
 from ..errors import InputError
 from .. import modmat
+from ..grothring import GRExpr, derive
 from ..gfp import (
     CHUNK_ROWS,
     PrimeField,
     legendre_character,
     projective_points_array,
-    projective_size,
     size_within_budget,
 )
 from ..mpoly import HomPoly, evaluate_on_array
@@ -191,25 +193,26 @@ def cubic_with_plane_counts(
     primes: Sequence[int],
     budget: int = 2_000_000,
 ) -> list[CubicReport]:
-    """Per-prime residual #X - (1 + p^2 + p^4 + p * #Y) for a cubic through
-    the plane x3 = x4 = x5 = 0; expected 0 whenever corank <= 1 everywhere
+    """Per-prime residual of the `cubic-plane` derivation at L = p,
+    #X - (1 + p^2 + p^4 + p * #Y), for a cubic through the plane
+    x3 = x4 = x5 = 0; expected 0 whenever corank <= 1 everywhere
     and the cubic is smooth along the plane, the two hypotheses the report
     flags.  #X is counted by solving for x2 over P^4 (`_cubic_x_count`),
     an independent route beside the fibration; a prime whose P^4(F_p) holds
     more than `budget` points raises BudgetExceededError."""
     grams = cubic_fiber_grams(f)
+    identity = derive("cubic-plane").residual
     reports = []
     for p in primes:
         field = PrimeField(p)
         x_count = _cubic_x_count(f, field, budget)
         y_count, corank2 = _double_cover_count(grams, field)
-        residual = x_count - (1 + p**2 + p**4 + p * y_count)
         reports.append(
             CubicReport(
                 p=p,
                 x_count=x_count,
                 y_count=y_count,
-                residual=residual,
+                residual=identity.evaluate(p, {"X": x_count, "Y": y_count}),
                 corank2_found=corank2,
                 singular_on_plane=_singular_on_plane(grams, field),
             )
@@ -317,26 +320,29 @@ def _verra_x_count(g: HomPoly, field: PrimeField) -> int:
 
 def verra_counts(g: HomPoly, primes: Sequence[int]) -> list[VerraReport]:
     """Counts of the branched double cover of P^2 x P^2 and of the two
-    determinant covers, with the residuals tying them together."""
+    determinant covers, with the residuals tying them together: X minus
+    each route of the `verra` derivation at L = p, and Y1 - Y2."""
     validate_verra_form(g)
     first = _verra_quadric_entries(g)
     second = _verra_quadric_entries(swap_verra_factors(g))
+    verra, x = derive("verra"), GRExpr.atom("X")
+    residuals = (x - verra.route_a, x - verra.route_b, GRExpr.atom("Y1") - GRExpr.atom("Y2"))
     reports = []
     for p in primes:
         field = PrimeField(p)
         x_count = _verra_x_count(g, field)
         y1, c1 = _double_cover_count(first, field)
         y2, c2 = _double_cover_count(second, field)
-        base = (p**2 + 1) * projective_size(2, p)
+        r1, r2, dy = (r.evaluate(p, {"X": x_count, "Y1": y1, "Y2": y2}) for r in residuals)
         reports.append(
             VerraReport(
                 p=p,
                 x_count=x_count,
                 y1_count=y1,
                 y2_count=y2,
-                residual_first=x_count - (base + p * y1),
-                residual_second=x_count - (base + p * y2),
-                y_difference=y1 - y2,
+                residual_first=r1,
+                residual_second=r2,
+                y_difference=dy,
                 corank2_first=c1,
                 corank2_second=c2,
             )

@@ -1,19 +1,20 @@
 """Per-prime residual checks tying together the counts of X, Q, the reduced
 family and the double cover.
 
-Supported family shapes and their residuals (pi(d) = #P^d(F_p)):
+Each residual is a `grothring` identity in the atoms X, Q, Qbar and Y, read
+at L = p on the measured counts (those in Qbar only when a point is given):
 
   (n, m) = (4, 2), three quadrics in P^5, X a degree-8 surface:
-    R1 = #Q    - (pi(5) * pi(1) + #X * p^2)        scissor count of Q, unconditional
-    R2 = #Qbar - (pi(4) + p^2 + #X * p)            blowup model; needs no line through P
-    R3 = #Qbar - (pi(2) * (1 + p^2) + #Y * p)      cover count; needs corank <= 1 only
-    R4 = #X - #Y
+    R1 = Q - rhs of rule_family_total(Q, X, 4, 2)   unconditional
+    R2 = Qbar - route A of theorem-main (blowup)    needs no line through P
+    R3 = Qbar - route B of theorem-main (cover)     needs corank <= 1 only
+    R4 = X - Y
 
   (n, m) = (2, 1), two quadrics in P^3, X a degree-4 curve:
-    R1 = #Q    - (pi(3) + #X * p)
-    R2 = #Qbar - #Y                                reduced 0-dim family vs cover
-    R3 = #Q    - (pi(1) * (1 + p^2) + #Y * p)
-    R4 = #X - #Y
+    R1 = Q - rhs of rule_family_total(Q, X, 2, 1)
+    R2 = Qbar - Y                                   reduced 0-dim family vs cover
+    R3 = Q - route B of corollary-m1 (reduction)
+    R4 = X - Y
 
 Primes where a fiber has corank >= 2 or the rational regularity scan fails
 are reported as skipped: the cover there is singular and the identities are
@@ -33,6 +34,7 @@ from typing import Sequence
 
 from ..errors import InputError
 from ..gfp import PrimeField, canonical_point, projective_size, size_within_budget
+from ..grothring import GRExpr, derive, rule_family_total
 from .family import (
     QuadricNet,
     count_total_space,
@@ -42,7 +44,15 @@ from .family import (
 )
 from .reduction import ReducedFamily, count_double_cover, count_reduced_family, hyperbolic_reduce_family
 
-SUPPORTED_SHAPES = ((4, 2), (2, 1))
+X, Q, QBAR, Y = (GRExpr.atom(a) for a in ("X", "Q", "Qbar", "Y"))
+
+# shape -> (derivation, its R2 and R3); read per report, so that an edit to a
+# grothring rule reaches `count`
+_ROUTES = {
+    (4, 2): ("theorem-main", lambda d: {"R2": QBAR - d.route_a, "R3": QBAR - d.route_b}),
+    (2, 1): ("corollary-m1", lambda d: {"R2": QBAR - Y, "R3": Q - d.route_b}),
+}
+SUPPORTED_SHAPES = tuple(_ROUTES)
 
 
 @dataclass(frozen=True)
@@ -67,14 +77,6 @@ class CountReport:
 
     def all_zero(self) -> bool:
         return bool(self.residuals) and all(v == 0 for v in self.residuals.values())
-
-    def flagged(self) -> bool:
-        return (
-            self.corank2_found
-            or self.regularity_violation
-            or self.line_through_point_found
-            or not self.flat
-        )
 
     def to_document(self) -> dict:
         return {
@@ -143,32 +145,23 @@ def _report_for_prime(
     # one line scan per prime: its directions are the line term of the X
     # count by projection from the point, and they set the line flag
     lines = None if rep is None else lines_through_point(net, rep, field, budget=budget)
-    x = len(points_on_X(net, field, budget=budget, jobs=jobs, point=rep, lines=lines))
-    q = count_total_space(net, field)
-    y = count_double_cover(net, field)
-    qbar = None if rep is None else count_reduced_family(reduced, field)
-
-    pi = lambda d: projective_size(d, p)
-    residuals: dict[str, int] = {}
-    if (net.n, net.m) == (4, 2):
-        residuals["R1"] = q - (pi(5) * pi(1) + x * p**2)
-        if qbar is not None:
-            residuals["R2"] = qbar - (pi(4) + p**2 + x * p)
-            residuals["R3"] = qbar - (pi(2) * (1 + p**2) + y * p)
-        residuals["R4"] = x - y
-    else:  # (2, 1)
-        residuals["R1"] = q - (pi(3) + x * p)
-        if qbar is not None:
-            residuals["R2"] = qbar - y
-        residuals["R3"] = q - (pi(1) * (1 + p**2) + y * p)
-        residuals["R4"] = x - y
+    counts = {
+        "X": len(points_on_X(net, field, budget=budget, jobs=jobs, point=rep, lines=lines)),
+        "Q": count_total_space(net, field),
+        "Y": count_double_cover(net, field),
+    }
+    if rep is not None:
+        counts["Qbar"] = count_reduced_family(reduced, field)
+    derivation, routes = _ROUTES[(net.n, net.m)]
+    identities = {"R1": rule_family_total(Q, X, net.n, net.m).residual(), **routes(derive(derivation)), "R4": X - Y}
+    residuals = {name: e.evaluate(p, counts) for name, e in identities.items() if e.atoms() <= counts.keys()}
 
     return CountReport(
         point=rep,
-        x_count=x,
-        q_count=q,
-        qbar_count=qbar,
-        y_count=y,
+        x_count=counts["X"],
+        q_count=counts["Q"],
+        qbar_count=counts.get("Qbar"),
+        y_count=counts["Y"],
         residuals=residuals,
         line_through_point_found=bool(lines),
         **base,

@@ -27,6 +27,7 @@ from .recipes import (
     _singular_on_plane,
     _verra_quadric_entries,
 )
+from .relations import SUPPORTED_SHAPES
 
 # Coefficient range and attempt budget of the cubic and (2,2) form searches.
 RECIPE_COEFF_BOUND = 3
@@ -80,8 +81,8 @@ def random_net_search(
 
     Raises BudgetExceededError when max_attempts samples all get rejected.
     """
-    if (n, m) not in ((4, 2), (2, 1)):
-        raise InputError(f"search supports shapes (4, 2) and (2, 1), got {(n, m)}")
+    if (n, m) not in SUPPORTED_SHAPES:
+        raise InputError(f"search supports shapes {SUPPORTED_SHAPES}, got {(n, m)}")
     if entry_bound < 1:
         raise InputError("entry bound must be at least 1")
     if max_attempts < 1:

@@ -354,3 +354,31 @@ def enumerate_nontrivial(limit: int) -> list[int]:
         for d in range(1, limit + 1)
         if d % 8 == 1 and nslattice.classify_discriminant(d).classification == nslattice.NONTRIVIAL
     ]
+
+
+def hand_count_residuals(n: int, m: int, p: int, x: int, q: int, qbar: int | None, y: int) -> dict[str, int]:
+    """R1-R4 of `count` written out by hand (pi(d) = #P^d(F_p)): the oracle
+    of the residuals that `netfib.relations` reads from `grothring`."""
+    pi = lambda d: projective_size(d, p)
+    if (n, m) == (4, 2):
+        residuals = {"R1": q - (pi(5) * pi(1) + x * p**2)}
+        if qbar is not None:
+            residuals["R2"] = qbar - (pi(4) + p**2 + x * p)
+            residuals["R3"] = qbar - (pi(2) * (1 + p**2) + y * p)
+    else:  # (2, 1)
+        residuals = {"R1": q - (pi(3) + x * p), "R3": q - (pi(1) * (1 + p**2) + y * p)}
+        if qbar is not None:
+            residuals["R2"] = qbar - y
+    residuals["R4"] = x - y
+    return residuals
+
+
+def hand_cubic_residual(p: int, x: int, y: int) -> int:
+    """#X - (1 + p^2 + p^4 + p * #Y), the cubic-with-a-plane identity."""
+    return x - (1 + p**2 + p**4 + p * y)
+
+
+def hand_verra_residuals(p: int, x: int, y1: int, y2: int) -> tuple[int, int, int]:
+    """(first, second, y_difference) of the (2,2) double-cover identities."""
+    base = (p**2 + 1) * projective_size(2, p)
+    return x - (base + p * y1), x - (base + p * y2), y1 - y2

@@ -173,7 +173,10 @@ def test_criterion_2_theorem_main_shadow(accepted_nets, net_reports):
             good = (
                 not rep.skipped
                 and rep.residuals == {"R1": 0, "R2": 0, "R3": 0, "R4": 0}
-                and not rep.flagged()
+                and not rep.corank2_found
+                and not rep.regularity_violation
+                and not rep.line_through_point_found
+                and rep.flat
                 and rep.x_count == rep.y_count
             )
             ok &= good

@@ -12,7 +12,6 @@ from quadring.grothring import (
     rule_blowup,
     rule_family_total,
     rule_hyperbolic_reduction,
-    rule_zariski_fibration,
 )
 
 X = GRExpr.atom("X")
@@ -70,16 +69,6 @@ def test_substitute_and_evaluate():
         assert expr.evaluate(lv, {"X": xv}) == (xv + lv) * xv
     with pytest.raises(InputError):
         expr.evaluate(2, {})
-
-
-def test_rule_zariski_fibration():
-    eq = rule_zariski_fibration("M", "S", GRExpr.proj_space(3))
-    assert eq.rhs == GRExpr.atom("S") * GRExpr.proj_space(3)
-    trivial = rule_zariski_fibration("M", ONE, "F")
-    assert trivial.rhs == GRExpr.atom("F")
-    # composing two fibrations is associative in the class ring
-    s, f1, f2 = GRExpr.atom("S"), GRExpr.atom("F1"), GRExpr.atom("F2")
-    assert (s * f1) * f2 == s * (f1 * f2)
 
 
 def test_rule_blowup():

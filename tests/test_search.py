@@ -40,8 +40,13 @@ def test_impossible_constraints_exhaust_budget(monkeypatch):
         random_net_search(4, 2, (5,), seed=0, max_attempts=25)
 
 
-def test_search_rejects_bad_shape():
+def test_search_rejects_bad_shape(monkeypatch):
     with pytest.raises(InputError):
         random_net_search(3, 2, (5,), seed=0)
     with pytest.raises(InputError):
         random_net_search(4, 2, (5,), seed=0, entry_bound=0)
+    # the search takes its shapes from the relation checks, so it never
+    # returns a net that `count` cannot check
+    monkeypatch.setattr(search, "SUPPORTED_SHAPES", ((4, 2),))
+    with pytest.raises(InputError):
+        random_net_search(2, 1, (5,), seed=0)
