@@ -6,8 +6,9 @@ M_0..M_m; the fiber over a base point w is M(w) = sum w_i M_i.  Keeping the
 matrices over Z lets one net be reduced at many primes; primes where the
 reduction misbehaves (corank >= 2 fibers, regularity violations) are meant
 to be skipped and reported by callers, not patched over.  `fibers` builds
-the Grams of a chunk of base points with one exact `modmat.matmul_mod`, and
-every count classifies them with one `quadform.classify_stack` call.
+the Grams of a chunk of base points with one exact `modmat.matmul_mod`,
+and `fiber_table` classifies a family's walk once per prime: the regularity
+scan, Q, Qbar and Y all read that one table.
 
 The base locus X in P^(n+1) is counted by one of two scans.  Given a
 point P of X, `points_on_X` projects from it, the route of the blow-up
@@ -26,18 +27,22 @@ to `budget` for that subspace only.
 
 from __future__ import annotations
 
+import functools
 import json
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
 from ..errors import InputError, json_int
-from ..gfp import PrimeField, ProjPoint, canonical_point, canonical_rows, scan_projective
+from ..gfp import PrimeField, ProjPoint, canonical_point, canonical_rows, projective_row_chunks, scan_projective
 from .. import modmat
-from ..quadform import FiberChunk, GramMatrix, classify_stack, common_zeros, fiber_classes, fiber_grams
+from ..quadform import FiberChunk, GramMatrix, common_zeros, fiber_classes
 from ..quadform import _linear_and_constant, _mod, quadratic_roots, quadric_points, restrict, zeros_on_span
+
+if TYPE_CHECKING:
+    from .reduction import ReducedFamily
 
 NET_FORMAT_VERSION = 1
 
@@ -70,10 +75,11 @@ class QuadricNet:
 
     def fibers(self, field: PrimeField) -> Iterator[FiberChunk]:
         """(base rows w, stack of fiber Grams M(w) mod p) for each chunk of
-        P^m(F_p), in canonical order, by the walk of `quadform.fiber_grams`."""
+        rows of P^m(F_p), in canonical order."""
         size = self.fiber_size
         mats = modmat.residues([mat.entries for mat in self.matrices], field).reshape(self.m + 1, -1)
-        return fiber_grams(self.m, field, lambda w: modmat.matmul_mod(w, mats, field.p).reshape(-1, size, size))
+        for w in projective_row_chunks(self.m, field):
+            yield w, modmat.matmul_mod(w, mats, field.p).reshape(-1, size, size)
 
     def to_document(self, point: Sequence[int] | None = None) -> dict:
         doc = {
@@ -90,6 +96,8 @@ class QuadricNet:
 
     @classmethod
     def from_document(cls, doc: dict) -> tuple["QuadricNet", tuple[int, ...] | None]:
+        if "format_version" in doc and json_int(doc["format_version"], "format_version") != NET_FORMAT_VERSION:
+            raise InputError(f"unsupported net format_version {doc['format_version']!r}, expected {NET_FORMAT_VERSION}")
         try:
             n = json_int(doc["n"], "n")
             m = json_int(doc["m"], "m")
@@ -102,14 +110,9 @@ class QuadricNet:
         mats = []
         for row_major in flat:
             if not isinstance(row_major, list) or len(row_major) != size * size:
-                raise InputError(
-                    f"each matrix must be a flat array of {size * size} integers"
-                )
-            rows = [
-                tuple(json_int(row_major[i * size + j], "matrix entry") for j in range(size))
-                for i in range(size)
-            ]
-            mats.append(GramMatrix(tuple(rows)))  # symmetry validated here
+                raise InputError(f"each matrix must be a flat array of {size * size} integers")
+            entries = tuple(json_int(x, "matrix entry") for x in row_major)
+            mats.append(GramMatrix(tuple(entries[i * size : (i + 1) * size] for i in range(size))))  # symmetry validated here
         point = doc.get("point")
         if point is not None:
             if not isinstance(point, list):
@@ -288,19 +291,19 @@ class RegularityReport:
 
 
 def regularity_check(net: QuadricNet, field: PrimeField, budget: int = 2_000_000) -> RegularityReport:
-    """Classify every fiber; the points of X on the kernel of a degenerate
-    fiber come from `quadform.zeros_on_span`, which raises BudgetExceededError
-    when the kernel's projective space has more than `budget` points."""
+    """The coranks of `fiber_table`; the degenerate fibers' kernels come from
+    one `modmat.kernel_stack` call and the points of X on them from
+    `quadform.zeros_on_span`, which raises BudgetExceededError when a
+    kernel's projective space has more than `budget` points."""
     size = net.fiber_size
-    violations: list[tuple[ProjPoint, ProjPoint]] = []
-    coranks = []
-    for rows, grams in net.fibers(field):
-        coranks.append(size - classify_stack(grams, field.p)[0])
-        degenerate = coranks[-1] > 0
-        for s, gram in zip(rows[degenerate].tolist(), grams[degenerate].tolist()):
-            kernel = modmat.kernel_basis(gram, size, field)
-            violations += [(tuple(s), tuple(u)) for u in zeros_on_span(net.matrices, kernel, field, budget).tolist()]
-    hist = dict(Counter(np.concatenate(coranks).tolist()))
+    rank, _, rows, grams = fiber_table(net, field)
+    _, kernels = modmat.kernel_stack(grams, field.p)
+    violations = [
+        (tuple(s), tuple(u))
+        for s, kernel in zip(rows.tolist(), kernels)
+        for u in zeros_on_span(net.matrices, kernel[kernel.any(axis=1)].tolist(), field, budget).tolist()
+    ]
+    hist = dict(Counter((size - rank).tolist()))
     return RegularityReport(
         p=field.p,
         regular=not violations,
@@ -337,4 +340,15 @@ def lines_through_point(
 def count_total_space(net: QuadricNet, field: PrimeField) -> int:
     """#Q(F_p): the fiber quadric counts summed over the base P^m(F_p), by
     the closed form on the fibers' ranks and signed characters."""
-    return quadric_points(net.fiber_size, *fiber_classes(net.fibers(field), field.p), field.p)
+    return quadric_points(net.fiber_size, *fiber_table(net, field)[:2], field.p)
+
+
+@functools.lru_cache(maxsize=2)  # a net and its reduction, the most any command reads at one prime
+def fiber_table(family: QuadricNet | ReducedFamily, field: PrimeField) -> tuple[np.ndarray, ...]:
+    """`quadform.fiber_classes` of the family's walk at p, shared by every
+    count at p, so its arrays are read-only.  An error of the walk
+    (DegenerateSectionError) is not cached: every call raises it again."""
+    table = fiber_classes(family.fibers(field), family.fiber_size, field.p)
+    for array in table:
+        array.flags.writeable = False
+    return table

@@ -56,10 +56,11 @@ from ..gfp import (
     PrimeField,
     legendre_character,
     projective_points_array,
+    projective_row_chunks,
     size_within_budget,
 )
 from ..mpoly import HomPoly, evaluate_on_array
-from ..quadform import FiberChunk, GramMatrix, common_zeros, double_cover_count, fiber_classes, fiber_grams
+from ..quadform import FiberChunk, GramMatrix, common_zeros, double_cover_count, fiber_classes
 from ..quadform import quadratic_roots
 
 CUBIC_VARS = 6
@@ -122,18 +123,17 @@ def cubic_fiber_grams(f: HomPoly) -> list[list[HomPoly]]:
 
 
 def _fiber_grams(entry_polys: Sequence[Sequence[HomPoly]], field: PrimeField) -> Iterator[FiberChunk]:
-    """(base rows, fiber Gram stack) for each chunk of P^2(F_p), in
-    canonical order, by the walk of `quadform.fiber_grams`: each entry
-    polynomial is evaluated once per chunk by `evaluate_on_array`."""
-    return fiber_grams(2, field, lambda rows: np.array(
-        [[evaluate_on_array(poly, rows, field) for poly in row] for row in entry_polys]
-    ).transpose(2, 0, 1))
+    """(base rows, fiber Gram stack) for each chunk of rows of P^2(F_p), in
+    canonical order: each entry polynomial is evaluated once per chunk by
+    `evaluate_on_array`."""
+    for rows in projective_row_chunks(2, field):
+        yield rows, np.array([[evaluate_on_array(poly, rows, field) for poly in row] for row in entry_polys]).transpose(2, 0, 1)
 
 
 def _double_cover_count(entry_polys: Sequence[Sequence[HomPoly]], field: PrimeField) -> tuple[int, bool]:
     """#Y(F_p) of a quadric fibration over P^2 given by its Gram entry
     polynomials, and whether some fiber has corank >= 2."""
-    rank, signed = fiber_classes(_fiber_grams(entry_polys, field), field.p)
+    rank, signed, _, _ = fiber_classes(_fiber_grams(entry_polys, field), len(entry_polys), field.p)
     return double_cover_count(len(entry_polys), rank, signed), bool((rank < len(entry_polys) - 1).any())
 
 

@@ -10,13 +10,14 @@ fixed by the echelon pivots of the given basis of U, and the lift of v'
 puts zeros in the pivot slots.  Any other splitting gives fiberwise
 congruent forms, so determinism wins.
 
-Every count here reads the fibers' ranks and signed characters from one
-`quadform.classify_stack` call per chunk of base points.  The determinant
-double cover of an even-sized family counts 1 + chi((-1)^(N/2) det M(w)) per
-fiber at the canonical representative; the degree of the signed determinant
-is even, so the value does not depend on the representative.  The sign
-matches the signed discriminant of `quadform`, which is what makes the cover
-count agree between a family and its hyperbolic reduction.
+Every count here reads the fibers' ranks and signed characters from
+`family.fiber_table`, the one walk and classification of a family per
+prime.  The determinant double cover of an even-sized family counts
+1 + chi((-1)^(N/2) det M(w)) per fiber at the canonical representative; the
+degree of the signed determinant is even, so the value does not depend on
+the representative.  The sign matches the signed discriminant of
+`quadform`, which is what makes the cover count agree between a family and
+its hyperbolic reduction.
 """
 
 from __future__ import annotations
@@ -29,10 +30,10 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from ..errors import DegenerateSectionError, InputError
-from ..gfp import PrimeField, enumerate_projective, projective_size
+from ..gfp import PrimeField, enumerate_projective, projective_row_chunks, projective_size
 from .. import modmat
-from ..quadform import FiberChunk, GramMatrix, double_cover_count, fiber_classes, fiber_grams, quadric_points, restrict
-from .family import QuadricNet
+from ..quadform import FiberChunk, GramMatrix, double_cover_count, quadric_points, restrict
+from .family import QuadricNet, fiber_table
 
 REDUCED_FORMAT_VERSION = 1
 
@@ -103,7 +104,7 @@ class ReducedFamily:
             bases = kernels[kernels.any(axis=2)].reshape(len(rows), self.fiber_size, cols)
             return restrict(modmat.matmul_mod(rows, quad, p).reshape(-1, cols, cols), bases, p)
 
-        return fiber_grams(self.m, field, grams)
+        return ((rows, grams(rows)) for rows in projective_row_chunks(self.m, field))
 
     def check_basis_mod_p(self, field: PrimeField) -> None:
         """The subspace U must stay (k+1)-dimensional mod p for the model
@@ -152,10 +153,8 @@ def _echelon_integer_basis(vectors: Sequence[Sequence[int]]) -> tuple[list[list[
     for row in rows[:r]:
         denom = lcm(*(x.denominator for x in row))
         ints = [int(x * denom) for x in row]
-        g = 0
-        for x in ints:
-            g = gcd(g, x)
-        out.append([x // g for x in ints] if g > 1 else ints)
+        g = gcd(*ints)
+        out.append([x // g for x in ints])
     return out, pivots
 
 
@@ -175,13 +174,8 @@ def hyperbolic_reduce_family(
     k = len(vectors) - 1
     if net.n - 2 * k - 2 < 0:
         raise InputError(f"subspace of dimension {k + 1} is too large for n={net.n}")
-    for mat in net.matrices:
-        for a in range(k + 1):
-            for b in range(a, k + 1):
-                if mat.b(vectors[a], vectors[b]) != 0:
-                    raise InputError(
-                        "basis is not isotropic for the whole net (exact check over Z)"
-                    )
+    if any(mat.b(u, v) for mat in net.matrices for u in vectors for v in vectors):
+        raise InputError("basis is not isotropic for the whole net (exact check over Z)")
     rows, pivots = _echelon_integer_basis(vectors)
     nonpivots = [c for c in range(size) if c not in pivots]
     bilinear = tuple(
@@ -220,7 +214,7 @@ def count_reduced_family(red: ReducedFamily, field: PrimeField) -> int:
     subspace where the bilinear conditions vanish; its count comes from the
     validated closed form.
     """
-    return quadric_points(red.fiber_size, *fiber_classes(red.fibers(field), field.p), field.p)
+    return quadric_points(red.fiber_size, *fiber_table(red, field)[:2], field.p)
 
 
 def count_reduced_family_dual(red: ReducedFamily, field: PrimeField) -> int:
@@ -253,4 +247,4 @@ def count_reduced_family_dual(red: ReducedFamily, field: PrimeField) -> int:
 def count_double_cover(family: QuadricNet | ReducedFamily, field: PrimeField) -> int:
     """#Y(F_p) for the determinant double cover of an even-sized family:
     `quadform.double_cover_count` on the fibers' ranks and signed characters."""
-    return double_cover_count(family.fiber_size, *fiber_classes(family.fibers(field), field.p))
+    return double_cover_count(family.fiber_size, *fiber_table(family, field)[:2])

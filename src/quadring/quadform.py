@@ -1,7 +1,7 @@
 """Quadratic forms over F_p (p odd): rank and signed discriminant of a whole
 stack of Gram matrices at once, the point and double-cover counts read from
 them, common zeros (on a subspace too), restriction to a subspace, and
-the chunked fiber walk.
+the classification of a chunked fiber walk.
 
 Conventions.  A form is held by its symmetric Gram matrix M with
 q(v) = v^T M v and polar form b(u, v) = u^T M v; this is well defined since
@@ -35,13 +35,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import modmat
 from .errors import InputError
-from .gfp import PrimeField, projective_row_chunks, scan_projective, size_within_budget
+from .gfp import PrimeField, scan_projective, size_within_budget
 
 
 @dataclass(frozen=True)
@@ -91,19 +91,6 @@ class GramMatrix:
             for j in range(self.size)
         )
         return total % field.p if field is not None else total
-
-
-@dataclass(frozen=True)
-class FormInvariants:
-    """Rank, corank and signed discriminant character of a form over F_p.
-
-    signed_disc_character is +1/-1 for even rank and 0 for odd rank, where
-    it carries no counting information and is left unused.
-    """
-
-    rank: int
-    corank: int
-    signed_disc_character: int
 
 
 def classify_stack(grams: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -157,20 +144,21 @@ def classify_stack(grams: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     return rank, np.where(rank % 2 == 0, signed[where], 0)
 
 
-def classify(matrix: GramMatrix, field: PrimeField) -> FormInvariants:
-    """Rank, corank, and (for even rank) the signed discriminant character:
+def classify(matrix: GramMatrix, field: PrimeField) -> tuple[int, int]:
+    """Rank and signed discriminant character (0 at odd rank) of one form:
     `classify_stack` on a stack of one."""
-    rank, signed = (int(a[0]) for a in classify_stack(modmat.residues([matrix.entries], field), field.p))
-    return FormInvariants(rank=rank, corank=matrix.size - rank, signed_disc_character=signed)
+    return tuple(int(a[0]) for a in classify_stack(modmat.residues([matrix.entries], field), field.p))
 
 
 def quadric_points(size: int, rank: np.ndarray, signed: np.ndarray, p: int) -> int:
     """The sum of #{q = 0 in P^(size-1)(F_p)} over forms on `size`
     variables with the ranks and signed characters of `classify_stack`: the
-    closed form once per distinct (rank, signed) pair, in Python ints."""
-    pairs, counts = np.unique(np.stack((rank, signed)), axis=1, return_counts=True)
+    closed form once per distinct (rank, signed) pair, in Python ints.  A
+    pair is keyed as 3 rank + signed + 1: a 1-d unique sorts far faster."""
+    keys, counts = np.unique(3 * rank + signed + 1, return_counts=True)
     total = 0
-    for (r, eps), count in zip(pairs.T.tolist(), counts.tolist()):
+    for key, count in zip(keys.tolist(), counts.tolist()):
+        r, eps = key // 3, key % 3 - 1
         nondeg, c = 0, size - r  # rank 0: a form on no variables has no zeros
         if r > 0:
             nondeg = (p ** (r - 1) - 1) // (p - 1)
@@ -394,15 +382,12 @@ def restrict(grams: np.ndarray, bases: np.ndarray, p: int) -> np.ndarray:
 FiberChunk = tuple[np.ndarray, np.ndarray]
 
 
-def fiber_grams(m: int, field: PrimeField, grams: Callable[[np.ndarray], np.ndarray]) -> Iterator[FiberChunk]:
-    """(rows, grams(rows)) for each chunk of rows of P^m(F_p), in canonical
-    order: grams(rows) is the stack (k, N, N) of fiber Grams over k rows."""
-    for rows in projective_row_chunks(m, field):
-        yield rows, grams(rows)
-
-
-def fiber_classes(chunks: Iterable[FiberChunk], p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rank and signed character of every fiber of a walk, in walk order:
-    one `classify_stack` call per chunk."""
-    ranks, signs = zip(*(classify_stack(grams, p) for _, grams in chunks))
-    return np.concatenate(ranks), np.concatenate(signs)
+def fiber_classes(chunks: Iterable[FiberChunk], size: int, p: int) -> tuple[np.ndarray, ...]:
+    """The rank and signed character of every fiber of a walk, in walk order,
+    from one `classify_stack` call per (base rows, Gram stack) chunk, and the
+    base rows and Grams of the fibers whose rank is below `size`."""
+    parts = []
+    for base, stack in chunks:
+        rank, signed = classify_stack(stack, p)
+        parts.append((rank, signed, base[rank < size], stack[rank < size]))
+    return tuple(np.concatenate(part) for part in zip(*parts))

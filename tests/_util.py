@@ -78,7 +78,7 @@ def hyperbolic_reduce_at_vector(matrix: GramMatrix, v, field: PrimeField) -> Gra
 def corank_histogram_reduced(red, field: PrimeField) -> dict[int, int]:
     """Corank histogram of a reduced family's fibers; matches the original
     net's `regularity_check` histogram."""
-    rank, _ = fiber_classes(red.fibers(field), field.p)
+    rank, *_ = fiber_classes(red.fibers(field), red.fiber_size, field.p)
     return dict(Counter((red.fiber_size - rank).tolist()))
 
 

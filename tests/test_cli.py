@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quadring.cli import main
 from quadring.netfib import QuadricNet
@@ -475,6 +478,96 @@ def test_reduce_degenerate_section_exits_two(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err == "error: section degenerates over base point (1, 0) at p=5\n"
+
+
+@pytest.mark.parametrize("command", ["count", "reduce"])
+@pytest.mark.parametrize("version", [99, True, "1"])
+def test_net_with_unknown_format_version_exits_two(capsys, tmp_path, command, version):
+    doc = json.loads((GOLDEN / "net.json").read_text())
+    doc["format_version"] = version
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, command, "--net", str(path), "--primes", "3")
+    assert code == 2 and out == ""
+    assert "format_version" in err
+
+
+def test_net_without_format_version_is_accepted(capsys, tmp_path):
+    doc = json.loads((GOLDEN / "net.json").read_text())
+    del doc["format_version"]
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "count", "--net", str(path), "--primes", "3,5,7,11,13", "--format", "json")
+    assert code == 0
+    assert out == (GOLDEN / "count.stdout").read_text(encoding="utf-8")
+
+
+# JSON values of every kind a net document must reject where it wants an
+# integer, a list of integers or a list of matrices
+_JUNK = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.floats(),
+        st.text(max_size=2),
+        st.integers(-3, 40),
+        st.integers(-(2**80), 2**80),
+    ),
+    lambda inner: st.lists(inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _malformed_net_documents(draw) -> dict:
+    """A valid net of shape (2, 1) or (4, 2) through e0, with entries in
+    [-3, 3], then up to three edits: a key dropped or replaced by junk, one
+    matrix entry, one matrix or the point replaced by junk, or a list cut
+    short.  Every list stays short, so a document that still parses is a
+    net with m <= 3 and n <= 4 and its counts at p = 3 are instant."""
+    n, m = draw(st.sampled_from([(2, 1), (4, 2)]))
+    size = n + 2
+    mats = []
+    for _ in range(m + 1):
+        upper = draw(st.lists(st.integers(-3, 3), min_size=size * size, max_size=size * size))
+        mats.append([0 if i == j == 0 else upper[min(i, j) * size + max(i, j)] for i in range(size) for j in range(size)])
+    doc = {"format_version": 1, "n": n, "m": m, "matrices": mats, "point": [1] + [0] * (size - 1)}
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["drop", "key", "entry", "matrix", "point", "cut"]))
+        key = draw(st.sampled_from(sorted(doc)))
+        if edit == "drop":
+            del doc[key]
+        elif edit == "key":
+            doc[key] = draw(_JUNK)
+        elif edit == "entry" and isinstance(doc.get("matrices"), list) and doc["matrices"]:
+            mat = draw(st.sampled_from(doc["matrices"]))
+            if isinstance(mat, list) and mat:
+                mat[draw(st.integers(0, len(mat) - 1))] = draw(_JUNK)
+        elif edit == "matrix" and isinstance(doc.get("matrices"), list) and doc["matrices"]:
+            doc["matrices"][draw(st.integers(0, len(doc["matrices"]) - 1))] = draw(_JUNK)
+        elif edit == "point":
+            doc["point"] = draw(_JUNK)
+        elif edit == "cut" and isinstance(doc[key], list) and doc[key]:
+            doc[key] = doc[key][: draw(st.integers(0, len(doc[key]) - 1))]
+    return doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "net.json"
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(doc=_malformed_net_documents())
+def test_malformed_net_documents_exit_with_a_code(fuzz_path, doc):
+    # bounded by the documents' size and p = 3, not by a clock
+    fuzz_path.write_text(json.dumps(doc))
+    for command in ("count", "reduce"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--net", str(fuzz_path), "--primes", "3"])
+        assert code in (0, 1, 2, 3)
+        assert code in (0, 1) or out.getvalue() == ""
 
 
 def test_cubic_command(capsys, tmp_path):

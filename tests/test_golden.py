@@ -60,3 +60,13 @@ def test_skipped_and_flagged_count_output_is_unchanged(capsys, net, fmt):
 def test_disc_text_output_is_unchanged(capsys):
     assert cli_main(["disc", "--range", "1..300"]) == 0
     assert capsys.readouterr().out == (GOLDEN / "disc.text.stdout").read_text(encoding="utf-8")
+
+
+def test_counts_of_two_nets_in_one_process_keep_their_golden_output(capsys):
+    # the fiber tables are cached per family and prime: counting one net must
+    # not leave its tables to another net counted at the same primes
+    cases = (("net.json", 0, "count.stdout"), ("net_plane_pair.json", 1, "count_plane_pair.json.stdout"))
+    for net, code, golden in cases + cases[:1]:
+        argv = ["count", "--net", str(GOLDEN / net), "--primes", "3,5,7,11,13", "--format", "json"]
+        assert cli_main(argv) == code
+        assert capsys.readouterr().out == (GOLDEN / golden).read_text(encoding="utf-8")

@@ -7,16 +7,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadring import modmat
+from quadring import modmat, quadform
+from quadring.cli import main
 from quadring.errors import BudgetExceededError, DegenerateSectionError, InputError
 from quadring.gfp import (
+    WALK_ROWS,
     PrimeField,
     canonical_point,
     enumerate_projective,
     projective_points_array,
     projective_size,
 )
-from quadring.quadform import GramMatrix, classify, fiber_classes
+from quadring.quadform import GramMatrix, classify, fiber_classes, zeros_on_span
+from quadring.netfib import family
 from quadring.netfib.family import proportional_zeros
 from quadring.netfib import (
     QuadricNet,
@@ -163,9 +166,7 @@ def test_fiber_classification_representative_independent():
             ]
             for i in range(4)
         ]
-        inv_scaled = classify(GramMatrix.from_rows(scaled), F7)
-        inv = classify(_fiber_at(PENCIL, (1, 1), F7), F7)
-        assert (inv_scaled.rank, inv_scaled.corank) == (inv.rank, inv.corank)
+        assert classify(GramMatrix.from_rows(scaled), F7)[0] == classify(_fiber_at(PENCIL, (1, 1), F7), F7)[0]
 
 
 def test_pencil_stratification_over_f7():
@@ -479,8 +480,8 @@ def test_reduce_family_rejects_non_isotropic():
 def test_reduced_fiber_corank_matches_net(accepted_net):
     net, point = accepted_net.net, accepted_net.point
     red = hyperbolic_reduce_family(net, [list(point)])
-    net_rank, _ = fiber_classes(net.fibers(F5), 5)
-    red_rank, _ = fiber_classes(red.fibers(F5), 5)
+    net_rank, *_ = fiber_classes(net.fibers(F5), net.fiber_size, 5)
+    red_rank, *_ = fiber_classes(red.fibers(F5), red.fiber_size, 5)
     assert np.array_equal(net.fiber_size - net_rank, red.fiber_size - red_rank)
 
 
@@ -622,10 +623,63 @@ def test_reduced_family_counts_call_no_kernel_basis(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(modmat, "kernel_basis", counting)
+    family.fiber_table.cache_clear()  # a cached table would skip the walk
     field = PrimeField(53)
     assert count_reduced_family(red, field) == 8202016
     assert count_double_cover(red, field) == 2962
     assert calls == []
+
+
+@pytest.mark.parametrize("command", ["count", "reduce"])
+def test_each_family_is_classified_once_per_chunk(capsys, monkeypatch, command):
+    # regularity, Q, Y and Qbar (count), or Qbar and both Y (reduce), read one
+    # table per family: #P^2(F_23) = 553 base points are three chunks of
+    # WALK_ROWS, so the net and its reduction take six calls in all
+    calls = []
+    original = quadform.classify_stack
+
+    def counting(grams, p):
+        calls.append(len(grams))
+        return original(grams, p)
+
+    monkeypatch.setattr(quadform, "classify_stack", counting)
+    family.fiber_table.cache_clear()
+    assert main([command, "--net", str(GOLDEN / "net.json"), "--primes", "23"]) == 0
+    assert "SKIPPED" not in capsys.readouterr().out
+    assert len(calls) == 2 * math.ceil(projective_size(2, 23) / WALK_ROWS)
+    assert sum(calls) == 2 * projective_size(2, 23)
+
+
+def test_regularity_check_takes_the_kernels_from_one_elimination(monkeypatch):
+    # the plane-pair net has rational regularity violations at p = 3; the
+    # batched kernels give the same violations, in the same order, as one
+    # `kernel_basis` per degenerate fiber in walk order
+    net, _ = load_net(str(GOLDEN / "net_plane_pair.json"))
+    expected = [
+        (s, u)
+        for rows, grams in net.fibers(F3)
+        for s, gram in zip(map(tuple, rows.tolist()), grams.tolist())
+        if modmat.rank_mod(gram, net.fiber_size, F3) < net.fiber_size
+        for u in map(tuple, zeros_on_span(net.matrices, modmat.kernel_basis(gram, net.fiber_size, F3), F3).tolist())
+    ]
+
+    def no_kernel_basis(*args):
+        raise AssertionError("regularity_check called kernel_basis")
+
+    monkeypatch.setattr(modmat, "kernel_basis", no_kernel_basis)
+    family.fiber_table.cache_clear()
+    report = regularity_check(net, F3)
+    assert expected and list(report.violations) == expected
+
+
+def test_fiber_table_is_read_only():
+    net, _ = load_net(str(GOLDEN / "net.json"))
+    table = family.fiber_table(net, F7)
+    assert len(table[2]) == len(table[3]) == int((table[0] < net.fiber_size).sum()) > 0
+    for array in table:
+        with pytest.raises(ValueError):
+            array[0] = 0
+    assert family.fiber_table(net, PrimeField(7)) is table
 
 
 def test_line_reduction_count_shadow():
@@ -682,7 +736,7 @@ def test_total_space_all_split_fibers():
         m0 = random_symmetric(rng, 4, p=5)
         m1 = random_symmetric(rng, 4, p=5)
         net = QuadricNet(n=2, m=1, matrices=(m0, m1))
-        rank, signed = fiber_classes(net.fibers(field), p)
+        rank, signed, _, _ = fiber_classes(net.fibers(field), 4, p)
         if (rank == 4).all() and (signed == 1).all():
             break
     expected_fiber = p**2 + p + 1 + p  # split quadric surface (p+1)^2
