@@ -22,7 +22,7 @@ import sys
 from typing import TYPE_CHECKING, Sequence
 
 from . import grothring, nslattice
-from .errors import BudgetExceededError, DegenerateSectionError, InputError, json_int
+from .errors import BudgetExceededError, DegenerateSectionError, InputError, json_int, load_json_object
 
 if TYPE_CHECKING:
     from .mpoly import HomPoly
@@ -76,23 +76,12 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _load_json(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise InputError(f"{path} does not hold a JSON object")
-    return doc
-
-
 def load_cubic_form(path: str) -> HomPoly:
     """Cubic form file: {"num_vars": 6, "degree": 3, "terms": [[[e...], c]]};
     the coefficients of repeated monomials add up."""
     from .mpoly import HomPoly
 
-    doc = _load_json(path)
+    doc = load_json_object(path, "form file")
     try:
         nv = json_int(doc["num_vars"], "num_vars")
         deg = json_int(doc["degree"], "degree")
@@ -110,7 +99,7 @@ def load_verra_form(path: str) -> HomPoly:
     the coefficient multiplying s_i s_j t_k t_l."""
     from .mpoly import HomPoly
 
-    doc = _load_json(path)
+    doc = load_json_object(path, "form file")
     tensor = doc.get("tensor")
     if not isinstance(tensor, list) or len(tensor) != 81:
         raise InputError(f"form file {path} needs an 81-entry 'tensor' array")
@@ -185,11 +174,11 @@ def _report_line(rep: CountReport) -> str:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    from .netfib import load_net, verify_relations
+    from .netfib import SUPPORTED_SHAPES, load_net, verify_relations
 
     net, file_point = load_net(args.net)
     point = _parse_point(args.point) if args.point else file_point
-    if point is None:
+    if point is None and (net.n, net.m) in SUPPORTED_SHAPES:  # verify_relations rejects the others
         point = _find_integral_point(net)
     primes = _parse_primes(args.primes)
     budget, jobs = _at_least_one(args.budget, "--budget"), _at_least_one(args.jobs, "--jobs")

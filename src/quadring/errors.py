@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and the integer check of
-JSON input."""
+"""Exception types shared across the package, and the reader and integer
+check of JSON input."""
+
+import json
 
 
 class InputError(ValueError):
@@ -23,3 +25,17 @@ def json_int(value: object, what: str) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise InputError(f"{what} must be an integer, got {value!r}")
+
+
+def load_json_object(path: str, what: str) -> dict:
+    """The JSON object in the file at `path`.  A file that cannot be read
+    or decoded, or holds anything but an object, is an InputError naming
+    `what`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise InputError(f"cannot read {what} {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InputError(f"{what} {path} does not hold a JSON object")
+    return doc

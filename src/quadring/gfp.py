@@ -1,15 +1,21 @@
 """Arithmetic in prime fields F_p (p odd) and canonical enumeration of P^n(F_p).
 
 Field elements are plain Python ints in 0..p-1 with explicit modular
-reduction everywhere; there is no lazy reduction.  A projective point is a
-tuple of field elements in canonical form: not all zero, and the leftmost
-nonzero coordinate equal to 1.  The canonical points of P^n(F_p) carry a
-fixed total order, generated only by :func:`projective_points_array`, and
-every enumeration and zero scan in the package walks them in that order,
-which makes results independent of how the index range is split up.
-Points found in another order (the X count by projection walks an
-adapted basis) are put in it by :func:`canonical_rows`, which sorts on
-the same key: pivot position, then the coordinates.
+reduction everywhere; there is no lazy reduction.  The quadratic
+character, inverses and square roots of F_p are scalar functions
+(v, p) -> int, the package's only modular powers; :func:`lookup` applies
+one to a whole int64 array, reading a table of F_p shared by every caller
+for p up to TABLE_PRIMES and evaluating each distinct entry past it.
+
+A projective point is a tuple of field elements in canonical form: not all
+zero, and the leftmost nonzero coordinate equal to 1.  The canonical points
+of P^n(F_p) carry a fixed total order, generated only by
+:func:`projective_points_array`, and every enumeration and zero scan in the
+package walks them in that order, which makes results independent of how
+the index range is split up.  Points found in another order (the X count
+by projection walks an adapted basis) are put in it by
+:func:`canonical_rows`, which sorts on the same key: pivot position, then
+the coordinates.
 
 Zero scans walk P^n (n >= 2) as (P^(n-2) x F_p^2) followed by
 ({0}^(n-1) x P^1): a point with a nonzero prefix h = (x_0..x_(n-2)) is the
@@ -27,6 +33,7 @@ Everything here is immutable and pure, hence safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -49,6 +56,11 @@ CHUNK_ROWS = 1 << 16
 # (`enumerate_projective`, the fiber walk): 2^10 rows raised the fiber
 # layers' peak RSS at p = 41, 53 by 1 MB, with no gain in time.
 WALK_ROWS = 1 << 8
+
+# Largest p whose F_p functions (`character`, `inverse`, `square_root`) are
+# tabulated once for all of F_p (`_table`); past it `lookup` evaluates each
+# call's distinct values only.
+TABLE_PRIMES = 1 << 12
 
 
 def _is_prime(p: int) -> bool:
@@ -78,21 +90,56 @@ class PrimeField:
         if self.p % 2 == 0 or not _is_prime(self.p):
             raise ValueError(f"not an odd prime: {self.p}")
 
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError(f"0 is not invertible mod {self.p}")
-        return pow(a, self.p - 2, self.p)
 
-
-def legendre_character(a: int, field: PrimeField) -> int:
-    """Quadratic character of a mod p: 0 for 0, 1 for squares, -1 otherwise.
-
-    Computed by Euler's criterion a^((p-1)/2) mod p.
-    """
-    p = field.p
-    r = pow(a % p, (p - 1) // 2, p)
+def character(v: int, p: int) -> int:
+    """The quadratic character of v mod p: 0 at 0, 1 on squares and -1
+    otherwise, by Euler's criterion v^((p-1)/2)."""
+    r = pow(v, (p - 1) // 2, p)
     return -1 if r == p - 1 else r
+
+
+def inverse(v: int, p: int) -> int:
+    """The inverse of v mod p, and 0 at 0."""
+    return pow(v, p - 2, p)
+
+
+def square_root(v: int, p: int) -> int:
+    """A square root of the residue v mod p, or -1 when v is not a square:
+    Euler's criterion, then Tonelli-Shanks."""
+    if v == 0:
+        return 0
+    if character(v, p) != 1:
+        return -1
+    q, m = p - 1, 0
+    while q % 2 == 0:
+        q, m = q // 2, m + 1
+    z = next(z for z in range(2, p) if character(z, p) == -1)
+    c, t, r = pow(z, q, p), pow(v, q, p), pow(v, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
+@functools.lru_cache(maxsize=64)
+def _table(fn: Callable[[int, int], int], p: int) -> np.ndarray:
+    """fn(v, p) for every v in F_p, read-only since every caller shares it."""
+    table = np.array([fn(v, p) for v in range(p)], dtype=np.int64)
+    table.flags.writeable = False
+    return table
+
+
+def lookup(fn: Callable[[int, int], int], values: np.ndarray, p: int) -> np.ndarray:
+    """fn(v, p) at every entry of an int64 residue array, in an array of
+    its shape: read from one table of F_p for p up to TABLE_PRIMES, and
+    past it evaluated once per distinct entry."""
+    if p <= TABLE_PRIMES:
+        return _table(fn, p)[values]
+    distinct, where = np.unique(values, return_inverse=True)
+    return np.array([fn(v, p) for v in distinct.tolist()], dtype=np.int64)[where.reshape(values.shape)]
 
 
 def projective_size(n: int, p: int) -> int:
@@ -112,7 +159,7 @@ def canonical_point(coords: Sequence[int], field: PrimeField) -> ProjPoint:
     reduced = [c % p for c in coords]
     for c in reduced:
         if c != 0:
-            s = field.inv(c)
+            s = inverse(c, p)
             return tuple(x * s % p for x in reduced)
     raise ValueError("zero vector does not define a projective point")
 
@@ -121,9 +168,7 @@ def canonical_rows(rows: np.ndarray, p: int) -> np.ndarray:
     """Nonzero int64 rows of residues as canonical points, each scaled so
     that its leftmost nonzero entry is 1, sorted in the canonical order."""
     lead = (rows != 0).argmax(axis=1)
-    values, where = np.unique(rows[np.arange(len(rows)), lead], return_inverse=True)
-    inverses = np.array([pow(v, p - 2, p) for v in values.tolist()], dtype=np.int64)
-    rows = rows * inverses[where.ravel(), None] % p
+    rows = rows * lookup(inverse, rows[np.arange(len(rows)), lead], p)[:, None] % p
     return rows[np.lexsort(np.vstack((rows.T[::-1], lead)))]
 
 

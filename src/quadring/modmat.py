@@ -3,9 +3,9 @@
 The row routines take sequences of row sequences of ints and return plain
 lists; pivoting is deterministic (first nonzero entry in scan order), so
 every caller gets reproducible bases.  `kernel_stack` runs the same
-elimination on a whole stack of int64 matrices at once.  Integers enter
-int64 arrays only through `residues`, and `matmul_mod` multiplies such
-arrays exactly.
+elimination on a whole stack of int64 matrices at once, with its pivots'
+inverses read through `gfp.lookup`.  Integers enter int64 arrays only
+through `residues`, and `matmul_mod` multiplies such arrays exactly.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gfp import PrimeField
+from .gfp import PrimeField, inverse, lookup
 
 IntRows = Sequence[Sequence[int]]
 
@@ -30,7 +30,7 @@ def row_reduce(rows: IntRows, ncols: int, field: PrimeField) -> tuple[list[list[
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
-        inv = pow(mat[r][c], p - 2, p)
+        inv = inverse(mat[r][c], p)
         mat[r] = [x * inv % p for x in mat[r]]
         for i in range(len(mat)):
             if i != r and mat[i][c] != 0:
@@ -81,25 +81,12 @@ def det_mod(rows: IntRows, field: PrimeField) -> int:
             mat[c], mat[piv] = mat[piv], mat[c]
             det = -det % p
         det = det * mat[c][c] % p
-        inv = pow(mat[c][c], p - 2, p)
+        inv = inverse(mat[c][c], p)
         for i in range(c + 1, n):
             if mat[i][c] != 0:
                 f = mat[i][c] * inv % p
                 mat[i] = [(x - f * y) % p for x, y in zip(mat[i], mat[c])]
     return det
-
-
-def _inverse(values: np.ndarray, p: int) -> np.ndarray:
-    """values^(p-2) mod p elementwise, by square and multiply: the inverse
-    of every nonzero residue.  Each product is of two residues, exact for
-    p < 2^31."""
-    out, base, e = np.ones_like(values), values % p, p - 2
-    while e:
-        if e & 1:
-            out = out * base % p
-        base = base * base % p
-        e >>= 1
-    return out
 
 
 def kernel_stack(mats: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -127,7 +114,7 @@ def kernel_stack(mats: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
         at, to = nonzero[hit].argmax(axis=1), rank[hit]
         top, swapped = a[hit, at], a[hit, to]
         a[hit, at] = swapped
-        top = top * _inverse(top[:, c], p)[:, None] % p
+        top = top * lookup(inverse, top[:, c], p)[:, None] % p
         sub = (a[hit] - a[hit, :, c, None] * top[:, None, :]) % p
         sub[np.arange(len(hit)), to] = top
         a[hit] = sub

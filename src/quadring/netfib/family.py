@@ -28,14 +28,13 @@ to `budget` for that subspace only.
 from __future__ import annotations
 
 import functools
-import json
 from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
-from ..errors import InputError, json_int
+from ..errors import InputError, json_int, load_json_object
 from ..gfp import PrimeField, ProjPoint, canonical_point, canonical_rows, projective_row_chunks, scan_projective
 from .. import modmat
 from ..quadform import FiberChunk, GramMatrix, common_zeros, fiber_classes
@@ -124,14 +123,7 @@ class QuadricNet:
 
 
 def load_net(path: str) -> tuple[QuadricNet, tuple[int, ...] | None]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read net file {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise InputError("net file does not hold a JSON object")
-    return QuadricNet.from_document(doc)
+    return QuadricNet.from_document(load_json_object(path, "net file"))
 
 
 def points_on_X(

@@ -54,7 +54,8 @@ from ..grothring import GRExpr, derive
 from ..gfp import (
     CHUNK_ROWS,
     PrimeField,
-    legendre_character,
+    character,
+    lookup,
     projective_points_array,
     projective_row_chunks,
     size_within_budget,
@@ -311,10 +312,10 @@ def _verra_x_count(g: HomPoly, field: PrimeField) -> int:
     for exps, c in g.terms.items():
         coeffs[index[exps[:3]]][index[exps[3:]]] = c
     left = modmat.matmul_mod(mono, modmat.residues(coeffs, field), p)
-    chi = np.array([legendre_character(a, field) for a in range(p)])
     step = max(1, CHUNK_ROWS // len(plane))
     return len(plane) ** 2 + sum(
-        int(chi[modmat.matmul_mod(left[lo : lo + step], mono.T, p)].sum()) for lo in range(0, len(plane), step)
+        int(lookup(character, modmat.matmul_mod(left[lo : lo + step], mono.T, p), p).sum())
+        for lo in range(0, len(plane), step)
     )
 
 

@@ -24,24 +24,23 @@ trusts it.
 
 Common zeros.  `common_zeros` never walks all of P^(N-1): in its last
 coordinate t a form is a t^2 + 2 b(u) t + c(u), so it walks u over P^(N-2)
-and solves for t (`quadratic_roots`: square roots and inverses from tables
-of F_p), which costs O(p^(N-2)) array work and is what `--budget` is charged
-for.  For N = 2 the walk is the one point of P^0, and its quadratic is
-solved on scalars.  The full scan of P^(N-1) is kept only as the tests'
+and solves for t (`quadratic_roots`: square roots and inverses read
+through `gfp.lookup`), which costs O(p^(N-2)) array work and is what
+`--budget` is charged for.  For N = 2 the walk is the one point of P^0, and
+its quadratic is solved on scalars.  The full scan of P^(N-1) is kept only as the tests'
 oracle.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import modmat
 from .errors import InputError
-from .gfp import PrimeField, scan_projective, size_within_budget
+from .gfp import PrimeField, character, inverse, lookup, scan_projective, size_within_budget, square_root
 
 
 @dataclass(frozen=True)
@@ -137,11 +136,9 @@ def classify_stack(grams: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
         b = (d[:, None, None] * b[:, 1:, 1:] - col[:, :, None] * col[:, None, :]) % p * d[:, None, None] % p
         rank += active
         det = np.where(active, det * d % p, det)
-    # chi((-1)^(r/2) det) by Euler's criterion, once per distinct value; the
-    # product of the pivots is never 0
-    values, where = np.unique(np.where(rank // 2 % 2 == 1, p - det, det), return_inverse=True)
-    signed = np.array([1 if pow(v, (p - 1) // 2, p) == 1 else -1 for v in values.tolist()], dtype=np.int64)
-    return rank, np.where(rank % 2 == 0, signed[where], 0)
+    # chi((-1)^(r/2) det); the product of the pivots is never 0
+    signed = lookup(character, np.where(rank // 2 % 2 == 1, p - det, det), p)
+    return rank, np.where(rank % 2 == 0, signed, 0)
 
 
 def classify(matrix: GramMatrix, field: PrimeField) -> tuple[int, int]:
@@ -187,53 +184,6 @@ def double_cover_count(size: int, rank: np.ndarray, signed: np.ndarray) -> int:
     return len(rank) + int(signed[rank == size].sum())
 
 
-# Largest p whose square roots and inverses are tabulated once for all of
-# F_p (`_table`); past it each block solves for its distinct values only.
-TABLE_PRIMES = 1 << 12
-
-
-def _sqrt_mod(v: int, p: int) -> int:
-    """A square root of v mod p, or -1 when v is not a square: Euler's
-    criterion, then Tonelli-Shanks."""
-    if v == 0:
-        return 0
-    if pow(v, (p - 1) // 2, p) != 1:
-        return -1
-    q, m = p - 1, 0
-    while q % 2 == 0:
-        q, m = q // 2, m + 1
-    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
-    c, t, r = pow(z, q, p), pow(v, q, p), pow(v, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2, i = t2 * t2 % p, i + 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
-    return r
-
-
-def _inverse_mod(v: int, p: int) -> int:
-    """The inverse of v mod p, and 0 at 0."""
-    return pow(v, p - 2, p)
-
-
-@functools.lru_cache(maxsize=64)
-def _table(fn: Callable[[int, int], int], p: int) -> np.ndarray:
-    """fn(v, p) for every v in F_p, read-only since every caller shares it."""
-    table = np.array([fn(v, p) for v in range(p)], dtype=np.int64)
-    table.flags.writeable = False
-    return table
-
-
-def _lookup(fn: Callable[[int, int], int], values: np.ndarray, p: int) -> np.ndarray:
-    """fn(v, p) at every entry of a flat residue array."""
-    if p <= TABLE_PRIMES:
-        return _table(fn, p)[values]
-    distinct, where = np.unique(values, return_inverse=True)
-    return np.array([fn(v, p) for v in distinct.tolist()], dtype=np.int64)[where]
-
-
 def _mod(x: np.ndarray, p: int) -> np.ndarray:
     """x mod p for an int64 array, as x - (x // p) p: numpy divides by a
     scalar about twice as fast as it takes the remainder."""
@@ -247,11 +197,11 @@ def _root_runs(a: np.ndarray, b: np.ndarray, c: np.ndarray, p: int) -> tuple[np.
     smallest root, the step to the next and the number of roots.  Its own
     function so that its temporaries are freed before the roots are
     expanded, where a scan block's memory peaks."""
-    r = _lookup(_sqrt_mod, _mod(b * b + (p - a) * c, p), p)  # b^2 where a = 0
+    r = lookup(square_root, _mod(b * b + (p - a) * c, p), p)  # b^2 where a = 0
     cells = np.flatnonzero(np.where(a != 0, r >= 0, (b != 0) | (c == 0)))
     a, b, c, r = a[cells], b[cells], c[cells], r[cells]
     quad = a != 0
-    inv = _lookup(_inverse_mod, _mod(np.where(quad, a, 2 * b), p), p)  # 0 where a = b = 0
+    inv = lookup(inverse, _mod(np.where(quad, a, 2 * b), p), p)  # 0 where a = b = 0
     one = _mod(np.where(quad, p - b + r, p - c) * inv, p)
     other = _mod(np.where(quad, 2 * p - b - r, p - c) * inv, p)
     every = inv == 0
@@ -346,11 +296,11 @@ def _scalar_roots(a: int, b: int, c: int, p: int) -> Sequence[int]:
     """The roots t in F_p of a t^2 + 2 b t + c = 0 for residues a, b and c,
     ascending: `quadratic_roots` at one cell, in Python ints."""
     if a:
-        r = _sqrt_mod((b * b - a * c) % p, p)
-        inv = _inverse_mod(a, p)
+        r = square_root((b * b - a * c) % p, p)
+        inv = inverse(a, p)
         return [] if r < 0 else sorted({(p - b + r) * inv % p, (p - b - r) * inv % p})
     if b:
-        return [(p - c) * _inverse_mod(2 * b, p) % p]
+        return [(p - c) * inverse(2 * b, p) % p]
     return [] if c else range(p)
 
 

@@ -9,9 +9,18 @@ import numpy as np
 
 from quadring import modmat, nslattice
 from quadring.errors import InputError
-from quadring.gfp import PrimeField, legendre_character, projective_size
+from quadring.gfp import PrimeField, projective_size
 from quadring.mpoly import HomPoly
 from quadring.quadform import GramMatrix, fiber_classes, restrict
+
+
+def legendre_character(a: int, field: PrimeField) -> int:
+    """Quadratic character of a mod p: 0 for 0, 1 for squares, -1 otherwise,
+    by its own Euler power a^((p-1)/2), so it shares no code with
+    `gfp.character`."""
+    p = field.p
+    r = pow(a % p, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r
 
 
 def random_symmetric(rng: random.Random, size: int, p: int | None = None, bound: int = 9) -> GramMatrix:

@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quadring.cli import main
 from quadring.netfib import QuadricNet
@@ -99,6 +99,28 @@ def test_count_pointless_net_runs_point_free_subset(capsys, tmp_path):
     assert code == 0
     assert "p=3 SKIPPED" in out
     assert "R1=0 R3=0 R4=0" in out
+
+
+def test_count_checks_the_shape_before_searching_for_a_point(capsys, monkeypatch, tmp_path):
+    # the point search walks 3^(n+2) vectors, so an unsupported shape is
+    # rejected before it starts
+    from quadring import cli
+
+    def no_search(net):
+        raise AssertionError("searched for a point on a net of unsupported shape")
+
+    monkeypatch.setattr(cli, "_find_integral_point", no_search)
+    net = QuadricNet(
+        n=3,
+        m=1,
+        matrices=(GramMatrix.diagonal([1] * 5), GramMatrix.diagonal([0, 1, 2, 3, 4])),
+    )
+    path = tmp_path / "unsupported.json"
+    path.write_text(json.dumps(net.to_document()))
+    code, out, err = run_cli(capsys, "count", "--net", str(path), "--primes", "3")
+    assert code == 2
+    assert out == ""
+    assert "relation checks support shapes" in err
 
 
 def test_count_rejects_asymmetric_net(capsys, tmp_path):
@@ -568,6 +590,87 @@ def test_malformed_net_documents_exit_with_a_code(fuzz_path, doc):
             code = main([command, "--net", str(fuzz_path), "--primes", "3"])
         assert code in (0, 1, 2, 3)
         assert code in (0, 1) or out.getvalue() == ""
+
+
+def _golden_form(command: str) -> dict:
+    return json.loads((GOLDEN / f"{command}_form.json").read_text())
+
+
+def _cubic_with_term(exps: object, coefficient: object = 1) -> dict:
+    doc = _golden_form("cubic")
+    doc["terms"][0] = [exps, coefficient]
+    return doc
+
+
+# the edits inside a document first: hypothesis draws early entries more
+# often, and a (2,2) form has one key, so its entries are edited as often
+# as the rest
+_FORM_EDITS = {
+    "cubic": ["item", "exponents", "exponent", "coefficient", "drop", "key", "cut"],
+    "verra": ["item", "item", "item", "drop", "key", "cut"],
+}
+
+
+@st.composite
+def _malformed_form_documents(draw) -> tuple[str, object]:
+    """Junk in place of a document one time in ten; else the golden cubic or
+    (2,2) form, then one to three edits: a key dropped or replaced by junk,
+    one term, exponent list, exponent, coefficient or tensor entry replaced
+    by junk, or a list cut short.  A document that still parses is a form
+    on six variables, so its counts at p = 3 are instant."""
+    command = draw(st.sampled_from(["cubic", "verra"]))
+    if draw(st.integers(0, 9)) == 9:
+        return command, draw(_JUNK)
+    doc = _golden_form(command)
+    for _ in range(draw(st.integers(1, 3))):
+        if not doc:
+            break
+        edit = draw(st.sampled_from(_FORM_EDITS[command]))
+        key = draw(st.sampled_from(sorted(doc)))
+        items = doc.get("terms", doc.get("tensor"))
+        term = draw(st.sampled_from(items)) if isinstance(items, list) and items else None
+        if edit == "drop":
+            del doc[key]
+        elif edit == "key":
+            doc[key] = draw(_JUNK)
+        elif edit == "item" and term is not None:
+            items[draw(st.integers(0, len(items) - 1))] = draw(_JUNK)
+        elif edit == "exponents" and isinstance(term, list) and term:
+            term[0] = draw(_JUNK)
+        elif edit == "exponent" and isinstance(term, list) and term and isinstance(term[0], list) and term[0]:
+            term[0][draw(st.integers(0, len(term[0]) - 1))] = draw(_JUNK)
+        elif edit == "coefficient" and isinstance(term, list) and len(term) > 1:
+            term[1] = draw(_JUNK)
+        elif edit == "cut" and isinstance(doc[key], list) and doc[key]:
+            doc[key] = doc[key][: draw(st.integers(0, len(doc[key]) - 1))]
+    return command, doc
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(case=_malformed_form_documents())
+@example(case=("cubic", _cubic_with_term("2")))
+@example(case=("cubic", _cubic_with_term([[1, 1], 1, 0, 0, 0, 0])))
+@example(case=("cubic", _cubic_with_term(None)))
+@example(case=("cubic", _cubic_with_term([4, -1, 0, 0, 0, 0])))
+@example(case=("cubic", _cubic_with_term([1, 1, 1, 0, 0, 0], 2**200)))
+@example(case=("cubic", {**_golden_form("cubic"), "num_vars": 5}))
+@example(case=("cubic", {**_golden_form("cubic"), "degree": 4}))
+@example(case=("cubic", {**_golden_form("cubic"), "terms": None}))
+@example(case=("cubic", [1, 2, 3]))
+@example(case=("verra", {"tensor": _golden_form("verra")["tensor"][:80]}))
+@example(case=("verra", {"tensor": ["1"] * 81}))
+@example(case=("verra", {"tensor": [2**200] * 81}))
+@example(case=("verra", {"tensor": [[0]] * 81}))
+@example(case=("verra", "tensor"))
+def test_malformed_form_documents_exit_with_a_code(fuzz_path, case):
+    # bounded by the forms' six variables and p = 3, not by a clock
+    command, doc = case
+    fuzz_path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "--form", str(fuzz_path), "--primes", "3"])
+    assert code in (0, 1, 2, 3)
+    assert code in (0, 1) or out.getvalue() == ""
 
 
 def test_cubic_command(capsys, tmp_path):

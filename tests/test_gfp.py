@@ -1,19 +1,24 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from quadring import gfp
 from quadring.errors import BudgetExceededError
 from quadring.gfp import (
     PrimeField,
     canonical_point,
+    character,
     enumerate_projective,
-    legendre_character,
+    inverse,
     projective_points_array,
     projective_size,
     split_ranges,
+    square_root,
 )
 
-from _util import projective_rows_where
+from _util import legendre_character, projective_rows_where
 
 
 def test_prime_field_validation():
@@ -25,19 +30,17 @@ def test_prime_field_validation():
 
 
 def test_legendre_examples():
-    f7 = PrimeField(7)
-    assert legendre_character(0, f7) == 0
-    assert legendre_character(4, f7) == 1
+    assert character(0, 7) == 0
+    assert character(4, 7) == 1
     # squares mod 7 are {1, 2, 4}
     squares = {x * x % 7 for x in range(1, 7)}
     assert squares == {1, 2, 4}
-    assert legendre_character(3, f7) == -1
+    assert character(3, 7) == -1
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_legendre_multiplicative_exhaustive(p):
-    f = PrimeField(p)
-    chars = [legendre_character(a, f) for a in range(p)]
+    chars = [character(a, p) for a in range(p)]
     for a in range(p):
         for b in range(p):
             assert chars[a * b % p] == chars[a] * chars[b]
@@ -45,10 +48,34 @@ def test_legendre_multiplicative_exhaustive(p):
 
 @pytest.mark.parametrize("p", [5, 11])
 def test_legendre_square_scaling(p):
-    f = PrimeField(p)
     for t in range(1, p):
         for a in range(p):
-            assert legendre_character(t * t * a, f) == legendre_character(a, f)
+            assert character(t * t * a % p, p) == character(a, p)
+
+
+@pytest.mark.parametrize("tables", [True, False], ids=["tables", "no-tables"])
+@pytest.mark.parametrize("p", [3, 4093, 4099, 2**31 - 1])
+@pytest.mark.parametrize("fn", [character, inverse, square_root], ids=lambda fn: fn.__name__)
+def test_lookup_matches_the_scalar_function(monkeypatch, fn, p, tables):
+    # 4093 is the largest prime tabulated; TABLE_PRIMES = 2 sends every
+    # prime down the path that evaluates each distinct entry
+    if not tables:
+        monkeypatch.setattr(gfp, "TABLE_PRIMES", 2)
+    rng = random.Random(p)
+    flat = [0, 1, p - 1] + [rng.randrange(p) for _ in range(57)]
+    values = np.array(flat, dtype=np.int64).reshape(6, 10)
+    out = gfp.lookup(fn, values, p)
+    assert out.shape == values.shape
+    assert out.ravel().tolist() == [fn(v, p) for v in flat]
+    for v, r in zip(flat, out.ravel().tolist()):
+        if fn is character:
+            assert r == legendre_character(v, PrimeField(p))
+        elif fn is inverse:
+            assert (v * r % p == 1) if v else r == 0
+        elif legendre_character(v, PrimeField(p)) == -1:
+            assert r == -1
+        else:
+            assert r * r % p == v
 
 
 def test_projective_sizes():
@@ -116,8 +143,6 @@ def test_scan_starts_no_more_threads_than_cpus(monkeypatch):
     # thread is started, whatever `jobs` asks for; the scan imports the pool
     # class from concurrent.futures when it builds one
     import concurrent.futures
-
-    from quadring import gfp
 
     pools = []
 

@@ -35,7 +35,7 @@ from quadring.netfib import (
     verify_relations,
 )
 
-from _util import corank_histogram_reduced, fiber_list, form_values, forms_congruent, projective_rows_where, random_symmetric, record_scan_blocks
+from _util import corank_histogram_reduced, fiber_list, form_values, forms_congruent, legendre_character, projective_rows_where, random_symmetric, record_scan_blocks
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -522,7 +522,6 @@ def test_double_cover_net_vs_reduction(accepted_net):
 
 
 def test_double_cover_matches_discriminant_polynomial():
-    from quadring.gfp import legendre_character
     from quadring.mpoly import determinant_of_linear_matrix
 
     # Gram size 4: the signed determinant is +det, so the cover count can be

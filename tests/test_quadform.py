@@ -9,7 +9,6 @@ from quadring import modmat
 from quadring.errors import BudgetExceededError, InputError
 from quadring.gfp import (
     PrimeField,
-    legendre_character,
     projective_points_array,
     projective_size,
 )
@@ -35,6 +34,7 @@ from _util import (
     forms_congruent,
     full_scan_zeros,
     hyperbolic_reduce_at_vector,
+    legendre_character,
     on_all_forms,
     projective_rows_where,
     random_invertible,
@@ -272,14 +272,14 @@ def test_common_zeros_without_tables_match_the_full_scan(monkeypatch, p):
     # past TABLE_PRIMES the roots and inverses come from Tonelli-Shanks and
     # pow on each block's distinct values; 17 - 1 = 2^4 takes every
     # Tonelli-Shanks step
-    from quadring import quadform
+    from quadring import gfp
 
     rng = random.Random(p)
     field = PrimeField(p)
     cases = [[random_symmetric(rng, size, p=p) for _ in range(k)] for size in (2, 3, 4) for k in (1, 2)]
     cases.append([GramMatrix.from_rows([[1, 1, 0], [1, 0, 2], [0, 2, 0]])])  # linear in the last coordinate
     expected = [full_scan_zeros(grams, field) for grams in cases]
-    monkeypatch.setattr(quadform, "TABLE_PRIMES", 2)
+    monkeypatch.setattr(gfp, "TABLE_PRIMES", 2)
     for grams, want in zip(cases, expected):
         assert np.array_equal(common_zeros(grams, field), want)
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quadring.errors import BudgetExceededError, InputError
-from quadring.gfp import PrimeField, enumerate_projective, legendre_character, projective_size
+from quadring.gfp import PrimeField, enumerate_projective, projective_size
 from quadring.mpoly import HomPoly, evaluate_on_array
 from quadring.quadform import GramMatrix
 from quadring.netfib import (
@@ -21,7 +21,7 @@ from quadring.netfib import (
 )
 from quadring.netfib.recipes import PLANE_VARS, _fiber_grams, _verra_quadric_entries
 
-from _util import fiber_list, plane_cubic, projective_rows_where
+from _util import fiber_list, legendre_character, plane_cubic, projective_rows_where
 
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
