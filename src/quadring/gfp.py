@@ -53,8 +53,9 @@ ProjPoint = tuple[int, ...]
 CHUNK_ROWS = 1 << 16
 
 # Rows per chunk of the walks that do Python work at every point
-# (`enumerate_projective`, the fiber walk): 2^10 rows raised the fiber
-# layers' peak RSS at p = 41, 53 by 1 MB, with no gain in time.
+# (`enumerate_projective`, the fiber walk): 2^12 rows took the fiber layers
+# at p = 41, 53 (perfbench fiber-sweep, seed 42) from 0.046 to 0.036 s but
+# raised their peak RSS from 31.5 to 35.1 MB, over the benchmark's 5 % bound.
 WALK_ROWS = 1 << 8
 
 # Largest p whose F_p functions (`character`, `inverse`, `square_root`) are
@@ -164,12 +165,18 @@ def canonical_point(coords: Sequence[int], field: PrimeField) -> ProjPoint:
     raise ValueError("zero vector does not define a projective point")
 
 
+def scale_to_canonical(rows: np.ndarray, p: int) -> np.ndarray:
+    """Nonzero int64 rows of residues, each scaled so that its leftmost
+    nonzero entry is 1: the canonical points they represent, in their order."""
+    lead = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
+    return rows * lookup(inverse, lead, p)[:, None] % p
+
+
 def canonical_rows(rows: np.ndarray, p: int) -> np.ndarray:
-    """Nonzero int64 rows of residues as canonical points, each scaled so
-    that its leftmost nonzero entry is 1, sorted in the canonical order."""
-    lead = (rows != 0).argmax(axis=1)
-    rows = rows * lookup(inverse, rows[np.arange(len(rows)), lead], p)[:, None] % p
-    return rows[np.lexsort(np.vstack((rows.T[::-1], lead)))]
+    """Nonzero int64 rows of residues as canonical points
+    (`scale_to_canonical`), sorted in the canonical order."""
+    rows = scale_to_canonical(rows, p)
+    return rows[np.lexsort(np.vstack((rows.T[::-1], (rows != 0).argmax(axis=1))))]
 
 
 def size_within_budget(n: int, p: int, budget: int) -> int:

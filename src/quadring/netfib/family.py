@@ -22,7 +22,8 @@ the reports say so: they certify the absence of F_p-rational violations,
 nothing more.  The relation residuals computed in `relations` fail loudly
 if a geometric hypothesis actually fails, which is the compensating check.
 Both are zero scans on a subspace (`quadform.zeros_on_span`), each charged
-to `budget` for that subspace only.
+to `budget` for that subspace only, except that a corank-1 radical is one
+point, tested for every such fiber at once.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 import numpy as np
 
 from ..errors import InputError, json_int, load_json_object
-from ..gfp import PrimeField, ProjPoint, canonical_point, canonical_rows, projective_row_chunks, scan_projective
+from ..gfp import PrimeField, ProjPoint, canonical_point, canonical_rows, projective_row_chunks, scale_to_canonical, scan_projective
 from .. import modmat
 from ..quadform import FiberChunk, GramMatrix, common_zeros, fiber_classes
 from ..quadform import _linear_and_constant, _mod, quadratic_roots, quadric_points, restrict, zeros_on_span
@@ -284,17 +285,22 @@ class RegularityReport:
 
 def regularity_check(net: QuadricNet, field: PrimeField, budget: int = 2_000_000) -> RegularityReport:
     """The coranks of `fiber_table`; the degenerate fibers' kernels come from
-    one `modmat.kernel_stack` call and the points of X on them from
-    `quadform.zeros_on_span`, which raises BudgetExceededError when a
+    one `modmat.kernel_stack` call.  The one kernel vector u of a corank-1
+    fiber lies on X when q_j(u) = 0 for every j, tested for all of them at
+    once; the points of X on a larger kernel come from
+    `quadform.zeros_on_span`, which raises BudgetExceededError when that
     kernel's projective space has more than `budget` points."""
-    size = net.fiber_size
+    p, size = field.p, net.fiber_size
     rank, _, rows, grams = fiber_table(net, field)
-    _, kernels = modmat.kernel_stack(grams, field.p)
-    violations = [
-        (tuple(s), tuple(u))
-        for s, kernel in zip(rows.tolist(), kernels)
-        for u in zeros_on_span(net.matrices, kernel[kernel.any(axis=1)].tolist(), field, budget).tolist()
-    ]
+    kernel_rank, kernels = modmat.kernel_stack(grams, p)
+    u = kernels.sum(axis=1)  # the nonzero row of a corank-1 kernel
+    mats = modmat.residues([mat.entries for mat in net.matrices], field)
+    values = _mod(modmat.matmul_mod(u, mats, p) * u, p).sum(axis=2) % p
+    hits = np.flatnonzero((kernel_rank == size - 1) & ~values.any(axis=0))
+    found = {i: [x] for i, x in zip(hits.tolist(), scale_to_canonical(u[hits], p).tolist())}
+    for i in np.flatnonzero(kernel_rank < size - 1).tolist():
+        found[i] = zeros_on_span(net.matrices, kernels[i][kernels[i].any(axis=1)].tolist(), field, budget).tolist()
+    violations = [(tuple(rows[i].tolist()), tuple(x)) for i in sorted(found) for x in found[i]]
     hist = dict(Counter((size - rank).tolist()))
     return RegularityReport(
         p=field.p,

@@ -98,9 +98,10 @@ def classify_stack(grams: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     congruence diagonalization of the whole stack.
 
     Pivot policy: the first nonzero diagonal entry of the remaining block,
-    swapped into place; failing that, the first nonzero off-diagonal (j, l)
-    in row-major order gets u_j <- u_j + u_l, making entry (j, j) =
-    2 b(u_j, u_l) a pivot (p is odd).  A pivot d clears its row and column by
+    moved to the front, by an exchange of two rows and two columns, only in
+    the members where it is out of place; failing that, the first nonzero
+    off-diagonal (j, l) in row-major order gets u_j <- u_j + u_l, making
+    entry (j, j) = 2 b(u_j, u_l) a pivot (p is odd).  A pivot d clears its row and column by
     u_y <- d u_y - b(u_0, u_y) u_0, leaving d (d B - b b^T): d^2 times the
     block that division by d leaves, so every pivot choice is the same and
     the pivots differ by squares.  Every product is of two residues, exact
@@ -108,7 +109,6 @@ def classify_stack(grams: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """
     b = np.array(grams, dtype=np.int64)
     k = len(b)
-    every = np.arange(k)
     rank = np.zeros(k, dtype=np.int64)
     det = np.ones(k, dtype=np.int64)
     while b.shape[-1]:
@@ -128,12 +128,12 @@ def classify_stack(grams: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
         if not active.any():
             break  # every remaining block is zero
         piv = pivots.argmax(axis=1)
-        perm = np.tile(np.arange(size), (k, 1))
-        perm[every, piv] = 0
-        perm[:, 0] = piv
-        b = b[every[:, None, None], perm[:, :, None], perm[:, None, :]]
+        move = np.flatnonzero(piv)  # exchange rows, then columns, 0 and piv
+        j = piv[move]
+        b[move, 0], b[move, j] = b[move, j], b[move, 0]
+        b[move, :, 0], b[move, :, j] = b[move, :, j], b[move, :, 0]
         d, col = b[:, 0, 0], b[:, 1:, 0]
-        b = (d[:, None, None] * b[:, 1:, 1:] - col[:, :, None] * col[:, None, :]) % p * d[:, None, None] % p
+        b = _mod(_mod(d[:, None, None] * b[:, 1:, 1:] - col[:, :, None] * col[:, None, :], p) * d[:, None, None], p)
         rank += active
         det = np.where(active, det * d % p, det)
     # chi((-1)^(r/2) det); the product of the pivots is never 0

@@ -399,6 +399,105 @@ def test_regularity_zero_fiber_scans_its_kernel_within_the_budget():
         regularity_check(net, f13, budget=projective_size(4, 13) - 1)
 
 
+def _violations_by_one_span_per_fiber(net, field):
+    # one `zeros_on_span` on the `kernel_basis` of each degenerate fiber, in
+    # walk order
+    size = net.fiber_size
+    return [
+        (s, u)
+        for rows, grams in net.fibers(field)
+        for s, gram in zip(map(tuple, rows.tolist()), grams.tolist())
+        if modmat.rank_mod(gram, size, field) < size
+        for u in map(tuple, zeros_on_span(net.matrices, modmat.kernel_basis(gram, size, field), field).tolist())
+    ]
+
+
+@st.composite
+def _degenerate_net(draw):
+    """A random net of residues mod p <= 13 on 2 to 5 variables over P^1 or
+    P^2, and one of: nothing more, a planted point P of X in the radical of
+    M_0 (the fiber over e_0), M_0 with the last two coordinates in its
+    radical (corank >= 2), or that line inside X as well."""
+    n, m = draw(st.integers(0, 3)), draw(st.integers(1, 2))
+    p = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    plant = draw(st.sampled_from(["none", "radical", "corank 2", "line"]))
+    size, residue = n + 2, st.integers(0, p - 1)
+    mats = []
+    for _ in range(m + 1):
+        upper = np.array([[draw(residue) if j >= i else 0 for j in range(size)] for i in range(size)], dtype=np.int64)
+        mats.append(upper + np.triu(upper, 1).T)
+    point = None
+    if plant == "radical":  # T P = 0 for T = I - P e_pivot^T, so M_0 P = 0
+        pivot = draw(st.integers(0, size - 1))
+        point = np.array([0] * pivot + [1] + [draw(residue) for _ in range(size - pivot - 1)], dtype=np.int64)
+        t = np.eye(size, dtype=np.int64)
+        t[:, pivot] -= point
+        mats[0] = t.T @ mats[0] @ t % p
+        for mat in mats:
+            mat[pivot, pivot] -= point @ mat @ point
+        point = tuple(point.tolist())
+    if plant in ("corank 2", "line"):
+        mats[0][-2:], mats[0][:, -2:] = 0, 0
+    if plant == "line":
+        for mat in mats:
+            mat[-2:, -2:] = 0
+    net = QuadricNet(n=n, m=m, matrices=tuple(GramMatrix.from_array(mat % p) for mat in mats))
+    return net, PrimeField(p), plant, point
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_degenerate_net())
+def test_batched_corank_1_radicals_match_one_span_per_fiber(degenerate):
+    # the corank-1 radicals tested in one batch and the larger kernels
+    # scanned one at a time give the violations of one scan per fiber, in
+    # walk order
+    net, field, plant, point = degenerate
+    report = regularity_check(net, field)
+    assert list(report.violations) == _violations_by_one_span_per_fiber(net, field)
+    e0 = (1,) + (0,) * net.m
+    if plant == "radical":
+        assert (e0, point) in report.violations
+    if plant in ("corank 2", "line"):
+        assert report.corank2_found
+    if plant == "line":
+        assert sum(s == e0 for s, _ in report.violations) >= field.p + 1
+
+
+def test_regularity_check_without_degenerate_fibers(monkeypatch):
+    # det(s M_0 + t M_1) = 3 s^2 - t^2 has no zero on P^1(F_5), 3 being no
+    # square mod 5: the kernel stack is empty
+    net = QuadricNet(n=0, m=1, matrices=(GramMatrix.diagonal([1, 3]), GramMatrix.from_rows([[0, 1], [1, 0]])))
+    stacks = []
+    original = modmat.kernel_stack
+
+    def recording(mats, p):
+        stacks.append(len(mats))
+        return original(mats, p)
+
+    monkeypatch.setattr(modmat, "kernel_stack", recording)
+    report = regularity_check(net, F5)
+    assert report.regular and report.flat and not report.corank2_found
+    assert report.corank_histogram == {0: 6} and report.violations == ()
+    assert stacks == [0]
+
+
+def test_regularity_check_scans_no_span_on_the_golden_net(monkeypatch):
+    # every degenerate fiber of the golden net at p = 23 has corank 1, so
+    # the batched test decides them all
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return zeros_on_span(*args, **kwargs)
+
+    monkeypatch.setattr(family, "zeros_on_span", counting)
+    net, _ = load_net(str(GOLDEN / "net.json"))
+    family.fiber_table.cache_clear()
+    report = regularity_check(net, PrimeField(23))
+    assert report.regular and report.corank_histogram[1] > 0 and not report.corank2_found
+    assert calls == []
+
+
 def _plane_pair_net() -> QuadricNet:
     # all three forms kill e0, e1 and their span: the line <e0, e1> lies in X
     rng = random.Random(11)

@@ -165,6 +165,43 @@ def test_classify_stack_matches_the_diagonalize_oracle(data, size, p):
     assert double_cover_count(size, rank, signed) == expected
 
 
+def _mixed_members(rng: random.Random, size: int, p: int) -> list[np.ndarray]:
+    """Two each of: a zero corner with a nonzero diagonal entry further on
+    (its first pivot moves), a zero diagonal with a nonzero off-diagonal
+    entry (stuck), the zero matrix, and a diagonal without zeros (its pivot
+    is always in place), shuffled."""
+
+    def symmetric() -> np.ndarray:
+        upper = np.triu([[rng.randrange(p) for _ in range(size)] for _ in range(size)])
+        return (upper + np.triu(upper, 1).T).astype(np.int64)
+
+    members = []
+    for _ in range(2):
+        if size > 1:
+            corner = symmetric()
+            corner[0, 0], corner[-1, -1] = 0, rng.randrange(1, p)
+            stuck = symmetric()
+            np.fill_diagonal(stuck, 0)
+            stuck[0, -1] = stuck[-1, 0] = rng.randrange(1, p)
+            members += [corner, stuck]
+        members += [np.zeros((size, size), dtype=np.int64), np.diag([rng.randrange(1, p) for _ in range(size)])]
+    rng.shuffle(members)
+    return members
+
+
+@pytest.mark.parametrize("p", [3, 5, 2**31 - 1])
+@pytest.mark.parametrize("size", range(1, 7))
+def test_mixed_stack_classifies_like_its_members_one_at_a_time(size, p):
+    # moving one member's pivot to the front must not touch another member
+    stack = np.array(_mixed_members(random.Random(size * 7 + p), size, p))
+    before = stack.copy()
+    rank, signed = classify_stack(stack, p)
+    alone = [classify_stack(member[None], p) for member in stack]
+    assert list(zip(rank.tolist(), signed.tolist())) == [(int(r[0]), int(s[0])) for r, s in alone]
+    assert (stack == before).all()
+    assert (rank[~stack.any(axis=(1, 2))] == 0).all() and rank.max() == size
+
+
 def _zeros_in_memory(grams, field):
     # all of P^(N-1) as one array, each form evaluated on every row
     rows = projective_points_array(grams[0].size - 1, field)
