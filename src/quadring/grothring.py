@@ -253,9 +253,6 @@ class Equation:
     def residual(self) -> GRExpr:
         return self.lhs - self.rhs
 
-    def render(self) -> str:
-        return f"{self.lhs.render()} = {self.rhs.render()}"
-
 
 def rule_blowup(blowup, ambient, center, codim: int) -> Equation:
     """[Bl_Z X] = [X] + [Z](L + ... + L^(c-1)) for a smooth center of

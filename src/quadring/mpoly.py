@@ -1,10 +1,10 @@
-"""Sparse homogeneous multivariate polynomials over Z, and determinants of
-matrices of linear forms.
+"""Sparse homogeneous multivariate polynomials over Z: the cubic and (2,2)
+forms that `cubic` and `verra` read, and the polynomial entries of their
+fiber Gram matrices, evaluated mod p at every row of an array.
 
-Coefficients are arbitrary-precision Python ints: the determinant of a 6x6
-matrix of small-entry linear forms already overflows 64 bits, and exactness
-here is non-negotiable.  Terms are stored as an exponent-vector map with no
-zero coefficients.  Evaluation optionally reduces mod p.
+Coefficients are arbitrary-precision Python ints, so sums and products of
+forms stay exact.  Terms are stored as an exponent-vector map with no zero
+coefficients.  Evaluation optionally reduces mod p.
 """
 
 from __future__ import annotations
@@ -48,11 +48,6 @@ class HomPoly:
         return cls(num_vars, degree, {})
 
     @classmethod
-    def monomial(cls, num_vars: int, exps: Sequence[int], coeff: int = 1) -> "HomPoly":
-        exps = tuple(int(e) for e in exps)
-        return cls(num_vars, sum(exps), {exps: int(coeff)})
-
-    @classmethod
     def variable(cls, num_vars: int, index: int) -> "HomPoly":
         exps = tuple(1 if i == index else 0 for i in range(num_vars))
         return cls(num_vars, 1, {exps: 1})
@@ -90,9 +85,6 @@ class HomPoly:
                 acc[e] = acc.get(e, 0) + c1 * c2
         return HomPoly(self.num_vars, self.degree + other.degree, acc)
 
-    def scale(self, c: int) -> "HomPoly":
-        return HomPoly(self.num_vars, self.degree, {e: k * c for e, k in self.terms.items()})
-
     def evaluate(self, point: Sequence[int], field: PrimeField | None = None) -> int:
         """Exact value at the point, reduced mod p when a field is given."""
         if len(point) != self.num_vars:
@@ -107,24 +99,6 @@ class HomPoly:
                     v *= x**e
             total += v
         return total % field.p if field is not None else total
-
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for exps, coeff in self.terms.items():
-            mono = "*".join(
-                f"x{i}^{e}" if e > 1 else f"x{i}" for i, e in enumerate(exps) if e
-            )
-            if not mono:
-                parts.append(str(coeff))
-            elif coeff == 1:
-                parts.append(mono)
-            elif coeff == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{coeff}*{mono}")
-        return " + ".join(parts).replace("+ -", "- ")
 
 
 def evaluate_on_array(f: HomPoly, points: np.ndarray, field: PrimeField) -> np.ndarray:
@@ -147,44 +121,3 @@ def evaluate_on_array(f: HomPoly, points: np.ndarray, field: PrimeField) -> np.n
         vals += term
         vals %= p
     return vals
-
-
-def determinant_of_linear_matrix(matrices: Sequence[Sequence[Sequence[int]]]) -> HomPoly:
-    """det(sum_k s_k M_k) as an exact degree-N homogeneous polynomial in
-    s_0..s_m, for m+1 square N x N integer matrices M_k (symmetric or not).
-
-    Laplace expansion with memoization on column subsets: O(2^N) sparse
-    polynomial combinations, fine for the sizes used here (N <= 8).
-    """
-    nvars = len(matrices)
-    n = len(matrices[0]) if matrices else 0
-    if nvars == 0 or any(len(mat) != n or any(len(row) != n for row in mat) for mat in matrices):
-        raise InputError("expected one or more square matrices of the same size")
-    units = [tuple(1 if k == v else 0 for k in range(nvars)) for v in range(nvars)]
-
-    def entry_poly(i: int, j: int) -> HomPoly:
-        return HomPoly(nvars, 1, {units[v]: int(mat[i][j]) for v, mat in enumerate(matrices)})
-
-    # minors[mask] = determinant of rows 0..popcount(mask)-1 on columns in mask
-    minors: dict[int, HomPoly] = {0: HomPoly(nvars, 0, {(0,) * nvars: 1})}
-    for r in range(n):
-        nxt: dict[int, HomPoly] = {}
-        for mask, minor in minors.items():
-            if minor.is_zero():
-                continue
-            for c in range(n):
-                bit = 1 << c
-                if mask & bit:
-                    continue
-                entry = entry_poly(r, c)
-                if entry.is_zero():
-                    continue
-                # placing column c at row r inverts against every used column above c
-                sign = -1 if (mask >> (c + 1)).bit_count() % 2 else 1
-                contrib = entry.scale(sign) * minor
-                key = mask | bit
-                nxt[key] = nxt[key] + contrib if key in nxt else contrib
-        minors = nxt
-        if not minors:
-            return HomPoly.zero(nvars, n)
-    return minors.get((1 << n) - 1, HomPoly.zero(nvars, n))

@@ -282,6 +282,17 @@ class RegularityReport:
     violations: tuple[tuple[ProjPoint, ProjPoint], ...]
     corank_histogram: dict[int, int]
 
+    @property
+    def skip_reason(self) -> str | None:
+        """Why the relation checks skip this prime, every failed condition
+        joined in a fixed order; None when the prime passes."""
+        failed = (
+            (not self.flat, "zero fiber (not flat)"),
+            (self.corank2_found, "fiber of corank >= 2"),
+            (not self.regular, "rational regularity violation"),
+        )
+        return "; ".join(reason for fails, reason in failed if fails) or None
+
 
 def regularity_check(net: QuadricNet, field: PrimeField, budget: int = 2_000_000) -> RegularityReport:
     """The coranks of `fiber_table`; the degenerate fibers' kernels come from

@@ -30,7 +30,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from ..errors import DegenerateSectionError, InputError
-from ..gfp import PrimeField, enumerate_projective, projective_row_chunks, projective_size
+from ..gfp import PrimeField, projective_row_chunks
 from .. import modmat
 from ..quadform import FiberChunk, GramMatrix, double_cover_count, quadric_points, restrict
 from .family import QuadricNet, fiber_table
@@ -56,21 +56,6 @@ class ReducedFamily:
     u_rows: tuple[tuple[int, ...], ...]
     bilinear: tuple[tuple[tuple[int, ...], ...], ...]
     quad: tuple[GramMatrix, ...]
-
-    def __post_init__(self) -> None:
-        cols = self.n - self.k + 1
-        if len(self.pivots) != self.k + 1 or len(self.u_rows) != self.k + 1:
-            raise InputError("pivot or basis row count does not match k+1")
-        if len(self.bilinear) != self.k + 1:
-            raise InputError("expected k+1 bilinear condition matrices")
-        for mat in self.bilinear:
-            if len(mat) != self.m + 1 or any(len(r) != cols for r in mat):
-                raise InputError("bilinear matrix has wrong shape")
-        if len(self.quad) != self.m + 1:
-            raise InputError("expected m+1 quadratic part matrices")
-        for g in self.quad:
-            if g.size != cols:
-                raise InputError("quadratic part has wrong size")
 
     @property
     def reduced_dim(self) -> int:
@@ -215,33 +200,6 @@ def count_reduced_family(red: ReducedFamily, field: PrimeField) -> int:
     validated closed form.
     """
     return quadric_points(red.fiber_size, *fiber_table(red, field)[:2], field.p)
-
-
-def count_reduced_family_dual(red: ReducedFamily, field: PrimeField) -> int:
-    """#(reduced family)(F_p) counted along the other projection.
-
-    Over a fixed v' in P^(n-k)(F_p) every condition is linear in w, so the
-    fiber is a projectivized kernel in P^m; this must agree with
-    count_reduced_family on the nose.
-    """
-    red.check_basis_mod_p(field)
-    p = field.p
-    cols = red.n - red.k + 1
-    total = 0
-    for v in enumerate_projective(cols - 1, field):
-        rows = [
-            [
-                sum(red.bilinear[j][i][c] * v[c] for c in range(cols)) % p
-                for i in range(red.m + 1)
-            ]
-            for j in range(red.k + 1)
-        ]
-        rows.append([red.quad[i].q(v, field) for i in range(red.m + 1)])
-        r = modmat.rank_mod(rows, red.m + 1, field)
-        dim = red.m + 1 - r
-        if dim > 0:
-            total += projective_size(dim - 1, p)
-    return total
 
 
 def count_double_cover(family: QuadricNet | ReducedFamily, field: PrimeField) -> int:

@@ -16,15 +16,16 @@ at L = p on the measured counts (those in Qbar only when a point is given):
     R3 = Q - route B of corollary-m1 (reduction)
     R4 = X - Y
 
-Primes where a fiber has corank >= 2 or the rational regularity scan fails
-are reported as skipped: the cover there is singular and the identities are
-not expected, which matches the policy of skipping primes that divide bad
-behavior.  A rational line through P is *not* a skip: the residuals are
-still computed and the line is reported as a flag.  Note that for a
-regular net the R2 count is blind to rational lines through P: the line
-direction acquires a P^2 fiber in the reduced family while the projection
-contracts the line's p points, and the two effects cancel exactly, so the
-flag rather than the residual carries that diagnostic.
+Primes with a `RegularityReport.skip_reason` (a zero fiber, a fiber of
+corank >= 2 or a failed rational regularity scan) are reported as skipped:
+the cover there is singular and the identities are not expected, which
+matches the policy of skipping primes that divide bad behavior.  A
+rational line through P is *not* a skip: the residuals are still computed
+and the line is reported as a flag.  Note that for a regular net the R2
+count is blind to rational lines through P: the line direction acquires a
+P^2 fiber in the reduced family while the projection contracts the line's
+p points, and the two effects cancel exactly, so the flag rather than the
+residual carries that diagnostic.
 """
 
 from __future__ import annotations
@@ -123,15 +124,8 @@ def _report_for_prime(
         regularity_violation=not reg.regular,
         flat=reg.flat,
     )
-    if reg.corank2_found or not reg.regular or not reg.flat:
-        reason = []
-        if not reg.flat:
-            reason.append("zero fiber (not flat)")
-        if reg.corank2_found:
-            reason.append("fiber of corank >= 2")
-        if not reg.regular:
-            reason.append("rational regularity violation")
-        return CountReport(skipped=True, skip_reason="; ".join(reason), **base)
+    if reg.skip_reason is not None:
+        return CountReport(skipped=True, skip_reason=reg.skip_reason, **base)
 
     rep = None
     if point is not None:

@@ -59,8 +59,7 @@ def _net_acceptable(
 ) -> bool:
     for p in primes:
         field = PrimeField(p)
-        reg = regularity_check(net, field)
-        if reg.corank2_found or not reg.regular or not reg.flat:
+        if regularity_check(net, field).skip_reason is not None:
             return False
         if lines_through_point(net, point, field):
             return False

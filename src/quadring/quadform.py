@@ -67,15 +67,6 @@ class GramMatrix:
     def from_array(cls, array: np.ndarray) -> "GramMatrix":
         return cls(tuple(map(tuple, array.tolist())))
 
-    @classmethod
-    def diagonal(cls, diag: Sequence[int]) -> "GramMatrix":
-        n = len(diag)
-        return cls(tuple(tuple(int(diag[i]) if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @classmethod
-    def zero(cls, n: int) -> "GramMatrix":
-        return cls(tuple((0,) * n for _ in range(n)))
-
     @property
     def size(self) -> int:
         return len(self.entries)

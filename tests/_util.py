@@ -1,5 +1,7 @@
-"""Shared helpers for the test suite, and the per-matrix Python oracles
-the batched library routines and the Pell solver are checked against."""
+"""Shared helpers for the test suite, and the oracles the library is
+checked against: per-matrix Python routines for the batched ones, the Pell
+solver's two-period scan, the determinant of a matrix of linear forms, and
+the reduced family counted along its other projection."""
 
 import math
 import random
@@ -9,8 +11,9 @@ import numpy as np
 
 from quadring import modmat, nslattice
 from quadring.errors import InputError
-from quadring.gfp import PrimeField, projective_size
+from quadring.gfp import PrimeField, enumerate_projective, projective_size
 from quadring.mpoly import HomPoly
+from quadring.netfib import ReducedFamily
 from quadring.quadform import GramMatrix, fiber_classes, restrict
 
 
@@ -21,6 +24,97 @@ def legendre_character(a: int, field: PrimeField) -> int:
     p = field.p
     r = pow(a % p, (p - 1) // 2, p)
     return -1 if r == p - 1 else r
+
+
+def diagonal_gram(diag) -> GramMatrix:
+    """The Gram matrix with `diag` on its diagonal and 0 elsewhere."""
+    n = len(diag)
+    return GramMatrix(tuple(tuple(int(diag[i]) if i == j else 0 for j in range(n)) for i in range(n)))
+
+
+def zero_gram(n: int) -> GramMatrix:
+    """The n x n zero Gram matrix."""
+    return GramMatrix(tuple((0,) * n for _ in range(n)))
+
+
+def monomial(num_vars: int, exps, coeff: int = 1) -> HomPoly:
+    """coeff * x^exps."""
+    exps = tuple(int(e) for e in exps)
+    return HomPoly(num_vars, sum(exps), {exps: int(coeff)})
+
+
+def scaled(f: HomPoly, c: int) -> HomPoly:
+    """c * f."""
+    return HomPoly(f.num_vars, f.degree, {e: k * c for e, k in f.terms.items()})
+
+
+def determinant_of_linear_matrix(matrices) -> HomPoly:
+    """det(sum_k s_k M_k) as an exact degree-N homogeneous polynomial in
+    s_0..s_m, for m+1 square N x N integer matrices M_k (symmetric or not).
+
+    Laplace expansion with memoization on column subsets: O(2^N) sparse
+    polynomial combinations, fine for the sizes used here (N <= 8).  The
+    oracle of the determinant double cover.
+    """
+    nvars = len(matrices)
+    n = len(matrices[0]) if matrices else 0
+    if nvars == 0 or any(len(mat) != n or any(len(row) != n for row in mat) for mat in matrices):
+        raise InputError("expected one or more square matrices of the same size")
+    units = [tuple(1 if k == v else 0 for k in range(nvars)) for v in range(nvars)]
+
+    def entry_poly(i: int, j: int) -> HomPoly:
+        return HomPoly(nvars, 1, {units[v]: int(mat[i][j]) for v, mat in enumerate(matrices)})
+
+    # minors[mask] = determinant of rows 0..popcount(mask)-1 on columns in mask
+    minors: dict[int, HomPoly] = {0: HomPoly(nvars, 0, {(0,) * nvars: 1})}
+    for r in range(n):
+        nxt: dict[int, HomPoly] = {}
+        for mask, minor in minors.items():
+            if minor.is_zero():
+                continue
+            for c in range(n):
+                bit = 1 << c
+                if mask & bit:
+                    continue
+                entry = entry_poly(r, c)
+                if entry.is_zero():
+                    continue
+                # placing column c at row r inverts against every used column above c
+                sign = -1 if (mask >> (c + 1)).bit_count() % 2 else 1
+                contrib = scaled(entry, sign) * minor
+                key = mask | bit
+                nxt[key] = nxt[key] + contrib if key in nxt else contrib
+        minors = nxt
+        if not minors:
+            return HomPoly.zero(nvars, n)
+    return minors.get((1 << n) - 1, HomPoly.zero(nvars, n))
+
+
+def count_reduced_family_dual(red: ReducedFamily, field: PrimeField) -> int:
+    """#(reduced family)(F_p) counted along the other projection.
+
+    Over a fixed v' in P^(n-k)(F_p) every condition is linear in w, so the
+    fiber is a projectivized kernel in P^m; this must agree with
+    `count_reduced_family` on the nose.
+    """
+    red.check_basis_mod_p(field)
+    p = field.p
+    cols = red.n - red.k + 1
+    total = 0
+    for v in enumerate_projective(cols - 1, field):
+        rows = [
+            [
+                sum(red.bilinear[j][i][c] * v[c] for c in range(cols)) % p
+                for i in range(red.m + 1)
+            ]
+            for j in range(red.k + 1)
+        ]
+        rows.append([red.quad[i].q(v, field) for i in range(red.m + 1)])
+        r = modmat.rank_mod(rows, red.m + 1, field)
+        dim = red.m + 1 - r
+        if dim > 0:
+            total += projective_size(dim - 1, p)
+    return total
 
 
 def random_symmetric(rng: random.Random, size: int, p: int | None = None, bound: int = 9) -> GramMatrix:

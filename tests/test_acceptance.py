@@ -35,6 +35,7 @@ from quadring import nslattice
 
 from _util import (
     corank_histogram_reduced,
+    diagonal_gram,
     enumerate_nontrivial,
     find_isotropic_vector,
     forms_congruent,
@@ -198,8 +199,8 @@ def test_criterion_3_pencil_shadow():
         n=2,
         m=1,
         matrices=(
-            GramMatrix.diagonal([1, 1, 1, 1]),
-            GramMatrix.diagonal([0, 1, 2, 3]),
+            diagonal_gram([1, 1, 1, 1]),
+            diagonal_gram([0, 1, 2, 3]),
         ),
     )
     ok = True

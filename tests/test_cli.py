@@ -13,7 +13,7 @@ from quadring.cli import main
 from quadring.netfib import QuadricNet
 from quadring.quadform import GramMatrix
 
-from _util import plane_cubic
+from _util import diagonal_gram, plane_cubic
 
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -91,7 +91,7 @@ def test_count_pointless_net_runs_point_free_subset(capsys, tmp_path):
     net = QuadricNet(
         n=2,
         m=1,
-        matrices=(GramMatrix.diagonal([1, 1, 1, 1]), GramMatrix.diagonal([0, 1, 2, 3])),
+        matrices=(diagonal_gram([1, 1, 1, 1]), diagonal_gram([0, 1, 2, 3])),
     )
     path = tmp_path / "canonical.json"
     path.write_text(json.dumps(net.to_document()))
@@ -113,7 +113,7 @@ def test_count_checks_the_shape_before_searching_for_a_point(capsys, monkeypatch
     net = QuadricNet(
         n=3,
         m=1,
-        matrices=(GramMatrix.diagonal([1] * 5), GramMatrix.diagonal([0, 1, 2, 3, 4])),
+        matrices=(diagonal_gram([1] * 5), diagonal_gram([0, 1, 2, 3, 4])),
     )
     path = tmp_path / "unsupported.json"
     path.write_text(json.dumps(net.to_document()))
@@ -479,7 +479,7 @@ def test_reduce_requires_point(capsys, tmp_path):
     net = QuadricNet(
         n=2,
         m=1,
-        matrices=(GramMatrix.diagonal([1, 1, 1, 1]), GramMatrix.diagonal([0, 1, 2, 3])),
+        matrices=(diagonal_gram([1, 1, 1, 1]), diagonal_gram([0, 1, 2, 3])),
     )
     path = tmp_path / "nopoint.json"
     path.write_text(json.dumps(net.to_document()))

@@ -4,7 +4,6 @@ counts, and a mutated grothring rule makes both `groth` and `count` fail."""
 
 import json
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,11 +11,10 @@ from hypothesis import given, settings, strategies as st
 from quadring import grothring
 from quadring.cli import load_cubic_form, load_verra_form, main
 from quadring.gfp import PrimeField
-from quadring.netfib import QuadricNet, SUPPORTED_SHAPES, cubic_with_plane_counts, verra_counts
+from quadring.netfib import QuadricNet, RegularityReport, SUPPORTED_SHAPES, cubic_with_plane_counts, verra_counts
 from quadring.netfib import recipes, relations
-from quadring.quadform import GramMatrix
 
-from _util import hand_count_residuals, hand_cubic_residual, hand_verra_residuals
+from _util import diagonal_gram, hand_count_residuals, hand_cubic_residual, hand_verra_residuals
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 COUNTS = st.integers(0, 10**12)
@@ -36,8 +34,8 @@ def test_count_residuals_are_the_hand_formulas_on_any_counts(shape, p, x, q, y, 
     # every count of one report is replaced, so the residuals see arbitrary
     # values; no point means no reduced family and no Qbar
     n, m = shape
-    net = QuadricNet(n=n, m=m, matrices=(GramMatrix.diagonal([1] * (n + 2)),) * (m + 1))
-    regular = SimpleNamespace(regular=True, flat=True, corank2_found=False)
+    net = QuadricNet(n=n, m=m, matrices=(diagonal_gram([1] * (n + 2)),) * (m + 1))
+    regular = RegularityReport(p=p, regular=True, corank2_found=False, flat=True, violations=(), corank_histogram={0: 1})
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(relations, "regularity_check", lambda *a, **k: regular)
         mp.setattr(relations, "lines_through_point", lambda *a, **k: [])

@@ -1,25 +1,37 @@
-"""Every module-level function in `src/` has a caller in `src/`: library
-code that only tests call belongs in `tests/`.  A caller is any reference
-to the function's name outside its own body."""
+"""Every function and method in `src/` is reached by the program.  A
+module-level function has a caller in `src/`, a method of a `src/` class
+has a reference in `src/` outside its own body, or else the benchmark's
+tracer (`perfbench/tracing.py`) binds it by name.  Library code that only
+tests call belongs in `tests/`.  A reference is any name or attribute
+equal to the function's name.
+
+The tracer's bindings are read from its own tables, so a deletion or a
+rename that would break a traced benchmark run fails here as well."""
 
 import ast
+import importlib
+import importlib.util
+import inspect
 from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "quadring"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "quadring"
 
-# names kept without a caller in src/, each with its reason
-ALLOWED = {
-    "classify": "the perfbench tracer binds it by name",
-    "count_projective_points": "the perfbench tracer binds it by name",
-    "det_mod": "the perfbench tracer binds it by name",
-    "solve_pell_like": "the perfbench tracer binds it by name",
-    "enumerate_projective": "the perfbench tracer binds it by name",
-    "determinant_of_linear_matrix": "the tests' oracle for the determinant double cover",
-    "count_reduced_family_dual": "the tests' oracle for the reduced family count",
-    "random_cubic_with_plane": "perfbench draws the recipes-disc cubic with it",
-    "random_verra_form": "perfbench draws the recipes-disc (2,2) form with it",
-}
+
+def _load_tracing():
+    """perfbench/tracing.py, which imports only the standard library."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+TRACING = _load_tracing()
+# (module, attribute) of every function the tracer binds, and
+# (module, class, attribute) of every method
+TRACED = {(module, attr) for module, attr, *_ in TRACING.SPANS + TRACING.COUNTERS}
+TRACED_METHODS = {(module, cls, attr) for module, cls, attr, _ in TRACING.METHOD_COUNTERS}
 
 
 def _names(node: ast.AST) -> Counter:
@@ -30,26 +42,71 @@ def _names(node: ast.AST) -> Counter:
     )
 
 
-def _module_functions() -> tuple[list[tuple[str, str]], Counter]:
-    """(module, name) of every module-level function, and the count of each
-    name's references outside the bodies of the functions of that name."""
-    functions, refs, own = [], Counter(), Counter()
+def _module_name(path: Path) -> str:
+    parts = path.relative_to(SRC.parent).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _definitions() -> tuple[list[tuple[str, str]], list[tuple[str, str, str]], Counter]:
+    """(module, name) of every module-level function, (module, class, name)
+    of every method that is not a dunder, and the count of each name's
+    references outside the bodies of the functions of that name."""
+    functions, methods, refs, own = [], [], Counter(), Counter()
     for path in sorted(SRC.rglob("*.py")):
+        module = _module_name(path)
         tree = ast.parse(path.read_text())
         refs += _names(tree)
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                functions.append((str(path.relative_to(SRC)), node.name))
+                functions.append((module, node.name))
                 own[node.name] += _names(node)[node.name]
-    return functions, refs - own
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                        item.name.startswith("__") and item.name.endswith("__")
+                    ):
+                        methods.append((module, node.name, item.name))
+                        own[item.name] += _names(item)[item.name]
+    return functions, methods, refs - own
 
 
 def test_every_module_level_function_has_a_caller_in_src():
-    functions, callers = _module_functions()
-    uncalled = [(module, name) for module, name in functions if not callers[name] and name not in ALLOWED]
+    functions, _, callers = _definitions()
+    uncalled = [(module, name) for module, name in functions if not callers[name] and (module, name) not in TRACED]
     assert uncalled == []
 
 
-def test_every_allowed_name_is_a_module_level_function():
-    functions, _ = _module_functions()
-    assert set(ALLOWED) <= {name for _, name in functions}
+def test_every_method_has_a_reference_in_src_or_is_traced():
+    _, methods, callers = _definitions()
+    unreferenced = [m for m in methods if not callers[m[2]] and m not in TRACED_METHODS]
+    assert unreferenced == []
+
+
+def test_every_traced_name_resolves():
+    for module in TRACING.QUADRING_MODULES:
+        importlib.import_module(module)
+    for module, attr in sorted(TRACED):
+        assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
+    for module, cls, attr in sorted(TRACED_METHODS):
+        assert callable(getattr(getattr(importlib.import_module(module), cls), attr)), (module, cls, attr)
+
+
+def _bound_keys(stats) -> set[str]:
+    """The argument names a span's statistics read as bound["name"]."""
+    return {
+        n.slice.value
+        for n in ast.walk(ast.parse(inspect.getsource(stats)))
+        if isinstance(n, ast.Subscript)
+        and isinstance(n.value, ast.Name)
+        and n.value.id == "bound"
+        and isinstance(n.slice, ast.Constant)
+    }
+
+
+def test_span_statistics_read_parameters_of_their_function():
+    reads = {(module, attr): _bound_keys(stats) for module, attr, stats in TRACING.SPANS if callable(stats)}
+    assert reads[("quadring.netfib.family", "points_on_X")] == {"net", "field"}
+    assert reads[("quadring.netfib.family", "lines_through_point")] == {"net", "field"}
+    for (module, attr), keys in reads.items():
+        params = inspect.signature(getattr(importlib.import_module(module), attr)).parameters
+        assert keys <= params.keys(), (module, attr)

@@ -5,13 +5,9 @@ import pytest
 from quadring import modmat
 from quadring.errors import InputError
 from quadring.gfp import PrimeField
-from quadring.mpoly import (
-    HomPoly,
-    determinant_of_linear_matrix,
-    evaluate_on_array,
-)
+from quadring.mpoly import HomPoly, evaluate_on_array
 
-from _util import random_symmetric
+from _util import determinant_of_linear_matrix, monomial, random_symmetric, scaled
 
 
 def _random_hompoly(rng, num_vars, degree, terms=6, bound=9):
@@ -33,7 +29,7 @@ def _matrix_at(matrices, s):
 def test_evaluate_examples():
     f5 = PrimeField(5)
     f3 = PrimeField(3)
-    sq = HomPoly.monomial(3, (2, 0, 0))
+    sq = monomial(3, (2, 0, 0))
     assert sq.evaluate((1, 0, 0), f5) == 1
     g = HomPoly(3, 2, {(1, 1, 0): 1, (0, 0, 2): 1})
     assert g.evaluate((1, 1, 1), f3) == 2
@@ -60,7 +56,7 @@ def test_determinant_pencil_factors():
     ]
     lam = HomPoly.variable(2, 0)
     mu = HomPoly.variable(2, 1)
-    expected = lam * (lam + mu) * (lam + mu.scale(2)) * (lam + mu.scale(3))
+    expected = lam * (lam + mu) * (lam + scaled(mu, 2)) * (lam + scaled(mu, 3))
     assert determinant_of_linear_matrix(pencil) == expected
 
 

@@ -25,7 +25,6 @@ from quadring.netfib import (
     QuadricNet,
     count_double_cover,
     count_reduced_family,
-    count_reduced_family_dual,
     count_total_space,
     hyperbolic_reduce_family,
     lines_through_point,
@@ -35,7 +34,7 @@ from quadring.netfib import (
     verify_relations,
 )
 
-from _util import corank_histogram_reduced, fiber_list, form_values, forms_congruent, legendre_character, projective_rows_where, random_symmetric, record_scan_blocks
+from _util import corank_histogram_reduced, count_reduced_family_dual, determinant_of_linear_matrix, diagonal_gram, fiber_list, form_values, forms_congruent, legendre_character, projective_rows_where, random_symmetric, record_scan_blocks, zero_gram
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -44,15 +43,15 @@ F3, F5, F7 = PrimeField(3), PrimeField(5), PrimeField(7)
 PENCIL = QuadricNet(
     n=2,
     m=1,
-    matrices=(GramMatrix.diagonal([1, 1, 1, 1]), GramMatrix.diagonal([0, 1, 2, 3])),
+    matrices=(diagonal_gram([1, 1, 1, 1]), diagonal_gram([0, 1, 2, 3])),
 )
 
 
 def test_net_validation():
     with pytest.raises(InputError):
-        QuadricNet(n=2, m=1, matrices=(GramMatrix.diagonal([1, 1, 1, 1]),))
+        QuadricNet(n=2, m=1, matrices=(diagonal_gram([1, 1, 1, 1]),))
     with pytest.raises(InputError):
-        QuadricNet(n=2, m=1, matrices=(GramMatrix.zero(3), GramMatrix.zero(3)))
+        QuadricNet(n=2, m=1, matrices=(zero_gram(3), zero_gram(3)))
 
 
 def _fiber_by_sums(net, s, field):
@@ -114,13 +113,13 @@ def test_fiber_matrix_examples():
         n=4,
         m=2,
         matrices=(
-            GramMatrix.diagonal([1] * 6),
-            GramMatrix.zero(6),
-            GramMatrix.zero(6),
+            diagonal_gram([1] * 6),
+            zero_gram(6),
+            zero_gram(6),
         ),
     )
-    assert _fiber_at(net, (1, 0, 0), F7) == GramMatrix.diagonal([1] * 6)
-    assert _fiber_at(PENCIL, (1, 1), F7) == GramMatrix.diagonal([1, 2, 3, 4])
+    assert _fiber_at(net, (1, 0, 0), F7) == diagonal_gram([1] * 6)
+    assert _fiber_at(PENCIL, (1, 1), F7) == diagonal_gram([1, 2, 3, 4])
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -176,7 +175,7 @@ def test_pencil_stratification_over_f7():
 
 
 def test_zero_net_flatness_violation():
-    zero_net = QuadricNet(n=2, m=1, matrices=(GramMatrix.zero(4), GramMatrix.zero(4)))
+    zero_net = QuadricNet(n=2, m=1, matrices=(zero_gram(4), zero_gram(4)))
     report = regularity_check(zero_net, F3)
     assert report.corank_histogram == {4: 4}
     assert not report.flat and not report.regular
@@ -199,7 +198,7 @@ def test_points_on_x_diag_net_avoids_axis_points():
         n=4,
         m=2,
         matrices=(
-            GramMatrix.diagonal([1] * 6),
+            diagonal_gram([1] * 6),
             random_symmetric(rng, 6, p=7),
             random_symmetric(rng, 6, p=7),
         ),
@@ -378,7 +377,7 @@ def test_regularity_common_radical_vector_flagged():
     rows = random_symmetric(rng, 3, p=5).entries
     padded = tuple(tuple(list(r) + [0]) for r in rows) + ((0, 0, 0, 0),)
     net = QuadricNet(
-        n=2, m=1, matrices=(GramMatrix(padded), GramMatrix.zero(4))
+        n=2, m=1, matrices=(GramMatrix(padded), zero_gram(4))
     )
     report = regularity_check(net, F5)
     assert not report.regular
@@ -466,7 +465,7 @@ def test_batched_corank_1_radicals_match_one_span_per_fiber(degenerate):
 def test_regularity_check_without_degenerate_fibers(monkeypatch):
     # det(s M_0 + t M_1) = 3 s^2 - t^2 has no zero on P^1(F_5), 3 being no
     # square mod 5: the kernel stack is empty
-    net = QuadricNet(n=0, m=1, matrices=(GramMatrix.diagonal([1, 3]), GramMatrix.from_rows([[0, 1], [1, 0]])))
+    net = QuadricNet(n=0, m=1, matrices=(diagonal_gram([1, 3]), GramMatrix.from_rows([[0, 1], [1, 0]])))
     stacks = []
     original = modmat.kernel_stack
 
@@ -621,8 +620,6 @@ def test_double_cover_net_vs_reduction(accepted_net):
 
 
 def test_double_cover_matches_discriminant_polynomial():
-    from quadring.mpoly import determinant_of_linear_matrix
-
     # Gram size 4: the signed determinant is +det, so the cover count can be
     # recomputed from the discriminant polynomial of the pencil
     det_poly = determinant_of_linear_matrix([m.entries for m in PENCIL.matrices])
@@ -639,7 +636,7 @@ def test_double_cover_matches_discriminant_polynomial():
 
 def test_double_cover_needs_even_size():
     odd = QuadricNet(
-        n=1, m=1, matrices=(GramMatrix.diagonal([1, 1, 1]), GramMatrix.zero(3))
+        n=1, m=1, matrices=(diagonal_gram([1, 1, 1]), zero_gram(3))
     )
     with pytest.raises(InputError):
         count_double_cover(odd, F5)
@@ -928,7 +925,7 @@ def test_verify_relations_canonical_pencil_skips_p3():
 
 def test_verify_relations_rejects_unsupported_shape():
     odd = QuadricNet(
-        n=3, m=1, matrices=(GramMatrix.diagonal([1] * 5), GramMatrix.zero(5))
+        n=3, m=1, matrices=(diagonal_gram([1] * 5), zero_gram(5))
     )
     with pytest.raises(InputError):
         verify_relations(odd, None, [5])

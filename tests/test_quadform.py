@@ -26,6 +26,7 @@ from quadring.quadform import (
 
 from _util import (
     congruent_transform,
+    diagonal_gram,
     diagonal_invariants,
     diagonalize,
     disc_character,
@@ -40,6 +41,7 @@ from _util import (
     random_invertible,
     random_symmetric,
     record_scan_blocks,
+    zero_gram,
 )
 
 F3, F5, F7 = PrimeField(3), PrimeField(5), PrimeField(7)
@@ -55,7 +57,7 @@ def test_symmetry_enforced():
 
 
 def test_diagonalize_identity():
-    d, a = diagonalize(GramMatrix.diagonal([1, 1, 1]), F5)
+    d, a = diagonalize(diagonal_gram([1, 1, 1]), F5)
     assert d == (1, 1, 1)
     assert a == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
@@ -67,7 +69,7 @@ def test_diagonalize_hyperbolic_plane():
     assert legendre_character(d[0] * d[1], F5) == legendre_character(-1, F5)
     # and the congruence transform actually diagonalizes
     at_ma = congruent_transform(HYPERBOLIC, [list(r) for r in a], F5)
-    assert at_ma == GramMatrix.diagonal(d)
+    assert at_ma == diagonal_gram(d)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -76,39 +78,39 @@ def test_diagonalize_random(seed):
     for _ in range(50):
         m = random_symmetric(rng, 6, p=7)
         d, a = diagonalize(m, F7)
-        assert congruent_transform(m, [list(r) for r in a], F7) == GramMatrix.diagonal(d)
+        assert congruent_transform(m, [list(r) for r in a], F7) == diagonal_gram(d)
         assert modmat.det_mod(a, F7) != 0
         assert sum(1 for x in d if x != 0) == modmat.rank_mod(m.entries, 6, F7)
 
 
 def test_classify_examples():
-    assert classify(GramMatrix.zero(4), F5) == (0, 1)  # the empty determinant is 1
+    assert classify(zero_gram(4), F5) == (0, 1)  # the empty determinant is 1
     for field in (F3, F5, F7):
         assert classify(SPLIT_4, field) == (4, 1)
-    assert classify(GramMatrix.diagonal([1, 1, 1, 1]), F3) == (4, 1)
+    assert classify(diagonal_gram([1, 1, 1, 1]), F3) == (4, 1)
     # odd rank records the 0 sentinel
-    assert classify(GramMatrix.diagonal([1, 1, 1]), F7) == (3, 0)
+    assert classify(diagonal_gram([1, 1, 1]), F7) == (3, 0)
 
 
 def test_count_examples():
-    conic = GramMatrix.diagonal([1, 1, 1])
+    conic = diagonal_gram([1, 1, 1])
     assert count_projective_points(conic, F5) == 6  # smooth conic is a P^1
     assert count_projective_points(SPLIT_4, F3) == 16  # (p+1)^2
     assert len(common_zeros([SPLIT_4], F3)) == 16
-    nonsplit = GramMatrix.diagonal([1, 1, 1, 2])
+    nonsplit = diagonal_gram([1, 1, 1, 2])
     assert classify(nonsplit, F3) == (4, -1)
     assert count_projective_points(nonsplit, F3) == 10  # p^2 + 1
     assert len(common_zeros([nonsplit], F3)) == 10
-    assert count_projective_points(GramMatrix.zero(3), F5) == 31  # all of P^2
+    assert count_projective_points(zero_gram(3), F5) == 31  # all of P^2
 
 
 def test_brute_force_examples():
-    assert len(common_zeros([GramMatrix.zero(2)], F3)) == 4  # all of P^1
+    assert len(common_zeros([zero_gram(2)], F3)) == 4  # all of P^1
     for field in (F3, F5, F7):
         rank1 = GramMatrix.from_rows([[1, 0], [0, 0]])
         assert len(common_zeros([rank1], field)) == 1  # the point (0:1)
     with pytest.raises(BudgetExceededError):
-        common_zeros([GramMatrix.zero(6)], F7, budget=100)
+        common_zeros([zero_gram(6)], F7, budget=100)
 
 
 @pytest.mark.parametrize("size,p", [(4, 3), (5, 5), (6, 7)])
@@ -212,7 +214,7 @@ def _zeros_in_memory(grams, field):
 def _form(draw, size, p):
     kind = draw(st.sampled_from(["random", "zero", "rank1"]))
     if kind == "zero":
-        return GramMatrix.zero(size)
+        return zero_gram(size)
     if kind == "rank1":  # l l^T vanishes exactly where the linear form l does
         ell = draw(st.lists(st.integers(-p, p), min_size=size, max_size=size))
         return GramMatrix.from_rows([[a * b for b in ell] for a in ell])
@@ -331,7 +333,7 @@ def test_common_zeros_on_a_line_at_large_primes(p):
     split = GramMatrix.from_rows([[2 * r * r2, -(r + r2)], [-(r + r2), 2]])
     assert common_zeros([split], field, budget=1).tolist() == [[1, r], [1, r2]]
     n = next(n for n in range(2, p) if legendre_character(n, field) == -1)
-    assert len(common_zeros([GramMatrix.diagonal([-n, 1])], field, budget=1)) == 0
+    assert len(common_zeros([diagonal_gram([-n, 1])], field, budget=1)) == 0
     linear = GramMatrix.from_rows([[c, 1], [1, 0]])
     assert common_zeros([linear], field, budget=1).tolist() == [[1, (p - c) * (p + 1) // 2 % p], [0, 1]]
 
@@ -371,8 +373,8 @@ def test_hyperbolic_reduction_of_split_form():
 
 def test_hyperbolic_reduction_preconditions():
     with pytest.raises(InputError):
-        hyperbolic_reduce_at_vector(GramMatrix.diagonal([1, 1]), (1, 0), F5)  # not isotropic
-    corank1 = GramMatrix.diagonal([0, 1, 1, 1])
+        hyperbolic_reduce_at_vector(diagonal_gram([1, 1]), (1, 0), F5)  # not isotropic
+    corank1 = diagonal_gram([0, 1, 1, 1])
     with pytest.raises(InputError):
         hyperbolic_reduce_at_vector(corank1, (1, 0, 0, 0), F5)  # radical vector
 
@@ -439,17 +441,17 @@ def test_forms_congruent_examples():
     # 3 is not a square mod 7: discriminant classes 1 vs 3 differ
     assert legendre_character(3, F7) == -1
     assert not forms_congruent(
-        GramMatrix.diagonal([1, 1]), GramMatrix.diagonal([1, 3]), F7
+        diagonal_gram([1, 1]), diagonal_gram([1, 3]), F7
     )
     assert not forms_congruent(
-        GramMatrix.diagonal([1, 0]), GramMatrix.diagonal([1, 1]), F7
+        diagonal_gram([1, 0]), diagonal_gram([1, 1]), F7
     )
     with pytest.raises(InputError):
-        forms_congruent(GramMatrix.zero(2), GramMatrix.zero(3), F7)
+        forms_congruent(zero_gram(2), zero_gram(3), F7)
 
 
 def test_disc_character_zero_form():
-    assert disc_character(GramMatrix.zero(3), F5) == 1
+    assert disc_character(zero_gram(3), F5) == 1
 
 
 def test_matmul_mod_is_exact_below_2_31():
