@@ -303,9 +303,10 @@ def cmd_random(args: argparse.Namespace) -> int:
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
-    from .gfp import PrimeField
+    from .gfp import PrimeField, size_within_budget
     from .netfib import count_double_cover, count_reduced_family, hyperbolic_reduce_family, load_net
 
+    budget = _at_least_one(args.budget, "--budget")
     net, file_point = load_net(args.net)
     point = _parse_point(args.point) if args.point else file_point
     if point is None:
@@ -323,6 +324,8 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     ]
     if args.primes:
         primes = _parse_primes(args.primes)
+        for p in primes:  # the fiber walks of P^m, every prime before any fiber
+            size_within_budget(reduced.m, p, budget)
         counts = []
         for p in primes:
             field = PrimeField(p)
@@ -373,7 +376,7 @@ def cmd_verra(args: argparse.Namespace) -> int:
 
     form = load_verra_form(args.form)
     primes = _parse_primes(args.primes)
-    reports = verra_counts(form, primes)
+    reports = verra_counts(form, primes, budget=_at_least_one(args.budget, "--budget"))
     clean = [r for r in reports if not (r.corank2_first or r.corank2_second)]
     ok = bool(clean) and all(
         r.residual_first == 0 and r.residual_second == 0 and r.y_difference == 0
@@ -453,6 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_reduce.add_argument("--net", required=True)
     p_reduce.add_argument("--point")
     p_reduce.add_argument("--primes")
+    p_reduce.add_argument("--budget", type=int, default=2_000_000)
     p_reduce.add_argument("--out")
     add_common(p_reduce)
     p_reduce.set_defaults(func=cmd_reduce)
@@ -467,6 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verra = sub.add_parser("verra", help="double-cover counts for a (2,2) form")
     p_verra.add_argument("--form", required=True)
     p_verra.add_argument("--primes", default="3,5,7")
+    p_verra.add_argument("--budget", type=int, default=2_000_000)
     add_common(p_verra)
     p_verra.set_defaults(func=cmd_verra)
 

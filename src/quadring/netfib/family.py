@@ -6,9 +6,10 @@ M_0..M_m; the fiber over a base point w is M(w) = sum w_i M_i.  Keeping the
 matrices over Z lets one net be reduced at many primes; primes where the
 reduction misbehaves (corank >= 2 fibers, regularity violations) are meant
 to be skipped and reported by callers, not patched over.  `fibers` builds
-the Grams of a chunk of base points with one exact `modmat.matmul_mod`,
-and `fiber_table` classifies a family's walk once per prime: the regularity
-scan, Q, Qbar and Y all read that one table.
+the Grams of a chunk of base points with one exact `modmat.matmul_mod`.
+`fiber_table` classifies a family's fibers once per prime, a net's at
+p > N only where its interpolated discriminant det M(w) vanishes: the
+regularity scan, Q, Qbar and Y all read that one table.
 
 The base locus X in P^(n+1) is counted by one of two scans.  Given a
 point P of X, `points_on_X` projects from it, the route of the blow-up
@@ -36,10 +37,11 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 import numpy as np
 
 from ..errors import InputError, json_int, load_json_object
-from ..gfp import PrimeField, ProjPoint, canonical_point, canonical_rows, projective_row_chunks, scale_to_canonical, scan_projective
+from ..gfp import CHUNK_ROWS, PrimeField, ProjPoint, canonical_point, canonical_rows, character, lookup, projective_points_array
+from ..gfp import projective_row_chunks, projective_size, scale_to_canonical, scan_projective
 from .. import modmat
-from ..quadform import FiberChunk, GramMatrix, common_zeros, fiber_classes
-from ..quadform import _linear_and_constant, _mod, quadratic_roots, quadric_points, restrict, zeros_on_span
+from ..quadform import FiberChunk, GramMatrix, classify_stack, common_zeros, fiber_classes
+from ..quadform import _linear_and_constant, _mod, _rank_and_det, quadratic_roots, quadric_points, restrict, zeros_on_span
 
 if TYPE_CHECKING:
     from .reduction import ReducedFamily
@@ -76,10 +78,8 @@ class QuadricNet:
     def fibers(self, field: PrimeField) -> Iterator[FiberChunk]:
         """(base rows w, stack of fiber Grams M(w) mod p) for each chunk of
         rows of P^m(F_p), in canonical order."""
-        size = self.fiber_size
-        mats = modmat.residues([mat.entries for mat in self.matrices], field).reshape(self.m + 1, -1)
         for w in projective_row_chunks(self.m, field):
-            yield w, modmat.matmul_mod(w, mats, field.p).reshape(-1, size, size)
+            yield w, _fiber_grams(self, w, field)
 
     def to_document(self, point: Sequence[int] | None = None) -> dict:
         doc = {
@@ -121,6 +121,12 @@ class QuadricNet:
             if len(point) != size:
                 raise InputError(f"point has length {len(point)}, expected {size}")
         return cls(n=n, m=m, matrices=tuple(mats)), point
+
+
+def _fiber_grams(net: QuadricNet, rows: np.ndarray, field: PrimeField) -> np.ndarray:
+    """The stack of fiber Grams M(w) mod p at the base rows w."""
+    mats = modmat.residues([mat.entries for mat in net.matrices], field).reshape(net.m + 1, -1)
+    return modmat.matmul_mod(rows, mats, field.p).reshape(-1, net.fiber_size, net.fiber_size)
 
 
 def load_net(path: str) -> tuple[QuadricNet, tuple[int, ...] | None]:
@@ -354,10 +360,56 @@ def count_total_space(net: QuadricNet, field: PrimeField) -> int:
 
 @functools.lru_cache(maxsize=2)  # a net and its reduction, the most any command reads at one prime
 def fiber_table(family: QuadricNet | ReducedFamily, field: PrimeField) -> tuple[np.ndarray, ...]:
-    """`quadform.fiber_classes` of the family's walk at p, shared by every
-    count at p, so its arrays are read-only.  An error of the walk
-    (DegenerateSectionError) is not cached: every call raises it again."""
-    table = fiber_classes(family.fibers(field), family.fiber_size, field.p)
+    """The `quadform.fiber_classes` table of the family's walk at p (by `_net_table` for a
+    net at p > N), shared by every count at p, so read-only; an error is not cached."""
+    if isinstance(family, QuadricNet) and field.p > family.fiber_size:
+        table = _net_table(family, field)
+    else:
+        table = fiber_classes(family.fibers(field), family.fiber_size, field.p)
     for array in table:
         array.flags.writeable = False
     return table
+
+
+def _discriminant(net: QuadricNet, field: PrimeField) -> tuple[np.ndarray, np.ndarray]:
+    """The exponents (columns) and coefficients mod p of det M(w), a form of
+    degree N, for p > N: det M(1, x) at the (N+1)^m nodes x in {0..N}^m from
+    one elimination, interpolated by the inverse Vandermonde matrix of the
+    nodes 0..N along each axis."""
+    p, size, m = field.p, net.fiber_size, net.m
+    grid = np.indices((size + 1,) * m).reshape(m, -1)  # x in {0..N}^m, in C order
+    rank, det = _rank_and_det(_fiber_grams(net, np.vstack((np.ones_like(grid[:1]), grid)).T, field), p)
+    coeffs = np.where(rank == size, det, 0)
+    for _ in range(m):  # V^-1 along the first axis, which the transpose moves to the last
+        coeffs = modmat.matmul_mod(_inverse_vandermonde(size, field), coeffs.reshape(size + 1, -1), p).T
+    low = grid.sum(axis=0) <= size  # x^a is w_0^(N - |a|) w^a; past |a| = N its coefficient is 0
+    return np.vstack((size - grid.sum(axis=0), grid))[:, low], coeffs.reshape(-1)[low]
+
+
+def _net_table(net: QuadricNet, field: PrimeField) -> tuple[np.ndarray, ...]:
+    """`fiber_table` of a net at p > N: det M(w) on each CHUNK_ROWS block of
+    P^m(F_p), from `_discriminant` and power tables, gives rank N and the
+    character of (-1)^(N/2) det (0 at odd N) where det != 0; one call classifies the rest."""
+    p, size, m = field.p, net.fiber_size, net.m
+    exps, coeffs = _discriminant(net, field)
+    powers = modmat.residues([[v**k for k in range(size + 1)] for v in range(p)], field)  # v^k for v in F_p
+    total, dets, rows = projective_size(m, p), [], []
+    for lo in range(0, total, CHUNK_ROWS):
+        w = projective_points_array(m, field, total, lo, min(lo + CHUNK_ROWS, total))
+        terms = powers[:, exps[0]][w[:, 0]]
+        for i in range(1, m + 1):
+            terms = _mod(terms * powers[:, exps[i]][w[:, i]], p)
+        dets.append(modmat.matmul_mod(terms, coeffs, p))
+        rows.append(w[dets[-1] == 0])
+    det, rows = np.concatenate(dets), np.concatenate(rows)
+    grams = _fiber_grams(net, rows, field)
+    rank, signed = np.full(total, size), lookup(character, (-1) ** (size // 2) * det % p, p) * (size % 2 == 0)
+    rank[det == 0], signed[det == 0] = classify_stack(grams, p)
+    return rank, signed, rows, grams
+
+
+@functools.lru_cache(maxsize=64)
+def _inverse_vandermonde(size: int, field: PrimeField) -> np.ndarray:
+    """V^-1 mod p for V[i, k] = i^k, i and k in 0..N < p: [V | I] reduces to [I | V^-1]."""
+    rows = [[i**k for k in range(size + 1)] + [int(i == j) for j in range(size + 1)] for i in range(size + 1)]
+    return np.array(modmat.row_reduce(rows, 2 * size + 2, field)[0], dtype=np.int64)[:, size + 1 :]

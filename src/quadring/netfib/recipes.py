@@ -48,7 +48,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ..errors import InputError
+from ..errors import BudgetExceededError, InputError
 from .. import modmat
 from ..grothring import GRExpr, derive
 from ..gfp import (
@@ -58,6 +58,7 @@ from ..gfp import (
     lookup,
     projective_points_array,
     projective_row_chunks,
+    projective_size,
     size_within_budget,
 )
 from ..mpoly import HomPoly, evaluate_on_array
@@ -319,11 +320,17 @@ def _verra_x_count(g: HomPoly, field: PrimeField) -> int:
     )
 
 
-def verra_counts(g: HomPoly, primes: Sequence[int]) -> list[VerraReport]:
+def verra_counts(g: HomPoly, primes: Sequence[int], budget: int = 2_000_000) -> list[VerraReport]:
     """Counts of the branched double cover of P^2 x P^2 and of the two
     determinant covers, with the residuals tying them together: X minus
-    each route of the `verra` derivation at L = p, and Y1 - Y2."""
+    each route of the `verra` derivation at L = p, and Y1 - Y2.  The X count
+    walks the #P^2(F_p)^2 pairs (s, t); a prime with more than `budget` of
+    them raises BudgetExceededError before any prime is counted."""
     validate_verra_form(g)
+    for p in primes:
+        pairs = projective_size(2, p) ** 2
+        if pairs > budget:
+            raise BudgetExceededError(f"the X count walks P^2(F_{p}) x P^2(F_{p}), which has {pairs} points, over the budget of {budget}")
     first = _verra_quadric_entries(g)
     second = _verra_quadric_entries(swap_verra_factors(g))
     verra, x = derive("verra"), GRExpr.atom("X")

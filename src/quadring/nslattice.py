@@ -9,7 +9,7 @@ The isomorphism criterion: the pair is isomorphic iff a^2 - d*b^2 = 8 or
 a^2 - d*b^2 = -8 has an integer solution.  Square discriminants reduce to
 a finite factor-pair search; for the rest the solver is exact:
 
-  * d >= 65: one walk of the continued fraction of sqrt(d) decides both
+  * d >= 65: one period of the continued fraction of sqrt(d) decides both
     signs.  A solution has gcd(a, b) = 1 or 2, since gcd^2 divides 8, so it
     is (p, q) with p^2 - d*q^2 = N or (2p, 2q) with p^2 - d*q^2 = N/4,
     gcd(p, q) = 1.  |N| and |N/4| are both below sqrt(d), so every such
@@ -19,9 +19,11 @@ a finite factor-pair search; for the rest the solver is exact:
     alternating with k; when l is odd the sign of a value flips from one
     period to the next.  Two periods therefore meet every value of either
     sign, and the first meeting is the least solution of its class, since
-    later ones are multiplied by a unit and have larger q.  The walk keeps
-    the first, hence least, (b, a) for +8 and for -8: a value +-8 gives
-    (p, q), a value +-2 gives (2p, 2q).
+    later ones are multiplied by a unit and have larger q.  The walk of
+    (P, Q) on small ints stops after one period: a value met at k in it is
+    met again at k + l, with the opposite sign when l is odd.  Only the
+    first, hence least, hit for +8 and for -8 builds its convergent: a
+    value +-8 gives (p, q), a value +-2 gives (2p, 2q).
   * 1 < d < 65 nonsquare: the fundamental unit (t, u) of x^2 - d*y^2 = 1 is
     tiny here, and the classical bounds y <= u*sqrt(|N|/(2(t +- 1))) cap a
     direct scan.
@@ -128,19 +130,38 @@ def pell_fundamental(d: int) -> tuple[int, int]:
 
 
 def _solve_by_convergents(d: int) -> dict[int, tuple[int, int] | None]:
-    """Both signs for nonsquare d with sqrt(d) > 8, from one walk of two
-    periods: values +-8 give (p, q), values +-2 give (2p, 2q).  The first
-    hit of each sign is its least solution: q never falls along the walk,
-    so only a doubled hit (2p_j, 2q_j) could be overtaken, and a later hit
-    (p_k, q_k) of the same sign is at least two steps on (the signs of
-    consecutive values alternate), so q_k >= q_(j+1) + q_j >= 2 q_j."""
-    first: dict[int, tuple[int, int]] = {}
-    for p, q, v in sqrt_cf_convergents(d):
-        if v == 8 or v == -8:
-            first.setdefault(v, (p, q))
-        elif v == 2 or v == -2:
-            first.setdefault(4 * v, (2 * p, 2 * q))
-    return {rhs: first.get(rhs) for rhs in ALLOWED_RHS}
+    """Both signs for nonsquare d with sqrt(d) > 8, from one period l of the
+    PQa recursion on small ints: v_k = (-1)^(k+1) Q_(k+1) at each k < l,
+    and when l is odd its sign-flipped twin at k + l, the indices of two
+    periods.  The first hit of each sign is its least solution: q never
+    falls along the walk, so only a doubled hit (2p_j, 2q_j) could be
+    overtaken, and a later hit (p_k, q_k) of the same sign is at least two
+    steps on (the signs of consecutive values alternate), so
+    q_k >= q_(j+1) + q_j >= 2 q_j.  Only that hit builds its convergent."""
+    a0 = isqrt(d)
+    quotients: list[int] = []  # a_1..a_l
+    first: dict[int, tuple[int, int]] = {}  # rhs -> (k, 1 for v_k = +-8 or 2 for +-2)
+    pp, qq = a0, d - a0 * a0
+    while True:
+        if qq == 8 or qq == 2:
+            first.setdefault(8 if len(quotients) % 2 else -8, (len(quotients), 1 if qq == 8 else 2))
+        quotients.append((a0 + pp) // qq)
+        if qq == 1:  # Q_l = 1 ends the period, with a_l = 2 a0
+            break
+        pp = quotients[-1] * qq - pp
+        qq = (d - pp * pp) // qq
+    period = len(quotients)
+    for rhs, (k, scale) in list(first.items()) if period % 2 else ():
+        first.setdefault(-rhs, (k + period, scale))
+    solutions = dict.fromkeys(ALLOWED_RHS)
+    for rhs, (k, scale) in first.items():
+        p_prev, q_prev, p_cur, q_cur = 1, 0, a0, 1
+        for j in range(k):
+            a = quotients[j % period]
+            p_cur, p_prev = a * p_cur + p_prev, p_cur
+            q_cur, q_prev = a * q_cur + q_prev, q_cur
+        solutions[rhs] = (scale * p_cur, scale * q_cur)
+    return solutions
 
 
 def _solve_by_bounded_scan(d: int, rhs: int) -> tuple[int, int] | None:

@@ -1,7 +1,8 @@
 """Quadratic forms over F_p (p odd): rank and signed discriminant of a whole
-stack of Gram matrices at once, the point and double-cover counts read from
-them, common zeros (on a subspace too), restriction to a subspace, and
-the classification of a chunked fiber walk.
+stack of Gram matrices at once (and the determinant, as the product of the
+pivots), the point and double-cover counts read from them, common zeros (on
+a subspace too), restriction to a subspace, and the classification of a
+chunked fiber walk.
 
 Conventions.  A form is held by its symmetric Gram matrix M with
 q(v) = v^T M v and polar form b(u, v) = u^T M v; this is well defined since
@@ -86,18 +87,27 @@ class GramMatrix:
 def classify_stack(grams: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Rank and signed discriminant character (0 at odd rank) of every
     matrix of a stack (k, N, N) of symmetric residues mod p, by one
-    congruence diagonalization of the whole stack.
+    congruence diagonalization of the whole stack (`_rank_and_det`).
 
     Pivot policy: the first nonzero diagonal entry of the remaining block,
     moved to the front, by an exchange of two rows and two columns, only in
     the members where it is out of place; failing that, the first nonzero
     off-diagonal (j, l) in row-major order gets u_j <- u_j + u_l, making
-    entry (j, j) = 2 b(u_j, u_l) a pivot (p is odd).  A pivot d clears its row and column by
-    u_y <- d u_y - b(u_0, u_y) u_0, leaving d (d B - b b^T): d^2 times the
-    block that division by d leaves, so every pivot choice is the same and
-    the pivots differ by squares.  Every product is of two residues, exact
-    for p < 2^31.
+    entry (j, j) = 2 b(u_j, u_l) a pivot (p is odd).  A pivot d clears its
+    row and column by the Schur complement B - b (b d^-1)^T, d^-1 read
+    through `gfp.lookup`.  Both moves keep the determinant, so the product
+    of the pivots is that of the nondegenerate block, the whole matrix's at
+    full rank.  Every product is of two residues, exact for p < 2^31.
     """
+    rank, det = _rank_and_det(grams, p)
+    # the product of the pivots is never 0
+    signed = lookup(character, np.where(rank // 2 % 2 == 1, p - det, det), p)
+    return rank, np.where(rank % 2 == 0, signed, 0)
+
+
+def _rank_and_det(grams: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The elimination of `classify_stack`: the rank and the product of the
+    pivots of every member, its determinant at full rank."""
     b = np.array(grams, dtype=np.int64)
     k = len(b)
     rank = np.zeros(k, dtype=np.int64)
@@ -124,12 +134,11 @@ def classify_stack(grams: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
         b[move, 0], b[move, j] = b[move, j], b[move, 0]
         b[move, :, 0], b[move, :, j] = b[move, :, j], b[move, :, 0]
         d, col = b[:, 0, 0], b[:, 1:, 0]
-        b = _mod(_mod(d[:, None, None] * b[:, 1:, 1:] - col[:, :, None] * col[:, None, :], p) * d[:, None, None], p)
+        scaled = col * lookup(inverse, d, p)[:, None] % p  # 0 where the block is 0
+        b = _mod(b[:, 1:, 1:] - col[:, :, None] * scaled[:, None, :], p)
         rank += active
         det = np.where(active, det * d % p, det)
-    # chi((-1)^(r/2) det); the product of the pivots is never 0
-    signed = lookup(character, np.where(rank // 2 % 2 == 1, p - det, det), p)
-    return rank, np.where(rank % 2 == 0, signed, 0)
+    return rank, det
 
 
 def classify(matrix: GramMatrix, field: PrimeField) -> tuple[int, int]:

@@ -1,7 +1,7 @@
 """Shared helpers for the test suite, and the oracles the library is
 checked against: per-matrix Python routines for the batched ones, the Pell
-solver's two-period scan, the determinant of a matrix of linear forms, and
-the reduced family counted along its other projection."""
+solver's two-period scan and walk, the determinant of a matrix of linear
+forms, and the reduced family counted along its other projection."""
 
 import math
 import random
@@ -397,6 +397,19 @@ def _two_period_convergents(d: int):
         if qq == 1:
             completed += 1
         yield p_cur, q_cur
+
+
+def two_period_walk_solutions(d: int) -> dict[int, tuple[int, int] | None]:
+    """The Pell solver's walk of two full periods, for nonsquare d > 64:
+    the first convergent of `nslattice.sqrt_cf_convergents` with value +-8,
+    as (p, q), or +-2, as (2p, 2q), for each sign of a^2 - d*b^2 = +-8."""
+    first: dict[int, tuple[int, int]] = {}
+    for p, q, v in nslattice.sqrt_cf_convergents(d):
+        if v == 8 or v == -8:
+            first.setdefault(v, (p, q))
+        elif v == 2 or v == -2:
+            first.setdefault(4 * v, (2 * p, 2 * q))
+    return {rhs: first.get(rhs) for rhs in nslattice.ALLOWED_RHS}
 
 
 def convergent_solution(d: int, rhs: int) -> tuple[int, int] | None:

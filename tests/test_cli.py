@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -331,6 +332,56 @@ def test_cubic_rejects_nonpositive_budget(capsys, budget):
     )
     assert code == 2 and out == ""
     assert "--budget must be at least 1" in err
+
+
+@pytest.mark.parametrize("command, source", [("reduce", "net.json"), ("verra", "verra_form.json")])
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_reduce_and_verra_reject_nonpositive_budget(capsys, command, source, budget):
+    option = "--net" if command == "reduce" else "--form"
+    code, out, err = run_cli(capsys, command, option, str(GOLDEN / source), "--primes", "5", "--budget", budget)
+    assert code == 2 and out == ""
+    assert "--budget must be at least 1" in err
+
+
+@pytest.mark.parametrize(
+    "argv, counter, walked",
+    [
+        # the reduction's fiber walks cover P^2(F_p)
+        (["reduce", "--net", str(GOLDEN / "net.json"), "--primes", "3,1000003"], "quadring.netfib.count_reduced_family",
+         f"P^2(F_1000003), which has {1000003**2 + 1000003 + 1} points"),
+        # the (2,2) form's X count walks P^2(F_p) x P^2(F_p): the default
+        # budget admits #P^2(F_37)^2 = 1,979,649 pairs, and p = 41 exits 3
+        (["verra", "--form", str(GOLDEN / "verra_form.json"), "--primes", "3,41"], "quadring.netfib.recipes._verra_x_count",
+         "P^2(F_41) x P^2(F_41), which has 2968729 points"),
+        (["verra", "--form", str(GOLDEN / "verra_form.json"), "--primes", "1009"], "quadring.netfib.recipes._verra_x_count",
+         f"P^2(F_1009) x P^2(F_1009), which has {(1009**2 + 1009 + 1) ** 2} points"),
+    ],
+)
+def test_reduce_and_verra_check_the_budget_before_any_fiber(capsys, monkeypatch, argv, counter, walked):
+    def no_count(*args):
+        raise AssertionError("a prime was counted before the budget check")
+
+    monkeypatch.setattr(counter, no_count)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert f"{walked}, over the budget of 2000000" in err
+
+
+@pytest.mark.parametrize(
+    "argv, walked",
+    [
+        (["reduce", "--net", str(GOLDEN / "net.json")], 13),  # #P^2(F_3)
+        (["verra", "--form", str(GOLDEN / "verra_form.json")], 13**2),
+    ],
+)
+def test_reduce_and_verra_budget_is_the_space_walked(capsys, argv, walked):
+    code, out, _ = run_cli(capsys, *argv, "--primes", "3", "--budget", str(walked))
+    assert code == 0 and "p=3" in out
+    code, out, err = run_cli(capsys, *argv, "--primes", "3", "--budget", str(walked - 1))
+    assert code == 3 and out == ""
+    assert f"which has {walked} points, over the budget of {walked - 1}" in err
 
 
 def test_count_huge_entries_print_the_golden_reports(capsys, tmp_path):

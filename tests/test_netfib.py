@@ -1,6 +1,7 @@
 import math
 import random
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from quadring.gfp import (
     projective_points_array,
     projective_size,
 )
-from quadring.quadform import GramMatrix, classify, fiber_classes, zeros_on_span
+from quadring.quadform import GramMatrix, classify, double_cover_count, fiber_classes, quadric_points, zeros_on_span
 from quadring.netfib import family
 from quadring.netfib.family import proportional_zeros
 from quadring.netfib import (
@@ -34,7 +35,7 @@ from quadring.netfib import (
     verify_relations,
 )
 
-from _util import corank_histogram_reduced, count_reduced_family_dual, determinant_of_linear_matrix, diagonal_gram, fiber_list, form_values, forms_congruent, legendre_character, projective_rows_where, random_symmetric, record_scan_blocks, zero_gram
+from _util import corank_histogram_reduced, count_reduced_family_dual, determinant_of_linear_matrix, diagonal_gram, fiber_list, form_values, forms_congruent, legendre_character, projective_rows_where, random_invertible, random_symmetric, record_scan_blocks, zero_gram
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -728,21 +729,28 @@ def test_reduced_family_counts_call_no_kernel_basis(monkeypatch):
 @pytest.mark.parametrize("command", ["count", "reduce"])
 def test_each_family_is_classified_once_per_chunk(capsys, monkeypatch, command):
     # regularity, Q, Y and Qbar (count), or Qbar and both Y (reduce), read one
-    # table per family: #P^2(F_23) = 553 base points are three chunks of
-    # WALK_ROWS, so the net and its reduction take six calls in all
+    # table per family.  The net's table eliminates its 7^2 node fibers once
+    # and then only the fibers where its discriminant vanishes; the
+    # reduction walks #P^2(F_23) = 553 base points in three chunks of
+    # WALK_ROWS
     calls = []
-    original = quadform.classify_stack
+    original = quadform._rank_and_det
 
     def counting(grams, p):
         calls.append(len(grams))
         return original(grams, p)
 
-    monkeypatch.setattr(quadform, "classify_stack", counting)
+    for module in (quadform, family):
+        monkeypatch.setattr(module, "_rank_and_det", counting)
     family.fiber_table.cache_clear()
     assert main([command, "--net", str(GOLDEN / "net.json"), "--primes", "23"]) == 0
     assert "SKIPPED" not in capsys.readouterr().out
-    assert len(calls) == 2 * math.ceil(projective_size(2, 23) / WALK_ROWS)
-    assert sum(calls) == 2 * projective_size(2, 23)
+    assert family.fiber_table.cache_info().misses == 2
+    net, _ = load_net(str(GOLDEN / "net.json"))
+    degenerate = len(family.fiber_table(net, PrimeField(23))[2])
+    chunks = [WALK_ROWS, WALK_ROWS, projective_size(2, 23) - 2 * WALK_ROWS]
+    assert sorted(calls) == sorted([49, degenerate] + chunks)
+    assert degenerate > 0
 
 
 def test_regularity_check_takes_the_kernels_from_one_elimination(monkeypatch):
@@ -845,10 +853,14 @@ def test_total_space_all_split_fibers():
     [
         (41, 4990549521, 1749, 2969795, {0: 1680, 1: 43}),
         (53, 23025156814, 2962, 8202016, {0: 2807, 1: 56}),
+        (101, 1082855644314, 10302, 106151708, {0: 10203, 1: 100}),
+        (211, 89088362789672, 44600, 2001013226, {0: 44501, 1: 232}),
     ],
 )
 def test_golden_net_fiber_counts_at_large_primes(p, q, y, qbar, hist):
-    # values of the per-fiber Python classification (diagonalize, det_mod)
+    # values of the per-fiber Python classification (diagonalize, det_mod) at
+    # 41 and 53, and of the walk that classified every fiber at 101 and 211;
+    # the net's table comes from its discriminant, the reduction's from its walk
     net, point = load_net(str(GOLDEN / "net.json"))
     red = hyperbolic_reduce_family(net, [list(point)])
     field = PrimeField(p)
@@ -856,6 +868,69 @@ def test_golden_net_fiber_counts_at_large_primes(p, q, y, qbar, hist):
     assert count_double_cover(net, field) == y == count_double_cover(red, field)
     assert count_reduced_family(red, field) == qbar
     assert regularity_check(net, field).corank_histogram == hist == corank_histogram_reduced(red, field)
+    rank, signed, _, _ = fiber_classes(net.fibers(field), net.fiber_size, p)
+    assert (quadric_points(net.fiber_size, rank, signed, p), double_cover_count(net.fiber_size, rank, signed)) == (q, y)
+    assert dict(Counter((net.fiber_size - rank).tolist())) == hist
+
+
+@pytest.mark.parametrize("p, y", [(401, 162303), (1009, 1018801)])
+def test_golden_net_double_cover_at_primes_past_the_walk(p, y):
+    # the classified walk of every fiber gave these values (0.6 s and 3.5 s
+    # for the net's table); its discriminant route takes a fraction of that
+    net, _ = load_net(str(GOLDEN / "net.json"))
+    assert count_double_cover(net, PrimeField(p)) == y
+
+
+@st.composite
+def _net_with_a_planted_fiber(draw):
+    """A random (4,2) or (2,1) net mod a prime N < p <= 53, with one fiber
+    M(w) planted at a random base point w: of corank 1, of corank 2 or more,
+    or zero; or with a kernel vector common to every matrix, so that
+    det M(w) vanishes identically mod p."""
+    n, m = draw(st.sampled_from([(4, 2), (2, 1)]))
+    size = n + 2
+    p = draw(st.sampled_from([q for q in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53) if q > size]))
+    field = PrimeField(p)
+    plant = draw(st.sampled_from(["none", "corank 1", "corank 2+", "zero fiber", "common kernel"]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    mats = [np.array(random_symmetric(rng, size, p=p).entries, dtype=np.int64) for _ in range(m + 1)]
+    w = projective_points_array(m, field)[draw(st.integers(0, projective_size(m, p) - 1))]
+    if plant == "common kernel":  # A^T M A kills A^-1 e_0 when M kills e_0
+        a = np.array(random_invertible(rng, size, field), dtype=np.int64)
+        for mat in mats:
+            mat[0, :] = mat[:, 0] = 0
+        mats = [a.T @ mat @ a % p for mat in mats]
+    elif plant != "none":
+        rank = {"corank 1": size - 1, "corank 2+": draw(st.integers(1, size - 2)), "zero fiber": 0}[plant]
+        a = np.array(random_invertible(rng, size, field), dtype=np.int64)
+        diag = np.diag([rng.randrange(1, p) if i < rank else 0 for i in range(size)])
+        pivot = int(np.flatnonzero(w)[0])  # w_pivot = 1
+        mats[pivot] = (a.T @ diag @ a - sum(x * mat for i, (x, mat) in enumerate(zip(w, mats)) if i != pivot)) % p
+    net = QuadricNet(n=n, m=m, matrices=tuple(GramMatrix.from_array(mat % p) for mat in mats))
+    return net, tuple(w.tolist()), field, plant
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_net_with_a_planted_fiber())
+def test_net_table_from_the_discriminant_matches_the_classified_walk(planted):
+    net, w, field, plant = planted
+    p, size = field.p, net.fiber_size
+    family.fiber_table.cache_clear()
+    table = family.fiber_table(net, field)
+    expected = fiber_classes(net.fibers(field), size, p)
+    for got, want in zip(table, expected, strict=True):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    at_w = table[0][projective_points_array(net.m, field).tolist().index(list(w))]
+    corank = {"none": None, "corank 1": 1, "zero fiber": size}.get(plant)
+    assert corank is None or at_w == size - corank
+    assert plant != "corank 2+" or at_w <= size - 2
+    assert plant != "common kernel" or (table[0] < size).all()
+    # the interpolated discriminant is det(sum w_i M_i) mod p
+    exps, coeffs = family._discriminant(net, field)
+    det = determinant_of_linear_matrix([mat.entries for mat in net.matrices])
+    assert {e: c for e, c in zip(map(tuple, exps.T.tolist()), coeffs.tolist()) if c} == {
+        e: c % p for e, c in det.terms.items() if c % p
+    }
 
 
 @pytest.mark.parametrize("p, x", [(101, 10302), (211, 44600)])

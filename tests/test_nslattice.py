@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from quadring.errors import InputError
 from quadring import nslattice as ns
 
-from _util import enumerate_nontrivial, least_pell_solution, oracle_verdict
+from _util import enumerate_nontrivial, least_pell_solution, oracle_verdict, two_period_walk_solutions
 
 
 def test_discriminant_examples():
@@ -144,6 +144,14 @@ def test_convergent_values_come_from_the_pqa_denominators():
         walk = list(ns.sqrt_cf_convergents(d))
         assert all(p * p - d * q * q == v for p, q, v in walk)
         assert sum(v == 1 for _, _, v in walk) >= 1
+
+
+def test_one_period_walk_matches_the_two_period_walk_up_to_20000():
+    # the walk of (P, Q) that stops after one period, with the sign-flipped
+    # twins of an odd period, finds the first hits of the two-period walk
+    for d in range(65, 20_001):
+        if math.isqrt(d) ** 2 != d:
+            assert ns._solve_by_convergents(d) == two_period_walk_solutions(d), d
 
 
 def test_classification_matches_the_two_period_oracle_up_to_20000():

@@ -22,6 +22,7 @@ from quadring.quadform import (
     quadratic_roots,
     quadric_points,
     zeros_on_span,
+    _rank_and_det,
 )
 
 from _util import (
@@ -189,6 +190,21 @@ def _mixed_members(rng: random.Random, size: int, p: int) -> list[np.ndarray]:
         members += [np.zeros((size, size), dtype=np.int64), np.diag([rng.randrange(1, p) for _ in range(size)])]
     rng.shuffle(members)
     return members
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data(), size=st.integers(1, 7), p=st.sampled_from([3, 5, 7, 101, 2**31 - 1]))
+def test_pivot_product_is_the_determinant_at_full_rank(data, size, p):
+    # the Schur update keeps the determinant: at full rank the product of the
+    # pivots is det M itself, not only its square class, whether the pivots
+    # stay in place, move, or come from a zero diagonal
+    field = PrimeField(p)
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    members = [np.array(m.entries, dtype=np.int64) for m in data.draw(_stack(size, p))] + _mixed_members(rng, size, p)
+    full = [m for m in members if modmat.det_mod(m.tolist(), field)]
+    rank, det = _rank_and_det(np.array(full), p)
+    assert (rank == size).all()
+    assert det.tolist() == [modmat.det_mod(m.tolist(), field) for m in full]
 
 
 @pytest.mark.parametrize("p", [3, 5, 2**31 - 1])
