@@ -37,8 +37,8 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 import numpy as np
 
 from ..errors import InputError, json_int, load_json_object
-from ..gfp import CHUNK_ROWS, PrimeField, ProjPoint, canonical_point, canonical_rows, character, lookup, projective_points_array
-from ..gfp import projective_row_chunks, projective_size, scale_to_canonical, scan_projective
+from ..gfp import PrimeField, ProjPoint, canonical_point, canonical_rows, character, lookup, projective_row_chunks
+from ..gfp import scale_to_canonical, scan_projective
 from .. import modmat
 from ..quadform import FiberChunk, GramMatrix, classify_stack, common_zeros, fiber_classes
 from ..quadform import _linear_and_constant, _mod, _rank_and_det, quadratic_roots, quadric_points, restrict, zeros_on_span
@@ -387,15 +387,14 @@ def _discriminant(net: QuadricNet, field: PrimeField) -> tuple[np.ndarray, np.nd
 
 
 def _net_table(net: QuadricNet, field: PrimeField) -> tuple[np.ndarray, ...]:
-    """`fiber_table` of a net at p > N: det M(w) on each CHUNK_ROWS block of
+    """`fiber_table` of a net at p > N: det M(w) on each chunk of the walk of
     P^m(F_p), from `_discriminant` and power tables, gives rank N and the
     character of (-1)^(N/2) det (0 at odd N) where det != 0; one call classifies the rest."""
     p, size, m = field.p, net.fiber_size, net.m
     exps, coeffs = _discriminant(net, field)
     powers = modmat.residues([[v**k for k in range(size + 1)] for v in range(p)], field)  # v^k for v in F_p
-    total, dets, rows = projective_size(m, p), [], []
-    for lo in range(0, total, CHUNK_ROWS):
-        w = projective_points_array(m, field, total, lo, min(lo + CHUNK_ROWS, total))
+    dets, rows = [], []
+    for w in projective_row_chunks(m, field):
         terms = powers[:, exps[0]][w[:, 0]]
         for i in range(1, m + 1):
             terms = _mod(terms * powers[:, exps[i]][w[:, i]], p)
@@ -403,7 +402,7 @@ def _net_table(net: QuadricNet, field: PrimeField) -> tuple[np.ndarray, ...]:
         rows.append(w[dets[-1] == 0])
     det, rows = np.concatenate(dets), np.concatenate(rows)
     grams = _fiber_grams(net, rows, field)
-    rank, signed = np.full(total, size), lookup(character, (-1) ** (size // 2) * det % p, p) * (size % 2 == 0)
+    rank, signed = np.full(len(det), size), lookup(character, (-1) ** (size // 2) * det % p, p) * (size % 2 == 0)
     rank[det == 0], signed[det == 0] = classify_stack(grams, p)
     return rank, signed, rows, grams
 
