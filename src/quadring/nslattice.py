@@ -96,71 +96,63 @@ def _solve_square(d: int, rhs: int) -> tuple[int, int] | None:
     return best
 
 
-def sqrt_cf_convergents(d: int):
-    """Yield (p, q, v) along two full periods of the continued fraction of
-    sqrt(d) (d nonsquare): the convergent p/q and its value
-    v = p^2 - d*q^2 = (-1)^(k+1) Q_(k+1), read from the PQa denominators."""
+def _pqa_period(d: int) -> tuple[int, list[int], list[int]]:
+    """a_0, the partial quotients a_1..a_l and the PQa denominators
+    Q_1..Q_l of one period l of the continued fraction of sqrt(d), d
+    nonsquare, on small ints: Q_l = 1 ends the period, and a_l = 2 a_0."""
     a0 = isqrt(d)
-    if a0 * a0 == d:
-        raise InputError(f"{d} is a perfect square")
-    p_prev, q_prev = 1, 0
-    p_cur, q_cur = a0, 1
+    quotients, denominators = [], []
     pp, qq = a0, d - a0 * a0
-    yield p_cur, q_cur, -qq
-    sign = 1
-    completed = 0
-    while completed < 2:
-        a = (a0 + pp) // qq
+    while True:
+        denominators.append(qq)
+        quotients.append((a0 + pp) // qq)
+        if qq == 1:
+            return a0, quotients, denominators
+        pp = quotients[-1] * qq - pp
+        qq = (d - pp * pp) // qq
+
+
+def _convergent(a0: int, quotients: list[int], k: int) -> tuple[int, int]:
+    """The convergent (p_k, q_k) of [a_0; a_1, a_2, ..], the a_j for j >= 1
+    repeating `quotients`."""
+    p_prev, q_prev, p_cur, q_cur = 1, 0, a0, 1
+    for j in range(k):
+        a = quotients[j % len(quotients)]
         p_cur, p_prev = a * p_cur + p_prev, p_cur
         q_cur, q_prev = a * q_cur + q_prev, q_cur
-        pp = a * qq - pp
-        qq = (d - pp * pp) // qq
-        if qq == 1:
-            completed += 1
-        yield p_cur, q_cur, sign * qq
-        sign = -sign
+    return p_cur, q_cur
 
 
 def pell_fundamental(d: int) -> tuple[int, int]:
-    """The least (t, u) with t^2 - d*u^2 = 1, t + u*sqrt(d) > 1."""
-    for p, q, v in sqrt_cf_convergents(d):
-        if v == 1:
-            return p, q
-    raise AssertionError(f"no fundamental unit within two periods for d={d}")
+    """The least (t, u) with t^2 - d*u^2 = 1, t + u*sqrt(d) > 1: the first
+    convergent of value (-1)^(k+1) Q_(k+1) = 1, at the end of the first
+    period l when l is even and of the second when l is odd."""
+    a0, quotients, _ = _pqa_period(d)
+    period = len(quotients)
+    return _convergent(a0, quotients, period - 1 if period % 2 == 0 else 2 * period - 1)
 
 
 def _solve_by_convergents(d: int) -> dict[int, tuple[int, int] | None]:
     """Both signs for nonsquare d with sqrt(d) > 8, from one period l of the
-    PQa recursion on small ints: v_k = (-1)^(k+1) Q_(k+1) at each k < l,
-    and when l is odd its sign-flipped twin at k + l, the indices of two
-    periods.  The first hit of each sign is its least solution: q never
-    falls along the walk, so only a doubled hit (2p_j, 2q_j) could be
-    overtaken, and a later hit (p_k, q_k) of the same sign is at least two
-    steps on (the signs of consecutive values alternate), so
-    q_k >= q_(j+1) + q_j >= 2 q_j.  Only that hit builds its convergent."""
-    a0 = isqrt(d)
-    quotients: list[int] = []  # a_1..a_l
-    first: dict[int, tuple[int, int]] = {}  # rhs -> (k, 1 for v_k = +-8 or 2 for +-2)
-    pp, qq = a0, d - a0 * a0
-    while True:
-        if qq == 8 or qq == 2:
-            first.setdefault(8 if len(quotients) % 2 else -8, (len(quotients), 1 if qq == 8 else 2))
-        quotients.append((a0 + pp) // qq)
-        if qq == 1:  # Q_l = 1 ends the period, with a_l = 2 a0
-            break
-        pp = quotients[-1] * qq - pp
-        qq = (d - pp * pp) // qq
+    PQa recursion: v_k = (-1)^(k+1) Q_(k+1) at each k < l, and when l is
+    odd its sign-flipped twin at k + l, the indices of two periods.  The
+    first hit of each sign is its least solution: q never falls along the
+    walk, so only a doubled hit (2p_j, 2q_j) could be overtaken, and a later
+    hit (p_k, q_k) of the same sign is at least two steps on (the signs of
+    consecutive values alternate), so q_k >= q_(j+1) + q_j >= 2 q_j.  Only
+    that hit builds its convergent."""
+    a0, quotients, denominators = _pqa_period(d)
     period = len(quotients)
-    for rhs, (k, scale) in list(first.items()) if period % 2 else ():
-        first.setdefault(-rhs, (k + period, scale))
+    hits = [(k, q if k % 2 else -q) for k, q in enumerate(denominators) if q == 8 or q == 2]
+    if period % 2:
+        hits += [(k + period, -v) for k, v in hits]
+    first: dict[int, tuple[int, int]] = {}  # rhs -> (k, 1 for v_k = +-8 or 2 for +-2)
+    for k, v in hits:
+        first.setdefault(8 if v > 0 else -8, (k, 1 if abs(v) == 8 else 2))
     solutions = dict.fromkeys(ALLOWED_RHS)
     for rhs, (k, scale) in first.items():
-        p_prev, q_prev, p_cur, q_cur = 1, 0, a0, 1
-        for j in range(k):
-            a = quotients[j % period]
-            p_cur, p_prev = a * p_cur + p_prev, p_cur
-            q_cur, q_prev = a * q_cur + q_prev, q_cur
-        solutions[rhs] = (scale * p_cur, scale * q_cur)
+        p, q = _convergent(a0, quotients, k)
+        solutions[rhs] = (scale * p, scale * q)
     return solutions
 
 

@@ -379,14 +379,17 @@ def forms_congruent(m1: GramMatrix, m2: GramMatrix, field: PrimeField) -> bool:
     return disc_character(m1, field) == disc_character(m2, field)
 
 
-def _two_period_convergents(d: int):
-    """(p, q) along two full periods of the continued fraction of sqrt(d),
-    d nonsquare, walked independently of `nslattice`."""
+def sqrt_cf_convergents(d: int):
+    """Yield (p, q, v) along two full periods of the continued fraction of
+    sqrt(d) (d nonsquare), walked independently of `nslattice`: the
+    convergent p/q and its value v = p^2 - d*q^2 = (-1)^(k+1) Q_(k+1), read
+    from the PQa denominators."""
     a0 = math.isqrt(d)
     p_prev, q_prev = 1, 0
     p_cur, q_cur = a0, 1
-    yield p_cur, q_cur
     pp, qq = a0, d - a0 * a0
+    yield p_cur, q_cur, -qq
+    sign = 1
     completed = 0
     while completed < 2:
         a = (a0 + pp) // qq
@@ -396,15 +399,16 @@ def _two_period_convergents(d: int):
         qq = (d - pp * pp) // qq
         if qq == 1:
             completed += 1
-        yield p_cur, q_cur
+        yield p_cur, q_cur, sign * qq
+        sign = -sign
 
 
 def two_period_walk_solutions(d: int) -> dict[int, tuple[int, int] | None]:
     """The Pell solver's walk of two full periods, for nonsquare d > 64:
-    the first convergent of `nslattice.sqrt_cf_convergents` with value +-8,
-    as (p, q), or +-2, as (2p, 2q), for each sign of a^2 - d*b^2 = +-8."""
+    the first convergent of `sqrt_cf_convergents` with value +-8, as
+    (p, q), or +-2, as (2p, 2q), for each sign of a^2 - d*b^2 = +-8."""
     first: dict[int, tuple[int, int]] = {}
-    for p, q, v in nslattice.sqrt_cf_convergents(d):
+    for p, q, v in sqrt_cf_convergents(d):
         if v == 8 or v == -8:
             first.setdefault(v, (p, q))
         elif v == 2 or v == -2:
@@ -417,7 +421,7 @@ def convergent_solution(d: int, rhs: int) -> tuple[int, int] | None:
     among convergents with p^2 - d*q^2 = rhs (as (p, q)) or rhs/4 (as
     (2p, 2q)), each value from the big-int product itself."""
     candidates = []
-    for p, q in _two_period_convergents(d):
+    for p, q, _ in sqrt_cf_convergents(d):
         v = p * p - d * q * q
         if v == rhs:
             candidates.append((p, q))

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from quadring.errors import InputError
 from quadring import nslattice as ns
 
-from _util import enumerate_nontrivial, least_pell_solution, oracle_verdict, two_period_walk_solutions
+from _util import enumerate_nontrivial, least_pell_solution, oracle_verdict, sqrt_cf_convergents, two_period_walk_solutions
 
 
 def test_discriminant_examples():
@@ -138,12 +138,20 @@ def test_classify_ns_matches_discriminant():
 
 
 def test_convergent_values_come_from_the_pqa_denominators():
+    # one period of (P, Q) and its convergents give every convergent and
+    # value of the two-period walk, each value p^2 - d q^2 by its product
     for d in list(range(2, 400)) + [61, 94, 421, 9_999, 999_999]:
         if math.isqrt(d) ** 2 == d:
             continue
-        walk = list(ns.sqrt_cf_convergents(d))
+        walk = list(sqrt_cf_convergents(d))
         assert all(p * p - d * q * q == v for p, q, v in walk)
         assert sum(v == 1 for _, _, v in walk) >= 1
+        a0, quotients, denominators = ns._pqa_period(d)
+        period = len(quotients)
+        assert walk == [
+            (*ns._convergent(a0, quotients, k), (-1) ** (k + 1) * denominators[k % period]) for k in range(len(walk))
+        ]
+        assert ns.pell_fundamental(d) == next((p, q) for p, q, v in walk if v == 1)
 
 
 def test_one_period_walk_matches_the_two_period_walk_up_to_20000():
