@@ -330,7 +330,9 @@ def verra_counts(g: HomPoly, primes: Sequence[int], budget: int = 2_000_000) -> 
     for p in primes:
         pairs = projective_size(2, p) ** 2
         if pairs > budget:
-            raise BudgetExceededError(f"the X count walks P^2(F_{p}) x P^2(F_{p}), which has {pairs} points, over the budget of {budget}")
+            raise BudgetExceededError(
+                f"the X count walks P^2(F_{p}) x P^2(F_{p}), which has {pairs} points, over the budget of {budget}"
+            )
     first = _verra_quadric_entries(g)
     second = _verra_quadric_entries(swap_verra_factors(g))
     verra, x = derive("verra"), GRExpr.atom("X")

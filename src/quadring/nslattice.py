@@ -21,9 +21,10 @@ a finite factor-pair search; for the rest the solver is exact:
     sign, and the first meeting is the least solution of its class, since
     later ones are multiplied by a unit and have larger q.  The walk of
     (P, Q) on small ints stops after one period: a value met at k in it is
-    met again at k + l, with the opposite sign when l is odd.  Only the
-    first, hence least, hit for +8 and for -8 builds its convergent: a
-    value +-8 gives (p, q), a value +-2 gives (2p, 2q).
+    met again at k + l, with the opposite sign when l is odd, but then the
+    palindrome Q_(k+1) = Q_(l-1-k) gives that sign already at l - 2 - k.
+    Only the first, hence least, hit for +8 and for -8 builds its
+    convergent: a value +-8 gives (p, q), a value +-2 gives (2p, 2q).
   * 1 < d < 65 nonsquare: the fundamental unit (t, u) of x^2 - d*y^2 = 1 is
     tiny here, and the classical bounds y <= u*sqrt(|N|/(2(t +- 1))) cap a
     direct scan.
@@ -134,21 +135,19 @@ def pell_fundamental(d: int) -> tuple[int, int]:
 
 def _solve_by_convergents(d: int) -> dict[int, tuple[int, int] | None]:
     """Both signs for nonsquare d with sqrt(d) > 8, from one period l of the
-    PQa recursion: v_k = (-1)^(k+1) Q_(k+1) at each k < l, and when l is
-    odd its sign-flipped twin at k + l, the indices of two periods.  The
-    first hit of each sign is its least solution: q never falls along the
-    walk, so only a doubled hit (2p_j, 2q_j) could be overtaken, and a later
-    hit (p_k, q_k) of the same sign is at least two steps on (the signs of
-    consecutive values alternate), so q_k >= q_(j+1) + q_j >= 2 q_j.  Only
-    that hit builds its convergent."""
+    PQa recursion: v_k = (-1)^(k+1) Q_(k+1) at each k < l.  A second period
+    would add no first hit: when l is odd, the sign-flipped twin of v_k at
+    k + l is met already at l - 2 - k, since Q_(k+1) = Q_(l-1-k).
+    The first hit of each sign is its least solution: q never falls along
+    the walk, so only a doubled hit (2p_j, 2q_j) could be overtaken, and a
+    later hit (p_k, q_k) of the same sign is at least two steps on (the
+    signs of consecutive values alternate), so q_k >= q_(j+1) + q_j >=
+    2 q_j.  Only that hit builds its convergent."""
     a0, quotients, denominators = _pqa_period(d)
-    period = len(quotients)
-    hits = [(k, q if k % 2 else -q) for k, q in enumerate(denominators) if q == 8 or q == 2]
-    if period % 2:
-        hits += [(k + period, -v) for k, v in hits]
     first: dict[int, tuple[int, int]] = {}  # rhs -> (k, 1 for v_k = +-8 or 2 for +-2)
-    for k, v in hits:
-        first.setdefault(8 if v > 0 else -8, (k, 1 if abs(v) == 8 else 2))
+    for k, q in enumerate(denominators):
+        if q == 8 or q == 2:
+            first.setdefault(8 if k % 2 else -8, (k, 1 if q == 8 else 2))
     solutions = dict.fromkeys(ALLOWED_RHS)
     for rhs, (k, scale) in first.items():
         p, q = _convergent(a0, quotients, k)

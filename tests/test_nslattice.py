@@ -148,6 +148,7 @@ def test_convergent_values_come_from_the_pqa_denominators():
         assert sum(v == 1 for _, _, v in walk) >= 1
         a0, quotients, denominators = ns._pqa_period(d)
         period = len(quotients)
+        assert denominators[:-1] == denominators[-2::-1]  # the solver's one-period argument
         assert walk == [
             (*ns._convergent(a0, quotients, k), (-1) ** (k + 1) * denominators[k % period]) for k in range(len(walk))
         ]
