@@ -875,8 +875,8 @@ def test_golden_net_fiber_counts_at_large_primes(p, q, y, qbar, hist):
 
 @pytest.mark.parametrize("p, y", [(401, 162303), (1009, 1018801)])
 def test_golden_net_double_cover_at_primes_past_the_walk(p, y):
-    # the classified walk of every fiber gave these values (0.6 s and 3.5 s
-    # for the net's table); its discriminant route takes a fraction of that
+    # values of the walk that classified every fiber; the net's table from
+    # its discriminant makes them cheap enough to pin
     net, _ = load_net(str(GOLDEN / "net.json"))
     assert count_double_cover(net, PrimeField(p)) == y
 
