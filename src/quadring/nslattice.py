@@ -145,9 +145,9 @@ def _solve_by_convergents(d: int) -> dict[int, tuple[int, int] | None]:
     2 q_j.  Only that hit builds its convergent."""
     a0, quotients, denominators = _pqa_period(d)
     first: dict[int, tuple[int, int]] = {}  # rhs -> (k, 1 for v_k = +-8 or 2 for +-2)
-    for k, q in enumerate(denominators):
-        if q == 8 or q == 2:
-            first.setdefault(8 if k % 2 else -8, (k, 1 if q == 8 else 2))
+    for k, value in enumerate(denominators):
+        if value == 8 or value == 2:
+            first.setdefault(8 if k % 2 else -8, (k, 1 if value == 8 else 2))
     solutions = dict.fromkeys(ALLOWED_RHS)
     for rhs, (k, scale) in first.items():
         p, q = _convergent(a0, quotients, k)
