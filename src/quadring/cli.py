@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import TYPE_CHECKING, Sequence
 
@@ -58,11 +59,11 @@ def _at_least_one(value: int, option: str) -> int:
     return value
 
 
-def _parse_point(text: str) -> tuple[int, ...]:
+def _parse_point(text: str, option: str) -> tuple[int, ...]:
     try:
         return tuple(int(x) for x in text.split(","))
     except ValueError as exc:
-        raise InputError(f"bad point {text!r}: {exc}") from exc
+        raise InputError(f"bad {option} {text!r}: {exc}") from exc
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -177,7 +178,7 @@ def cmd_count(args: argparse.Namespace) -> int:
     from .netfib import SUPPORTED_SHAPES, load_net, verify_relations
 
     net, file_point = load_net(args.net)
-    point = _parse_point(args.point) if args.point else file_point
+    point = _parse_point(args.point, "--point") if args.point else file_point
     if point is None and (net.n, net.m) in SUPPORTED_SHAPES:  # verify_relations rejects the others
         point = _find_integral_point(net)
     primes = _parse_primes(args.primes)
@@ -240,17 +241,18 @@ def cmd_groth(args: argparse.Namespace) -> int:
 def cmd_disc(args: argparse.Namespace) -> int:
     if (args.range is None) == (args.ns is None):
         raise InputError("give exactly one of --range or --ns")
+    budget = _at_least_one(args.budget, "--budget")
     verdicts = []
     if args.ns:
-        parts = _parse_point(args.ns)
+        parts = _parse_point(args.ns, "--ns")
         if len(parts) != 2:
             raise InputError("--ns expects CH,C2")
         ch, c2 = parts
-        verdicts.append((nslattice.discriminant(ch, c2), nslattice.classify_ns(ch, c2)))
+        verdicts.append((nslattice.discriminant(ch, c2), nslattice.classify_ns(ch, c2, budget)))
     else:
         lo, hi = _parse_range(args.range)
-        for d in range(lo, hi + 1):
-            verdicts.append((d, nslattice.classify_discriminant(d)))
+        for d in range(lo, hi + 1):  # each d may walk `budget` PQa steps
+            verdicts.append((d, nslattice.classify_discriminant(d, budget)))
     doc = {
         "format_version": FORMAT_VERSION,
         "command": "disc",
@@ -308,7 +310,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
     budget = _at_least_one(args.budget, "--budget")
     net, file_point = load_net(args.net)
-    point = _parse_point(args.point) if args.point else file_point
+    point = _parse_point(args.point, "--point") if args.point else file_point
     if point is None:
         raise InputError("reduction needs a point: give --point or a net file with one")
     reduced = hyperbolic_reduce_family(net, [list(point)])
@@ -438,6 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_disc = sub.add_parser("disc", help="discriminant verdicts")
     p_disc.add_argument("--range")
     p_disc.add_argument("--ns")
+    p_disc.add_argument("--budget", type=int, default=2_000_000)
     add_common(p_disc)
     p_disc.set_defaults(func=cmd_disc)
 
@@ -479,6 +482,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    # numpy's OpenBLAS starts a worker thread per core when numpy is
+    # imported, and quadring never uses one: its arrays are int64, which
+    # numpy does not hand to BLAS.  Set before any handler imports numpy; a
+    # value the user set wins.  Only the command line does this, since a
+    # library must not change its host's BLAS.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -257,8 +257,10 @@ def scan_projective(
     in the C order of (i, j).  Each of `jobs` threads walks one contiguous
     part of the prefix index range, so memory stays bounded at any budget
     and the result does not depend on `jobs`; there are never more parts,
-    hence threads, than `os.cpu_count()`.  Raises BudgetExceededError when
-    P^n(F_p) has more than `budget` points.
+    hence threads, than `os.cpu_count()` or than the walk has blocks of
+    prefix rows, and a walk of one part runs in the calling thread, with no
+    pool.  Raises BudgetExceededError when P^n(F_p) has more than `budget`
+    points.
     """
     p = field.p
     size_within_budget(n, p, budget)
@@ -289,11 +291,12 @@ def scan_projective(
             )
         ]
 
-    parts = split_ranges(projective_size(n - 2, p), min(jobs, os.cpu_count() or 1))
+    prefixes = projective_size(n - 2, p)
+    parts = split_ranges(prefixes, min(jobs, os.cpu_count() or 1, -(-prefixes // prefix_rows)))
     if len(parts) == 1:
         heads = [scan(parts[0])]
     else:
-        # Imported here: only --jobs > 1 pays for the pool's modules.
+        # Imported here: only a walk of several parts pays for the pool's modules.
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=len(parts)) as pool:

@@ -156,6 +156,8 @@ def hyperbolic_reduce_family(
     vectors = [list(map(int, u)) for u in u_basis]
     if not vectors or any(len(v) != size for v in vectors):
         raise InputError(f"basis vectors must have length {size}")
+    if not all(any(v) for v in vectors):
+        raise InputError("the zero vector is not a point")
     k = len(vectors) - 1
     if net.n - 2 * k - 2 < 0:
         raise InputError(f"subspace of dimension {k + 1} is too large for n={net.n}")

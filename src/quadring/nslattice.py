@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .errors import InputError
+from .errors import BudgetExceededError, InputError
 
 ALLOWED_RHS = (8, -8)
 
@@ -97,20 +97,25 @@ def _solve_square(d: int, rhs: int) -> tuple[int, int] | None:
     return best
 
 
-def _pqa_period(d: int) -> tuple[int, list[int], list[int]]:
+def _pqa_period(d: int, budget: int) -> tuple[int, list[int], list[int]]:
     """a_0, the partial quotients a_1..a_l and the PQa denominators
     Q_1..Q_l of one period l of the continued fraction of sqrt(d), d
-    nonsquare, on small ints: Q_l = 1 ends the period, and a_l = 2 a_0."""
+    nonsquare, on small ints: Q_l = 1 ends the period, and a_l = 2 a_0.
+    Raises BudgetExceededError when l is over `budget` steps: l can reach
+    about sqrt(d) log d, so the budget bounds both time and memory."""
     a0 = isqrt(d)
     quotients, denominators = [], []
     pp, qq = a0, d - a0 * a0
-    while True:
+    for _ in range(budget):
         denominators.append(qq)
         quotients.append((a0 + pp) // qq)
         if qq == 1:
             return a0, quotients, denominators
         pp = quotients[-1] * qq - pp
         qq = (d - pp * pp) // qq
+    raise BudgetExceededError(
+        f"the period of the continued fraction of sqrt({d}) runs past the budget of {budget} PQa steps"
+    )
 
 
 def _convergent(a0: int, quotients: list[int], k: int) -> tuple[int, int]:
@@ -124,16 +129,17 @@ def _convergent(a0: int, quotients: list[int], k: int) -> tuple[int, int]:
     return p_cur, q_cur
 
 
-def pell_fundamental(d: int) -> tuple[int, int]:
+def pell_fundamental(d: int, budget: int = 2_000_000) -> tuple[int, int]:
     """The least (t, u) with t^2 - d*u^2 = 1, t + u*sqrt(d) > 1: the first
     convergent of value (-1)^(k+1) Q_(k+1) = 1, at the end of the first
-    period l when l is even and of the second when l is odd."""
-    a0, quotients, _ = _pqa_period(d)
+    period l when l is even and of the second when l is odd.  Raises
+    BudgetExceededError when l is over `budget` steps."""
+    a0, quotients, _ = _pqa_period(d, budget)
     period = len(quotients)
     return _convergent(a0, quotients, period - 1 if period % 2 == 0 else 2 * period - 1)
 
 
-def _solve_by_convergents(d: int) -> dict[int, tuple[int, int] | None]:
+def _solve_by_convergents(d: int, budget: int) -> dict[int, tuple[int, int] | None]:
     """Both signs for nonsquare d with sqrt(d) > 8, from one period l of the
     PQa recursion: v_k = (-1)^(k+1) Q_(k+1) at each k < l.  A second period
     would add no first hit: when l is odd, the sign-flipped twin of v_k at
@@ -143,7 +149,7 @@ def _solve_by_convergents(d: int) -> dict[int, tuple[int, int] | None]:
     later hit (p_k, q_k) of the same sign is at least two steps on (the
     signs of consecutive values alternate), so q_k >= q_(j+1) + q_j >=
     2 q_j.  Only that hit builds its convergent."""
-    a0, quotients, denominators = _pqa_period(d)
+    a0, quotients, denominators = _pqa_period(d, budget)
     first: dict[int, tuple[int, int]] = {}  # rhs -> (k, 1 for v_k = +-8 or 2 for +-2)
     for k, value in enumerate(denominators):
         if value == 8 or value == 2:
@@ -155,9 +161,9 @@ def _solve_by_convergents(d: int) -> dict[int, tuple[int, int] | None]:
     return solutions
 
 
-def _solve_by_bounded_scan(d: int, rhs: int) -> tuple[int, int] | None:
+def _solve_by_bounded_scan(d: int, rhs: int, budget: int) -> tuple[int, int] | None:
     """Decision for small nonsquare d via the fundamental-unit bound on b."""
-    t, u = pell_fundamental(d)
+    t, u = pell_fundamental(d, budget)
     if rhs > 0:
         b_max = isqrt((u * u * rhs) // (2 * (t + 1))) + 1
     else:
@@ -172,33 +178,36 @@ def _solve_by_bounded_scan(d: int, rhs: int) -> tuple[int, int] | None:
     return None
 
 
-def _least_solutions(d: int) -> dict[int, tuple[int, int] | None]:
+def _least_solutions(d: int, budget: int) -> dict[int, tuple[int, int] | None]:
     """The minimal nonnegative solution (least b, then least a) of
-    a^2 - d*b^2 = rhs for each rhs in ALLOWED_RHS, None where unsolvable."""
+    a^2 - d*b^2 = rhs for each rhs in ALLOWED_RHS, None where unsolvable;
+    a nonsquare d walks at most `budget` PQa steps."""
     if isqrt(d) ** 2 == d:
         return {rhs: _solve_square(d, rhs) for rhs in ALLOWED_RHS}
     if d > 64:
-        return _solve_by_convergents(d)
-    return {rhs: _solve_by_bounded_scan(d, rhs) for rhs in ALLOWED_RHS}
+        return _solve_by_convergents(d, budget)
+    return {rhs: _solve_by_bounded_scan(d, rhs, budget) for rhs in ALLOWED_RHS}
 
 
-def solve_pell_like(d: int, rhs: int) -> tuple[int, int] | None:
+def solve_pell_like(d: int, rhs: int, budget: int = 2_000_000) -> tuple[int, int] | None:
     """Exact decision of a^2 - d*b^2 = rhs for rhs in {8, -8}; returns a
-    minimal nonnegative solution (least b, then least a) or None."""
+    minimal nonnegative solution (least b, then least a) or None.  Raises
+    BudgetExceededError when the period of sqrt(d) is over `budget` steps."""
     if d <= 0:
         raise InputError(f"discriminant must be positive, got {d}")
     if rhs not in ALLOWED_RHS:
         raise InputError(f"right-hand side must be one of {ALLOWED_RHS}")
-    return _least_solutions(d)[rhs]
+    return _least_solutions(d, budget)[rhs]
 
 
-def classify_discriminant(d: int) -> DiscriminantVerdict:
+def classify_discriminant(d: int, budget: int = 2_000_000) -> DiscriminantVerdict:
     """Isomorphic when either sign is solvable (+8 reported first);
     otherwise the pair is nontrivially L-equivalent exactly when the
-    obstruction dies (d = 1 mod 8), and obstructed otherwise."""
+    obstruction dies (d = 1 mod 8), and obstructed otherwise.  Raises
+    BudgetExceededError when the period of sqrt(d) is over `budget` steps."""
     if d < 1:
         raise InputError(f"discriminant must be positive, got {d}")
-    for rhs, sol in _least_solutions(d).items():
+    for rhs, sol in _least_solutions(d, budget).items():
         if sol is not None:
             return DiscriminantVerdict(
                 d=d,
@@ -211,5 +220,5 @@ def classify_discriminant(d: int) -> DiscriminantVerdict:
     return DiscriminantVerdict(d, False, None, OBSTRUCTED)
 
 
-def classify_ns(ch: int, c2: int) -> DiscriminantVerdict:
-    return classify_discriminant(discriminant(ch, c2))
+def classify_ns(ch: int, c2: int, budget: int = 2_000_000) -> DiscriminantVerdict:
+    return classify_discriminant(discriminant(ch, c2), budget)

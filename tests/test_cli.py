@@ -455,6 +455,52 @@ def test_disc_rejects_bad_range(capsys):
     assert run_cli(capsys, "disc")[0] == 2
 
 
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_disc_rejects_nonpositive_budget(capsys, budget):
+    code, out, err = run_cli(capsys, "disc", "--range", "1..5", "--budget", budget)
+    assert code == 2 and out == ""
+    assert "--budget must be at least 1" in err
+
+
+@pytest.mark.parametrize("d, period", [(61, 11), (94, 16)])  # the fundamental-unit scan; the one-period walk
+def test_disc_budget_is_the_period_walked(capsys, d, period):
+    code, out, _ = run_cli(capsys, "disc", "--range", f"{d}..{d}", "--budget", str(period))
+    assert code == 0 and out.startswith(f"d={d} ")
+    # d - 1 fits the budget, yet nothing is printed when d does not
+    code, out, err = run_cli(capsys, "disc", "--range", f"{d - 1}..{d}", "--budget", str(period - 1))
+    assert code == 3 and out == ""
+    assert f"sqrt({d}) runs past the budget of {period - 1} PQa steps" in err
+
+
+def test_disc_default_budget_stops_a_huge_discriminant():
+    # d = 1000000007^2 - 24, about 10^18: a period of up to about
+    # sqrt(d) log d steps, which the default budget of 2,000,000 cuts short
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "quadring", "disc", "--ns", "1000000007,3"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert "sqrt(1000000014000000025) runs past the budget of 2000000 PQa steps" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["disc", "--ns", "1,x"], "bad --ns '1,x'"),
+        (["count", "--net", str(GOLDEN / "net.json"), "--point", "1,x,0,0,0,0"], "bad --point '1,x,0,0,0,0'"),
+        # the message of `count`, not "basis vectors are linearly dependent"
+        (["reduce", "--net", str(GOLDEN / "net.json"), "--point", "0,0,0,0,0,0"], "error: the zero vector is not a point"),
+    ],
+    ids=["disc-ns", "count-point", "reduce-zero-point"],
+)
+def test_malformed_points_name_the_input(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert message in err
+
+
 def test_random_then_count_pipeline(capsys, tmp_path):
     path = tmp_path / "net.json"
     code, out, _ = run_cli(
@@ -806,3 +852,35 @@ def test_entry_point_runs_groth_and_disc_without_numpy(argv, stdout_start):
     }
     assert "quadring.cli" in imported
     assert not [name for name in imported if name.split(".")[0] == "numpy"]
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/status").exists() or (os.cpu_count() or 1) < 2,
+    reason="reads the thread count from /proc, and needs a second CPU for BLAS to claim",
+)
+@pytest.mark.parametrize("preset, threads", [(None, "1"), ("2", "2")], ids=["unset", "user-set"])
+def test_count_starts_no_blas_thread_unless_the_user_asks(preset, threads):
+    # numpy's OpenBLAS starts a worker thread per core when numpy loads;
+    # main() caps it at one before any handler imports numpy, and a value
+    # the user set wins.  The child gets the variable removed or set
+    # explicitly, since the in-process main() calls of this suite leave it
+    # set here.
+    child = (
+        "import contextlib, io, os, sys\n"
+        "from quadring.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['count', '--net', sys.argv[1], '--primes', '3'])\n"
+        "threads = next(line.split()[1] for line in open('/proc/self/status') if line.startswith('Threads:'))\n"
+        "print(code, threads, os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run(
+        [sys.executable, "-c", child, str(GOLDEN / "net.json")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", threads, preset or "1"]

@@ -138,10 +138,13 @@ def test_rows_where_is_the_filtered_order():
         assert np.array_equal(projective_rows_where(3, f, keep, jobs=jobs), full[keep(full)])
 
 
-def test_scan_starts_no_more_threads_than_cpus(monkeypatch):
-    # a recording executor that runs every part in the calling thread: no
-    # thread is started, whatever `jobs` asks for; the scan imports the pool
-    # class from concurrent.futures when it builds one
+@pytest.fixture
+def recorded_pools(monkeypatch):
+    """The max_workers of every pool a scan builds, on a host of 3 CPUs.
+
+    A recording executor runs every part in the calling thread: no thread
+    is started, whatever `jobs` asks for; the scan imports the pool class
+    from concurrent.futures when it builds one."""
     import concurrent.futures
 
     pools = []
@@ -161,13 +164,29 @@ def test_scan_starts_no_more_threads_than_cpus(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(gfp.os, "cpu_count", lambda: 3)
+    return pools
+
+
+def test_scan_starts_no_more_threads_than_cpus(recorded_pools):
+    # P^4(F_19) has 381 prefix rows, 65,536 // 19^2 = 181 to a block: three
+    # blocks, so the CPUs cap the pool
+    f = PrimeField(19)
+    keep = lambda rows: rows.sum(axis=1) % 19 == 0
+    expected = projective_rows_where(4, f, keep, jobs=1)
+    assert recorded_pools == []
+    for jobs in (2, 10_000):
+        assert np.array_equal(projective_rows_where(4, f, keep, jobs=jobs), expected)
+    assert recorded_pools == [2, 3]
+
+
+def test_scan_of_one_block_starts_no_pool(recorded_pools):
+    # P^4(F_5) has 31 prefix rows, and a block holds 65,536 // 5^2 = 2,621
     f = PrimeField(5)
     keep = lambda rows: rows.sum(axis=1) % 5 == 0
     expected = projective_rows_where(4, f, keep, jobs=1)
-    assert pools == []
     for jobs in (2, 10_000):
         assert np.array_equal(projective_rows_where(4, f, keep, jobs=jobs), expected)
-    assert pools == [2, 3]
+    assert recorded_pools == []
 
 
 def test_points_array_budget():

@@ -146,7 +146,7 @@ def test_convergent_values_come_from_the_pqa_denominators():
         walk = list(sqrt_cf_convergents(d))
         assert all(p * p - d * q * q == v for p, q, v in walk)
         assert sum(v == 1 for _, _, v in walk) >= 1
-        a0, quotients, denominators = ns._pqa_period(d)
+        a0, quotients, denominators = ns._pqa_period(d, 2_000_000)
         period = len(quotients)
         assert denominators[:-1] == denominators[-2::-1]  # the solver's one-period argument
         assert walk == [
@@ -160,7 +160,7 @@ def test_one_period_walk_matches_the_two_period_walk_up_to_20000():
     # twins of an odd period, finds the first hits of the two-period walk
     for d in range(65, 20_001):
         if math.isqrt(d) ** 2 != d:
-            assert ns._solve_by_convergents(d) == two_period_walk_solutions(d), d
+            assert ns._solve_by_convergents(d, 2_000_000) == two_period_walk_solutions(d), d
 
 
 def test_classification_matches_the_two_period_oracle_up_to_20000():
