@@ -475,12 +475,17 @@ def test_disc_budget_is_the_period_walked(capsys, d, period):
 def test_disc_default_budget_stops_a_huge_discriminant():
     # d = 1000000007^2 - 24, about 10^18: a period of up to about
     # sqrt(d) log d steps, which the default budget of 2,000,000 cuts short
+    # in time and in memory (1 GB of address space; the walk fills it in
+    # seconds without a bound)
+    child = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from quadring.cli import main\n"
+        "sys.exit(main(['disc', '--ns', '1000000007,3']))\n"
+    )
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "quadring", "disc", "--ns", "1000000007,3"],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
+    proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 3 and proc.stdout == ""
     assert "sqrt(1000000014000000025) runs past the budget of 2000000 PQa steps" in proc.stderr
 
