@@ -178,7 +178,7 @@ def _solve_by_bounded_scan(d: int, rhs: int, budget: int) -> tuple[int, int] | N
     return None
 
 
-def _least_solutions(d: int, budget: int) -> dict[int, tuple[int, int] | None]:
+def _least_solutions(d: int, budget: int = 2_000_000) -> dict[int, tuple[int, int] | None]:
     """The minimal nonnegative solution (least b, then least a) of
     a^2 - d*b^2 = rhs for each rhs in ALLOWED_RHS, None where unsolvable;
     a nonsquare d walks at most `budget` PQa steps."""
@@ -189,15 +189,15 @@ def _least_solutions(d: int, budget: int) -> dict[int, tuple[int, int] | None]:
     return {rhs: _solve_by_bounded_scan(d, rhs, budget) for rhs in ALLOWED_RHS}
 
 
-def solve_pell_like(d: int, rhs: int, budget: int = 2_000_000) -> tuple[int, int] | None:
+def solve_pell_like(d: int, rhs: int) -> tuple[int, int] | None:
     """Exact decision of a^2 - d*b^2 = rhs for rhs in {8, -8}; returns a
     minimal nonnegative solution (least b, then least a) or None.  Raises
-    BudgetExceededError when the period of sqrt(d) is over `budget` steps."""
+    BudgetExceededError when the period of sqrt(d) is over 2,000,000 steps."""
     if d <= 0:
         raise InputError(f"discriminant must be positive, got {d}")
     if rhs not in ALLOWED_RHS:
         raise InputError(f"right-hand side must be one of {ALLOWED_RHS}")
-    return _least_solutions(d, budget)[rhs]
+    return _least_solutions(d)[rhs]
 
 
 def classify_discriminant(d: int, budget: int = 2_000_000) -> DiscriminantVerdict:

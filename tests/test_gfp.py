@@ -168,10 +168,10 @@ def recorded_pools(monkeypatch):
 
 
 def test_scan_starts_no_more_threads_than_cpus(recorded_pools):
-    # P^4(F_19) has 381 prefix rows, 65,536 // 19^2 = 181 to a block: three
-    # blocks, so the CPUs cap the pool
-    f = PrimeField(19)
-    keep = lambda rows: rows.sum(axis=1) % 19 == 0
+    # P^4(F_23) has 553 prefix rows, 65,536 // 23^2 = 123 to a block: five
+    # blocks, more than the 3 CPUs, so only the CPUs cap the pool at 3
+    f = PrimeField(23)
+    keep = lambda rows: rows.sum(axis=1) % 23 == 0
     expected = projective_rows_where(4, f, keep, jobs=1)
     assert recorded_pools == []
     for jobs in (2, 10_000):
