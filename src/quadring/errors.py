@@ -13,7 +13,8 @@ class BudgetExceededError(RuntimeError):
 
 
 class DegenerateSectionError(ValueError):
-    """A reduction was requested at a vector meeting a fiber's singular locus."""
+    """A reduction or a projection was requested at a vector meeting a
+    fiber's singular locus."""
 
 
 def json_int(value: object, what: str) -> int:

@@ -193,20 +193,18 @@ def size_within_budget(n: int, p: int, budget: int) -> int:
     return size
 
 
-def projective_points_array(
-    n: int, field: PrimeField, budget: int = 4_000_000, lo: int = 0, hi: int | None = None
-) -> np.ndarray:
+def projective_points_array(n: int, field: PrimeField, lo: int = 0, hi: int | None = None) -> np.ndarray:
     """Rows lo..hi-1 (default: all) of the canonical order of P^n(F_p), as
     an int64 array with one point per row.
 
     The order is: points grouped by pivot position j (the index of the
     leading 1) ascending, and inside a group the free coordinates
     x_{j+1}..x_n run lexicographically with x_{j+1} most significant.
-    This is the only implementation of that order.  Raises
-    BudgetExceededError when the space has more than `budget` points.
+    This is the only implementation of that order.  Every caller has
+    charged the space to its budget already.
     """
     p = field.p
-    size = size_within_budget(n, p, budget)
+    size = projective_size(n, p)
     hi = size if hi is None else hi
     if not 0 <= lo <= hi <= size:
         raise ValueError(f"bad index range [{lo}, {hi}) of {size} points")
@@ -231,7 +229,7 @@ def projective_row_chunks(n: int, field: PrimeField) -> Iterator[np.ndarray]:
     rows at a time."""
     size = projective_size(n, field.p)
     for lo in range(0, size, WALK_ROWS):
-        yield projective_points_array(n, field, budget=size, lo=lo, hi=min(lo + WALK_ROWS, size))
+        yield projective_points_array(n, field, lo, min(lo + WALK_ROWS, size))
 
 
 def enumerate_projective(n: int, field: PrimeField) -> Iterator[ProjPoint]:
@@ -245,7 +243,7 @@ def scan_projective(
     n: int,
     field: PrimeField,
     keep: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    budget: int = 4_000_000,
+    budget: int = 2_000_000,
     jobs: int = 1,
 ) -> np.ndarray:
     """The rows `keep` finds on the points of P^n(F_p), in the canonical
@@ -269,7 +267,7 @@ def scan_projective(
         # keep() on h x the first s_count rows of P^s_dim, from column s_col on
         step = max(1, CHUNK_ROWS // len(h))
         return [
-            keep(h, projective_points_array(s_dim, field, budget, b, min(b + step, s_count))[:, s_col:])
+            keep(h, projective_points_array(s_dim, field, b, min(b + step, s_count))[:, s_col:])
             for b in range(0, s_count, step)
         ]
 
@@ -286,7 +284,7 @@ def scan_projective(
             kept
             for a in range(lo, hi, prefix_rows)
             for kept in blocks(
-                projective_points_array(n - 2, field, budget, a, min(a + prefix_rows, hi)),
+                projective_points_array(n - 2, field, a, min(a + prefix_rows, hi)),
                 2, p**2, 1,
             )
         ]

@@ -1,6 +1,6 @@
 """Formal calculus for variety classes: Z[L]-linear combinations of
-monomials in opaque atoms, the standard relation rules as explicit
-equations, and scripted derivations of the headline identities.
+monomials in opaque atoms, the standard relation rules as the classes
+they give, and scripted derivations of the headline identities.
 
 Atoms are uninterpreted symbols; products of atoms are formal monomials in
 the free commutative monoid.  The class of P^n is never an atom: it
@@ -103,10 +103,6 @@ class GRExpr:
             raise InputError(f"negative projective dimension {n}")
         return GRExpr({(): {k: 1 for k in range(n + 1)}})
 
-    @staticmethod
-    def zero() -> "GRExpr":
-        return GRExpr({})
-
     # -- ring structure ----------------------------------------------------
 
     def __add__(self, other: "GRExpr") -> "GRExpr":
@@ -144,18 +140,6 @@ class GRExpr:
         return not self.terms
 
     # -- operations --------------------------------------------------------
-
-    def substitute(self, name: str, replacement: "GRExpr") -> "GRExpr":
-        """Replace every occurrence of the atom by the expression."""
-        out = GRExpr.zero()
-        for mono, poly in self.terms.items():
-            count = sum(1 for a in mono if a == name)
-            rest = tuple(a for a in mono if a != name)
-            piece = GRExpr({rest: poly})
-            for _ in range(count):
-                piece = piece * replacement
-            out = out + piece
-        return out
 
     def atoms(self) -> set[str]:
         return {a for mono in self.terms for a in mono}
@@ -234,59 +218,30 @@ L = GRExpr.lpower(1)
 ONE = GRExpr.const(1)
 
 
-def _as_expr(x: "GRExpr | str | int") -> GRExpr:
-    if isinstance(x, GRExpr):
-        return x
-    if isinstance(x, str):
-        return GRExpr.atom(x)
-    return GRExpr.const(x)
-
-
-@dataclass(frozen=True)
-class Equation:
-    """A named equality of two expressions."""
-
-    name: str
-    lhs: GRExpr
-    rhs: GRExpr
-
-    def residual(self) -> GRExpr:
-        return self.lhs - self.rhs
-
-
-def rule_blowup(blowup, ambient, center, codim: int) -> Equation:
-    """[Bl_Z X] = [X] + [Z](L + ... + L^(c-1)) for a smooth center of
-    codimension c."""
+def rule_blowup(ambient: GRExpr, center: GRExpr, codim: int) -> GRExpr:
+    """[Bl_Z X] = [X] + [Z](L + ... + L^(c-1)) for a smooth center Z of
+    codimension c in X: the class of the blow-up."""
     if codim < 1:
         raise InputError("blowup codimension must be at least 1")
-    correction = GRExpr({(): {k: 1 for k in range(1, codim)}})
-    return Equation(
-        "blowup",
-        _as_expr(blowup),
-        _as_expr(ambient) + _as_expr(center) * correction,
-    )
+    return ambient + center * GRExpr({(): {k: 1 for k in range(1, codim)}})
 
 
-def rule_hyperbolic_reduction(total, base, n: int, k: int, reduced) -> Equation:
-    """[Q] = [S][P^k](1 + L^(n-k)) + [Qbar] L^(k+1) for a flat family of
-    n-dimensional quadrics with a nondegenerate k-section."""
+def rule_hyperbolic_reduction(base: GRExpr, n: int, k: int, reduced: GRExpr) -> GRExpr:
+    """[Q] = [S][P^k](1 + L^(n-k)) + [Qbar] L^(k+1) for a flat family Q over
+    S of n-dimensional quadrics with a nondegenerate k-section and reduced
+    family Qbar: the class of Q."""
     if k < 0 or n - k < 0 or n - 2 * k - 2 < -2:
         raise InputError(f"bad reduction parameters n={n}, k={k}")
-    shell = _as_expr(base) * GRExpr.proj_space(k) * (ONE + GRExpr.lpower(n - k))
-    return Equation(
-        "hyperbolic-reduction",
-        _as_expr(total),
-        shell + _as_expr(reduced) * GRExpr.lpower(k + 1),
-    )
+    return base * GRExpr.proj_space(k) * (ONE + GRExpr.lpower(n - k)) + reduced * GRExpr.lpower(k + 1)
 
 
-def rule_family_total(total, x, n: int, m: int) -> Equation:
-    """[Q] = [P^(n+1)][P^(m-1)] + [X] L^m for the family of quadrics through
-    a complete intersection X of m+1 quadrics in P^(n+1)."""
+def rule_family_total(x: GRExpr, n: int, m: int) -> GRExpr:
+    """[Q] = [P^(n+1)][P^(m-1)] + [X] L^m for the family Q of quadrics
+    through a complete intersection X of m+1 quadrics in P^(n+1): the class
+    of Q."""
     if m < 1:
         raise InputError(f"family base must have dimension m >= 1, got {m}")
-    rhs = GRExpr.proj_space(n + 1) * GRExpr.proj_space(m - 1) + _as_expr(x) * GRExpr.lpower(m)
-    return Equation("family-total-space", _as_expr(total), rhs)
+    return GRExpr.proj_space(n + 1) * GRExpr.proj_space(m - 1) + x * GRExpr.lpower(m)
 
 
 @dataclass(frozen=True)
@@ -337,12 +292,9 @@ def _derive_theorem_main() -> Derivation:
     x, y = GRExpr.atom("X"), GRExpr.atom("Y")
     # blowup route: the reduced family is P^4 blown up in the projection X'
     # of X from the base point, and X' is X blown up in the point itself
-    xprime = rule_blowup("Xprime", x, GRExpr.const(1), 2).rhs  # [X] + L
-    route_a = rule_blowup("Qbar", GRExpr.proj_space(4), "Xprime", 2).rhs.substitute(
-        "Xprime", xprime
-    )
+    route_a = rule_blowup(GRExpr.proj_space(4), rule_blowup(x, ONE, 2), 2)
     # cover route: hyperbolic reduction of the 2-dimensional reduced family
-    route_b = rule_hyperbolic_reduction("Qbar", GRExpr.proj_space(2), 2, 0, y).rhs
+    route_b = rule_hyperbolic_reduction(GRExpr.proj_space(2), 2, 0, y)
     return Derivation(
         name="theorem-main",
         pivot="Qbar_P, the reduced family of the net of a degree-8 surface",
@@ -357,8 +309,8 @@ def _derive_theorem_main() -> Derivation:
 
 def _derive_corollary_m1() -> Derivation:
     x, y = GRExpr.atom("X"), GRExpr.atom("Y")
-    route_a = rule_family_total("Q", x, 2, 1).rhs
-    route_b = rule_hyperbolic_reduction("Q", GRExpr.proj_space(1), 2, 0, y).rhs
+    route_a = rule_family_total(x, 2, 1)
+    route_b = rule_hyperbolic_reduction(GRExpr.proj_space(1), 2, 0, y)
     return Derivation(
         name="corollary-m1",
         pivot="Q, the pencil of quadric surfaces through a degree-4 curve",
@@ -373,10 +325,8 @@ def _derive_corollary_m1() -> Derivation:
 
 def _derive_corollary_m2() -> Derivation:
     x, y = GRExpr.atom("X"), GRExpr.atom("Y")
-    route_a = rule_family_total("Q", x, 4, 2).rhs
-    route_b = rule_hyperbolic_reduction(
-        "Q", GRExpr.proj_space(2), 4, 1, y
-    ).rhs
+    route_a = rule_family_total(x, 4, 2)
+    route_b = rule_hyperbolic_reduction(GRExpr.proj_space(2), 4, 1, y)
     return Derivation(
         name="corollary-m2",
         pivot="Q, the net of quadric fourfolds through a degree-8 surface",
@@ -391,8 +341,8 @@ def _derive_corollary_m2() -> Derivation:
 
 def _derive_cubic_plane() -> Derivation:
     x, y = GRExpr.atom("X"), GRExpr.atom("Y")
-    route_a = rule_blowup("Xtilde", x, GRExpr.proj_space(2), 2).rhs
-    route_b = rule_hyperbolic_reduction("Xtilde", GRExpr.proj_space(2), 2, 0, y).rhs
+    route_a = rule_blowup(x, GRExpr.proj_space(2), 2)
+    route_b = rule_hyperbolic_reduction(GRExpr.proj_space(2), 2, 0, y)
     return Derivation(
         name="cubic-plane",
         pivot="the blowup of a cubic fourfold along a contained plane",

@@ -15,7 +15,8 @@ The base locus X in P^(n+1) is counted by one of two scans.  Given a
 point P of X, `points_on_X` projects from it, the route of the blow-up
 model: a walk of P^(n-1) (`proportional_zeros`) plus the lines through
 P.  Without one, it solves the forms for their last coordinate over P^n
-(`quadform.common_zeros`).
+(`quadform.common_zeros`).  Every scan takes the net's stack of residues
+(`QuadricNet.residues`) or a restriction of it.
 
 The geometric conditions "X is smooth" and "no line through P over the
 algebraic closure" are only ever tested at the F_p-rational level here, and
@@ -36,7 +37,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
-from ..errors import InputError, json_int, load_json_object
+from ..errors import DegenerateSectionError, InputError, json_int, load_json_object
 from ..gfp import PrimeField, ProjPoint, canonical_point, canonical_rows, character, lookup, projective_row_chunks
 from ..gfp import scale_to_canonical, scan_projective
 from .. import modmat
@@ -74,6 +75,10 @@ class QuadricNet:
     @property
     def fiber_size(self) -> int:
         return self.n + 2
+
+    def residues(self, field: PrimeField) -> np.ndarray:
+        """The stack (m+1, N, N) of the Grams M_0..M_m mod p."""
+        return modmat.residues([mat.entries for mat in self.matrices], field)
 
     def fibers(self, field: PrimeField) -> Iterator[FiberChunk]:
         """(base rows w, stack of fiber Grams M(w) mod p) for each chunk of
@@ -125,7 +130,7 @@ class QuadricNet:
 
 def _fiber_grams(net: QuadricNet, rows: np.ndarray, field: PrimeField) -> np.ndarray:
     """The stack of fiber Grams M(w) mod p at the base rows w."""
-    mats = modmat.residues([mat.entries for mat in net.matrices], field).reshape(net.m + 1, -1)
+    mats = net.residues(field).reshape(net.m + 1, -1)
     return modmat.matmul_mod(rows, mats, field.p).reshape(-1, net.fiber_size, net.fiber_size)
 
 
@@ -157,28 +162,29 @@ def points_on_X(
     point when q(v) is a multiple of B(v).  In a basis of v-space whose
     first m+1 vectors map onto the unit vectors under B and whose others
     span ker B, these [v] are `proportional_zeros` of the forms,
-    a walk of P^(n-1) charged to `budget`.  When B has rank below m+1
-    (P lies in the radical of a fiber), the route falls back to the
-    solved scan.  Raises BudgetExceededError when the space walked has
-    more than `budget` points.
+    a walk of P^(n-1) charged to `budget`.  B has rank below m+1 only
+    when w^T B = 0 for some base point w; then M(w)P = 0, since q_w(P) = 0
+    as well, so P is a point of X in a fiber's radical, the violation
+    that `regularity_check` reports and `count` skips.  That case raises
+    DegenerateSectionError.  Raises BudgetExceededError when the space
+    walked has more than `budget` points.
     """
-    if point is not None:
-        found = _points_by_projection(net, point, field, budget, jobs, lines)
-        if found is not None:
-            return found
-    return list(map(tuple, common_zeros(net.matrices, field, budget, jobs).tolist()))
+    if point is None:
+        return list(map(tuple, common_zeros(net.residues(field), field, budget, jobs).tolist()))
+    return _points_by_projection(net, point, field, budget, jobs, lines)
 
 
 def _polar_rows(net: QuadricNet, point: Sequence[int], field: PrimeField):
     """(P, the coordinates other than P's pivot, the net's Grams mod p, the
     rows of the linear forms b_j(P, .) on those coordinates) for a point P
     of X; raises InputError when P is not on X."""
-    rep = canonical_point(point, field)
-    if any(mat.q(rep, field) != 0 for mat in net.matrices):
+    p, rep = field.p, canonical_point(point, field)
+    mats, vector = net.residues(field), np.array(rep, dtype=np.int64)
+    polar = modmat.matmul_mod(mats, vector, p)
+    if ((polar * vector % p).sum(axis=1) % p).any():  # b_j(P, P) = q_j(P)
         raise InputError("point does not lie on the base locus X")
     kept = [i for i in range(net.fiber_size) if i != rep.index(1)]
-    mats = modmat.residues([mat.entries for mat in net.matrices], field)
-    return rep, kept, mats, modmat.matmul_mod(mats, np.array(rep, dtype=np.int64), field.p)[:, kept]
+    return rep, kept, mats, polar[:, kept]
 
 
 def _points_by_projection(
@@ -188,9 +194,8 @@ def _points_by_projection(
     budget: int,
     jobs: int,
     lines: Sequence[ProjPoint] | None,
-) -> list[ProjPoint] | None:
-    """`points_on_X` by projection from the point, or None when B has rank
-    below m+1."""
+) -> list[ProjPoint]:
+    """`points_on_X` by projection from the point."""
     p = field.p
     rep, kept, mats, linear = _polar_rows(net, point, field)
     if lines is None:
@@ -201,7 +206,9 @@ def _points_by_projection(
     k, dim = len(linear), len(kept)
     rref, pivots = modmat.row_reduce(np.hstack((linear, np.eye(k, dtype=np.int64))).tolist(), dim + k, field)
     if pivots[-1] >= dim:
-        return None
+        raise DegenerateSectionError(
+            f"the point {rep} lies in the radical of a fiber at p={p}: b(P, .) has rank below {k}"
+        )
     basis = np.zeros((k, dim), dtype=np.int64)
     basis[:, pivots] = np.array(rref, dtype=np.int64)[:, dim:].T
     basis = np.vstack((basis, np.array(modmat.kernel_basis(linear, dim, field), dtype=np.int64).reshape(-1, dim)))
@@ -219,7 +226,7 @@ def _points_by_projection(
 
 
 def proportional_zeros(
-    mats: np.ndarray, field: PrimeField, budget: int = 4_000_000, jobs: int = 1
+    mats: np.ndarray, field: PrimeField, budget: int = 2_000_000, jobs: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
     """The points [y] of P^(N-1)(F_p) whose head h = (y_0, .., y_(k-1)) is
     not 0 and at which the values of the k forms are a multiple of it,
@@ -311,12 +318,12 @@ def regularity_check(net: QuadricNet, field: PrimeField, budget: int = 2_000_000
     rank, _, rows, grams = fiber_table(net, field)
     kernel_rank, kernels = modmat.kernel_stack(grams, p)
     u = kernels.sum(axis=1)  # the nonzero row of a corank-1 kernel
-    mats = modmat.residues([mat.entries for mat in net.matrices], field)
+    mats = net.residues(field)
     values = _mod(modmat.matmul_mod(u, mats, p) * u, p).sum(axis=2) % p
     hits = np.flatnonzero((kernel_rank == size - 1) & ~values.any(axis=0))
     found = {i: [x] for i, x in zip(hits.tolist(), scale_to_canonical(u[hits], p).tolist())}
     for i in np.flatnonzero(kernel_rank < size - 1).tolist():
-        found[i] = zeros_on_span(net.matrices, kernels[i][kernels[i].any(axis=1)].tolist(), field, budget).tolist()
+        found[i] = zeros_on_span(mats, kernels[i][kernels[i].any(axis=1)].tolist(), field, budget).tolist()
     violations = [(tuple(rows[i].tolist()), tuple(x)) for i in sorted(found) for x in found[i]]
     hist = dict(Counter((size - rank).tolist()))
     return RegularityReport(
@@ -348,8 +355,7 @@ def lines_through_point(
     """
     _, kept, mats, linear = _polar_rows(net, point, field)
     kernel = modmat.kernel_basis(linear, len(kept), field)
-    quadratic = [GramMatrix.from_array(m[np.ix_(kept, kept)]) for m in mats]
-    return list(map(tuple, zeros_on_span(quadratic, kernel, field, budget).tolist()))
+    return list(map(tuple, zeros_on_span(mats[:, kept][:, :, kept], kernel, field, budget).tolist()))
 
 
 def count_total_space(net: QuadricNet, field: PrimeField) -> int:

@@ -62,7 +62,7 @@ from ..gfp import (
     size_within_budget,
 )
 from ..mpoly import HomPoly, evaluate_on_array
-from ..quadform import FiberChunk, GramMatrix, common_zeros, double_cover_count, fiber_classes
+from ..quadform import FiberChunk, common_zeros, double_cover_count, fiber_classes
 from ..quadform import quadratic_roots
 
 CUBIC_VARS = 6
@@ -145,23 +145,22 @@ def _singular_on_plane(grams: Sequence[Sequence[HomPoly]], field: PrimeField) ->
     an F_p-zero: the s_k-coefficient of yy entry (i, j) of `grams` is entry
     (i, j) of the doubled Gram of the conic of x_k."""
     units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    conics = [GramMatrix.from_rows([[grams[i][j].terms.get(e, 0) for j in range(3)] for i in range(3)]) for e in units]
+    conics = modmat.residues([[[grams[i][j].terms.get(e, 0) for j in range(3)] for i in range(3)] for e in units], field)
     return len(common_zeros(conics, field)) > 0
 
 
-def _cubic_x_count(f: HomPoly, field: PrimeField, budget: int) -> int:
+def _cubic_x_count(f: HomPoly, field: PrimeField) -> int:
     """#X(F_p) for a cubic through the plane, solved for x2: f is
     A x2^2 + B x2 + C with forms A, B, C in u = (x0, x1, x3, x4, x5), so X is
     the points (u, x2) for the roots x2 of `quadratic_roots` on (A, B / 2, C)
     at each u of P^4, walked in blocks of CHUNK_ROWS rows, and the point e2,
-    on X since f lies in (x3, x4, x5).  Raises BudgetExceededError when
-    P^4(F_p) has more than `budget` points."""
+    on X since f lies in (x3, x4, x5)."""
     p = field.p
-    size = size_within_budget(4, p, budget)
+    size = projective_size(4, p)
     coeffs = [HomPoly(5, 3 - e, {x[:2] + x[3:]: c for x, c in f.terms.items() if x[2] == e}) for e in (2, 1, 0)]
     count = 1
     for lo in range(0, size, CHUNK_ROWS):
-        u = projective_points_array(4, field, budget, lo, min(lo + CHUNK_ROWS, size))
+        u = projective_points_array(4, field, lo, min(lo + CHUNK_ROWS, size))
         a, b, c = (evaluate_on_array(g, u, field) for g in coeffs)
         count += len(quadratic_roots(a, b * ((p + 1) // 2) % p, c, p)[0])
     return count
@@ -201,13 +200,16 @@ def cubic_with_plane_counts(
     and the cubic is smooth along the plane, the two hypotheses the report
     flags.  #X is counted by solving for x2 over P^4 (`_cubic_x_count`),
     an independent route beside the fibration; a prime whose P^4(F_p) holds
-    more than `budget` points raises BudgetExceededError."""
+    more than `budget` points raises BudgetExceededError before any prime
+    is counted."""
     grams = cubic_fiber_grams(f)
+    for p in primes:
+        size_within_budget(4, p, budget)
     identity = derive("cubic-plane").residual
     reports = []
     for p in primes:
         field = PrimeField(p)
-        x_count = _cubic_x_count(f, field, budget)
+        x_count = _cubic_x_count(f, field)
         y_count, corank2 = _double_cover_count(grams, field)
         reports.append(
             CubicReport(

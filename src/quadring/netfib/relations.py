@@ -5,13 +5,13 @@ Each residual is a `grothring` identity in the atoms X, Q, Qbar and Y, read
 at L = p on the measured counts (those in Qbar only when a point is given):
 
   (n, m) = (4, 2), three quadrics in P^5, X a degree-8 surface:
-    R1 = Q - rhs of rule_family_total(Q, X, 4, 2)   unconditional
+    R1 = Q - rule_family_total(X, 4, 2)             unconditional
     R2 = Qbar - route A of theorem-main (blowup)    needs no line through P
     R3 = Qbar - route B of theorem-main (cover)     needs corank <= 1 only
     R4 = X - Y
 
   (n, m) = (2, 1), two quadrics in P^3, X a degree-4 curve:
-    R1 = Q - rhs of rule_family_total(Q, X, 2, 1)
+    R1 = Q - rule_family_total(X, 2, 1)
     R2 = Qbar - Y                                   reduced 0-dim family vs cover
     R3 = Q - route B of corollary-m1 (reduction)
     R4 = X - Y
@@ -147,7 +147,7 @@ def _report_for_prime(
     if rep is not None:
         counts["Qbar"] = count_reduced_family(reduced, field)
     derivation, routes = _ROUTES[(net.n, net.m)]
-    identities = {"R1": rule_family_total(Q, X, net.n, net.m).residual(), **routes(derive(derivation)), "R4": X - Y}
+    identities = {"R1": Q - rule_family_total(X, net.n, net.m), **routes(derive(derivation)), "R4": X - Y}
     residuals = {name: e.evaluate(p, counts) for name, e in identities.items() if e.atoms() <= counts.keys()}
 
     return CountReport(

@@ -24,7 +24,8 @@ a finite factor-pair search; for the rest the solver is exact:
     met again at k + l, with the opposite sign when l is odd, but then the
     palindrome Q_(k+1) = Q_(l-1-k) gives that sign already at l - 2 - k.
     Only the first, hence least, hit for +8 and for -8 builds its
-    convergent: a value +-8 gives (p, q), a value +-2 gives (2p, 2q).
+    convergent, by a second walk up to it, so the walk keeps nothing per
+    step: a value +-8 gives (p, q), a value +-2 gives (2p, 2q).
   * 1 < d < 65 nonsquare: the fundamental unit (t, u) of x^2 - d*y^2 = 1 is
     tiny here, and the classical bounds y <= u*sqrt(|N|/(2(t +- 1))) cap a
     direct scan.
@@ -36,7 +37,9 @@ Naive search cannot replace this: fundamental units grow exponentially
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import isqrt
+from typing import Iterator
 
 from .errors import BudgetExceededError, InputError
 
@@ -97,33 +100,41 @@ def _solve_square(d: int, rhs: int) -> tuple[int, int] | None:
     return best
 
 
-def _pqa_period(d: int, budget: int) -> tuple[int, list[int], list[int]]:
-    """a_0, the partial quotients a_1..a_l and the PQa denominators
-    Q_1..Q_l of one period l of the continued fraction of sqrt(d), d
-    nonsquare, on small ints: Q_l = 1 ends the period, and a_l = 2 a_0.
-    Raises BudgetExceededError when l is over `budget` steps: l can reach
-    about sqrt(d) log d, so the budget bounds both time and memory."""
+def _pqa(d: int) -> Iterator[tuple[int, int]]:
+    """The partial quotient a_k and the PQa denominator Q_k for k = 1, 2, ..
+    of the continued fraction of sqrt(d), d nonsquare, on small ints and
+    without end: the pairs repeat with the period l, and Q_l = 1."""
     a0 = isqrt(d)
-    quotients, denominators = [], []
     pp, qq = a0, d - a0 * a0
-    for _ in range(budget):
-        denominators.append(qq)
-        quotients.append((a0 + pp) // qq)
-        if qq == 1:
-            return a0, quotients, denominators
-        pp = quotients[-1] * qq - pp
+    while True:
+        a = (a0 + pp) // qq
+        yield a, qq
+        pp = a * qq - pp
         qq = (d - pp * pp) // qq
+
+
+def _pqa_period(d: int, budget: int) -> tuple[int, dict[int, tuple[int, int]]]:
+    """The period l of the continued fraction of sqrt(d), d nonsquare, and
+    the first k < l of each sign rhs = +-8 at which v_k = (-1)^(k+1) Q_(k+1)
+    is +-8 or +-2: rhs -> (k, 1 for +-8 or 2 for +-2).  Keeps nothing per
+    step, so memory stays flat.  Raises BudgetExceededError when l is over
+    `budget` steps: l can reach about sqrt(d) log d."""
+    first: dict[int, tuple[int, int]] = {}
+    for k, (_, value) in zip(range(budget), _pqa(d)):
+        if value == 1:
+            return k + 1, first
+        if value == 8 or value == 2:
+            first.setdefault(8 if k % 2 else -8, (k, 1 if value == 8 else 2))
     raise BudgetExceededError(
         f"the period of the continued fraction of sqrt({d}) runs past the budget of {budget} PQa steps"
     )
 
 
-def _convergent(a0: int, quotients: list[int], k: int) -> tuple[int, int]:
-    """The convergent (p_k, q_k) of [a_0; a_1, a_2, ..], the a_j for j >= 1
-    repeating `quotients`."""
-    p_prev, q_prev, p_cur, q_cur = 1, 0, a0, 1
-    for j in range(k):
-        a = quotients[j % len(quotients)]
+def _convergent(d: int, k: int) -> tuple[int, int]:
+    """The convergent (p_k, q_k) of the continued fraction of sqrt(d), from
+    a second walk of `_pqa` up to k."""
+    p_prev, q_prev, p_cur, q_cur = 1, 0, isqrt(d), 1
+    for a, _ in islice(_pqa(d), k):
         p_cur, p_prev = a * p_cur + p_prev, p_cur
         q_cur, q_prev = a * q_cur + q_prev, q_cur
     return p_cur, q_cur
@@ -134,9 +145,8 @@ def pell_fundamental(d: int, budget: int = 2_000_000) -> tuple[int, int]:
     convergent of value (-1)^(k+1) Q_(k+1) = 1, at the end of the first
     period l when l is even and of the second when l is odd.  Raises
     BudgetExceededError when l is over `budget` steps."""
-    a0, quotients, _ = _pqa_period(d, budget)
-    period = len(quotients)
-    return _convergent(a0, quotients, period - 1 if period % 2 == 0 else 2 * period - 1)
+    period, _ = _pqa_period(d, budget)
+    return _convergent(d, period - 1 if period % 2 == 0 else 2 * period - 1)
 
 
 def _solve_by_convergents(d: int, budget: int) -> dict[int, tuple[int, int] | None]:
@@ -148,15 +158,10 @@ def _solve_by_convergents(d: int, budget: int) -> dict[int, tuple[int, int] | No
     the walk, so only a doubled hit (2p_j, 2q_j) could be overtaken, and a
     later hit (p_k, q_k) of the same sign is at least two steps on (the
     signs of consecutive values alternate), so q_k >= q_(j+1) + q_j >=
-    2 q_j.  Only that hit builds its convergent."""
-    a0, quotients, denominators = _pqa_period(d, budget)
-    first: dict[int, tuple[int, int]] = {}  # rhs -> (k, 1 for v_k = +-8 or 2 for +-2)
-    for k, value in enumerate(denominators):
-        if value == 8 or value == 2:
-            first.setdefault(8 if k % 2 else -8, (k, 1 if value == 8 else 2))
+    2 q_j.  Only that hit builds its convergent, by a second walk."""
     solutions = dict.fromkeys(ALLOWED_RHS)
-    for rhs, (k, scale) in first.items():
-        p, q = _convergent(a0, quotients, k)
+    for rhs, (k, scale) in _pqa_period(d, budget)[1].items():
+        p, q = _convergent(d, k)
         solutions[rhs] = (scale * p, scale * q)
     return solutions
 

@@ -27,9 +27,10 @@ Common zeros.  `common_zeros` never walks all of P^(N-1): in its last
 coordinate t a form is a t^2 + 2 b(u) t + c(u), so it walks u over P^(N-2)
 and solves for t (`quadratic_roots`: square roots and inverses read
 through `gfp.lookup`), which costs O(p^(N-2)) array work and is what
-`--budget` is charged for.  For N = 2 the walk is the one point of P^0, and
-its quadratic is solved on scalars.  The full scan of P^(N-1) is kept only as the tests'
-oracle.
+`--budget` is charged for.  The scans take int64 stacks (k, N, N) of
+residues, like `classify_stack`; a `GramMatrix` holds the integers of a
+form before they are reduced.  The full scan of P^(N-1) is kept only as
+the tests' oracle.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import numpy as np
 
 from . import modmat
 from .errors import InputError
-from .gfp import PrimeField, character, inverse, lookup, scan_projective, size_within_budget, square_root
+from .gfp import PrimeField, character, inverse, lookup, scan_projective, square_root
 
 
 @dataclass(frozen=True)
@@ -63,10 +64,6 @@ class GramMatrix:
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "GramMatrix":
         return cls(tuple(tuple(int(x) for x in row) for row in rows))
-
-    @classmethod
-    def from_array(cls, array: np.ndarray) -> "GramMatrix":
-        return cls(tuple(map(tuple, array.tolist())))
 
     @property
     def size(self) -> int:
@@ -243,11 +240,9 @@ def _linear_and_constant(m: np.ndarray, h: np.ndarray, s: np.ndarray, p: int) ->
     return _mod(hm[:, -1, None] + sm[-1], p), _mod(c, p)
 
 
-def common_zeros(
-    grams: Sequence[GramMatrix], field: PrimeField, budget: int = 4_000_000, jobs: int = 1
-) -> np.ndarray:
+def common_zeros(mats: np.ndarray, field: PrimeField, budget: int = 2_000_000, jobs: int = 1) -> np.ndarray:
     """The points of P^(N-1)(F_p) where every form vanishes, in canonical
-    order, for one or more N x N Gram matrices.
+    order, for a stack (k, N, N) of Gram matrices of residues.
 
     Solves for the last coordinate t.  Every point but e_last is (u, t) with
     u in P^(N-2) and t in F_p, and the canonical order is that of u, then t,
@@ -261,11 +256,10 @@ def common_zeros(
     BudgetExceededError when P^(N-2)(F_p) holds more than `budget` points.
     """
     p = field.p
-    mats = [modmat.residues(g.entries, field) for g in grams]
     first, *rest = [m for m in mats if m.any()] or mats[:1]
     last = first.shape[0] - 1
     # e_last, kept when no form has a t^2 term
-    tail = np.eye(1, last + 1, last, dtype=np.int64)[: int(not any(m[last, last] for m in mats))]
+    tail = np.eye(1, last + 1, last, dtype=np.int64)[: int(not mats[:, last, last].any())]
 
     def roots(h: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         b, c = _linear_and_constant(first, h, s, p)
@@ -274,53 +268,31 @@ def common_zeros(
     def zeros(h: np.ndarray, s: np.ndarray) -> np.ndarray:
         cell, t = roots(h, s)  # the first form's grids are freed here
         for m in rest:
+            if not len(cell):
+                break
             b, c = _linear_and_constant(m, h, s, p)
             on = _mod(c.ravel()[cell] + _mod(2 * b.ravel()[cell] + m[last, last] * t, p) * t, p) == 0
             cell, t = cell[on], t[on]
         return np.hstack((h[cell // len(s)], s[cell % len(s)], t[:, None]))
 
     if last == 0:  # P^0 is e_last alone, and the walk over P^-1 is empty
-        size_within_budget(-1, p, budget)
         return tail
-    if last == 1:  # the walk over P^0 is u = 1: one quadratic on scalars
-        size_within_budget(0, p, budget)
-        a, b, c = (int(x) for x in (first[1, 1], first[0, 1], first[0, 0]))
-        t = np.array(_scalar_roots(a, b, c, p), dtype=np.int64)
-        for m in rest:
-            t = t[_mod(m[0, 0] + _mod(2 * m[0, 1] + m[1, 1] * t, p) * t, p) == 0]
-        return np.concatenate((np.stack((np.ones_like(t), t), axis=1), tail))
     return np.concatenate((scan_projective(last - 1, field, zeros, budget, jobs), tail))
 
 
-def _scalar_roots(a: int, b: int, c: int, p: int) -> Sequence[int]:
-    """The roots t in F_p of a t^2 + 2 b t + c = 0 for residues a, b and c,
-    ascending: `quadratic_roots` at one cell, in Python ints."""
-    if a:
-        r = square_root((b * b - a * c) % p, p)
-        inv = inverse(a, p)
-        return [] if r < 0 else sorted({(p - b + r) * inv % p, (p - b - r) * inv % p})
-    if b:
-        return [(p - c) * inverse(2 * b, p) % p]
-    return [] if c else range(p)
-
-
-def zeros_on_span(
-    grams: Sequence[GramMatrix], basis: modmat.IntRows, field: PrimeField, budget: int = 4_000_000
-) -> np.ndarray:
+def zeros_on_span(mats: np.ndarray, basis: modmat.IntRows, field: PrimeField, budget: int = 2_000_000) -> np.ndarray:
     """The points of P^(N-1)(F_p) in the span of the rows of `basis` where
-    every N x N form vanishes, in canonical order: `common_zeros` of the
-    forms K M K^T on P^(k-1), with `budget` charged for that space, mapped
-    by c -> c K.  With K the reduced row echelon form of the basis, that
-    map keeps points canonical and keeps their order.  `common_zeros`
-    solves for the last of the k coordinates, so the budget is charged for
-    P^(k-2)."""
-    size = grams[0].size
+    every form of a stack of N x N Grams of residues vanishes, in canonical
+    order: `common_zeros` of the forms K M K^T on P^(k-1), with `budget`
+    charged for that space, mapped by c -> c K.  With K the reduced row
+    echelon form of the basis, that map keeps points canonical and keeps
+    their order.  `common_zeros` solves for the last of the k coordinates,
+    so the budget is charged for P^(k-2)."""
+    size = mats.shape[-1]
     rref = np.array(modmat.row_reduce(basis, size, field)[0], dtype=np.int64).reshape(-1, size)
     if len(rref) == 0:
         return rref
-    mats = modmat.residues([g.entries for g in grams], field)
-    restricted = [GramMatrix.from_array(m) for m in restrict(mats, rref, field.p)]
-    return modmat.matmul_mod(common_zeros(restricted, field, budget), rref, field.p)
+    return modmat.matmul_mod(common_zeros(restrict(mats, rref, field.p), field, budget), rref, field.p)
 
 
 def restrict(grams: np.ndarray, bases: np.ndarray, p: int) -> np.ndarray:

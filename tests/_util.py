@@ -26,6 +26,17 @@ def legendre_character(a: int, field: PrimeField) -> int:
     return -1 if r == p - 1 else r
 
 
+def gram_from_array(array: np.ndarray) -> GramMatrix:
+    """The GramMatrix of an integer array."""
+    return GramMatrix(tuple(map(tuple, array.tolist())))
+
+
+def residue_stack(grams, field: PrimeField) -> np.ndarray:
+    """The int64 stack (k, N, N) of the Gram matrices mod p, the input of
+    the zero scans."""
+    return modmat.residues([g.entries for g in grams], field)
+
+
 def diagonal_gram(diag) -> GramMatrix:
     """The Gram matrix with `diag` on its diagonal and 0 elsewhere."""
     n = len(diag)
@@ -175,7 +186,7 @@ def hyperbolic_reduce_at_vector(matrix: GramMatrix, v, field: PrimeField) -> Gra
     # rows cutting out the complement: b(v, .) = 0 and b(e_{j0}, .) = 0
     mw = [matrix.entries[j0][j] % p for j in range(n)]
     basis = np.array(modmat.kernel_basis([mv, mw], n, field), dtype=np.int64).reshape(-1, n)
-    return GramMatrix.from_array(restrict(modmat.residues(matrix.entries, field), basis, p))
+    return gram_from_array(restrict(modmat.residues(matrix.entries, field), basis, p))
 
 
 def corank_histogram_reduced(red, field: PrimeField) -> dict[int, int]:
@@ -244,7 +255,7 @@ def record_scan_blocks(monkeypatch) -> list:
     return blocks
 
 
-def projective_rows_where(n: int, field: PrimeField, keep, budget: int = 4_000_000, jobs: int = 1) -> np.ndarray:
+def projective_rows_where(n: int, field: PrimeField, keep, budget: int = 2_000_000, jobs: int = 1) -> np.ndarray:
     """The rows of P^n(F_p), in canonical order, where the boolean mask
     keep(rows) is true: the walk of `gfp.scan_projective`, with each block
     expanded to its full rows before the mask is applied.  The in-memory
@@ -281,7 +292,7 @@ def fiber_list(chunks) -> list:
     """The (base point, fiber Gram) pairs of a chunked fiber walk, one per
     fiber, in walk order."""
     return [
-        (tuple(row), GramMatrix.from_array(gram))
+        (tuple(row), gram_from_array(gram))
         for rows, grams in chunks
         for row, gram in zip(rows.tolist(), grams)
     ]

@@ -369,6 +369,18 @@ def test_reduce_and_verra_check_the_budget_before_any_fiber(capsys, monkeypatch,
     assert f"{walked}, over the budget of 2000000" in err
 
 
+def test_cubic_checks_every_prime_budget_before_any_prime(capsys, monkeypatch):
+    # the X count at 101 walks P^4(F_101), over the default budget, so not
+    # even 5 and 7 have their fibrations classified
+    from quadring.netfib import recipes
+
+    calls = []
+    monkeypatch.setattr(recipes, "_double_cover_count", lambda *args: calls.append(args))
+    code, out, err = run_cli(capsys, "cubic", "--form", str(GOLDEN / "cubic_form.json"), "--primes", "5,7,101")
+    assert code == 3 and out == "" and calls == []
+    assert f"P^4(F_101), which has {(101**5 - 1) // 100} points, over the budget of 2000000" in err
+
+
 @pytest.mark.parametrize(
     "argv, walked",
     [
@@ -475,19 +487,27 @@ def test_disc_budget_is_the_period_walked(capsys, d, period):
 def test_disc_default_budget_stops_a_huge_discriminant():
     # d = 1000000007^2 - 24, about 10^18: a period of up to about
     # sqrt(d) log d steps, which the default budget of 2,000,000 cuts short
-    # in time and in memory (1 GB of address space; the walk fills it in
-    # seconds without a bound)
+    # in time (1 GB of address space; the walk fills it in seconds without
+    # a bound).  The walk keeps nothing per step, so the child's peak RSS,
+    # which it prints after `main` returns, stays flat.  The peak is read as
+    # VmHWM: RUSAGE_SELF keeps the high-water mark of the pytest process it
+    # was forked from across the exec.
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("needs /proc")
     child = (
         "import resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
         "from quadring.cli import main\n"
-        "sys.exit(main(['disc', '--ns', '1000000007,3']))\n"
+        "code = main(['disc', '--ns', '1000000007,3'])\n"
+        "print(next(line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:')))\n"
+        "sys.exit(code)\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.returncode == 3
     assert "sqrt(1000000014000000025) runs past the budget of 2000000 PQa steps" in proc.stderr
+    assert int(proc.stdout) < 40 * 1024  # kB
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from quadring import gfp
-from quadring.errors import BudgetExceededError
 from quadring.gfp import (
     PrimeField,
     canonical_point,
@@ -189,9 +188,11 @@ def test_scan_of_one_block_starts_no_pool(recorded_pools):
     assert recorded_pools == []
 
 
-def test_points_array_budget():
-    with pytest.raises(BudgetExceededError):
-        projective_points_array(5, PrimeField(101), budget=1000)
+def test_points_array_reads_any_range_of_a_space_its_caller_charged():
+    # P^2(F_2003) has 4,014,013 points: its last row, without a budget of
+    # its own to stop it
+    last = projective_size(2, 2003) - 1
+    assert projective_points_array(2, PrimeField(2003), lo=last).tolist() == [[0, 0, 1]]
 
 
 def test_canonical_point():

@@ -39,7 +39,7 @@ def test_proj_product_closed_form():
     for a in range(4):
         for b in range(4):
             prod = GRExpr.proj_space(a) * GRExpr.proj_space(b)
-            expected = GRExpr.zero()
+            expected = GRExpr()
             for i in range(a + 1):
                 for j in range(b + 1):
                     expected = expected + GRExpr.lpower(i + j)
@@ -58,10 +58,8 @@ def test_ring_laws(seed):
     assert (e1 - e1).is_zero()
 
 
-def test_substitute_and_evaluate():
+def test_evaluate():
     expr = (X + L) * X
-    sub = expr.substitute("X", Y + ONE)
-    assert sub == (Y + ONE + L) * (Y + ONE)
     rng = random.Random(4)
     for _ in range(20):
         lv = rng.randint(-5, 5)
@@ -72,35 +70,30 @@ def test_substitute_and_evaluate():
 
 
 def test_rule_blowup():
-    assert rule_blowup("B", X, Y, 1).rhs == X  # empty correction
-    eq = rule_blowup("B", GRExpr.proj_space(4), "Xprime", 2)
-    assert eq.rhs == GRExpr.proj_space(4) + GRExpr.atom("Xprime") * L
-    assert rule_blowup("B", X, ONE, 2).rhs == X + L  # point on a surface
+    assert rule_blowup(X, Y, 1) == X  # empty correction
+    xprime = GRExpr.atom("Xprime")
+    assert rule_blowup(GRExpr.proj_space(4), xprime, 2) == GRExpr.proj_space(4) + xprime * L
+    assert rule_blowup(X, ONE, 2) == X + L  # point on a surface
+    # theorem-main's route A: P^4 blown up in X blown up in a point
+    assert rule_blowup(GRExpr.proj_space(4), rule_blowup(X, ONE, 2), 2) == GRExpr.proj_space(4) + (X + L) * L
     with pytest.raises(InputError):
-        rule_blowup("B", X, Y, 0)
+        rule_blowup(X, Y, 0)
 
 
 def test_rule_hyperbolic_reduction():
-    eq = rule_hyperbolic_reduction("Q", GRExpr.proj_space(2), 4, 0, "Qbar")
-    assert eq.rhs == GRExpr.proj_space(2) * (ONE + GRExpr.lpower(4)) + GRExpr.atom(
-        "Qbar"
-    ) * L
+    qbar = GRExpr.atom("Qbar")
+    assert rule_hyperbolic_reduction(GRExpr.proj_space(2), 4, 0, qbar) == GRExpr.proj_space(2) * (ONE + GRExpr.lpower(4)) + qbar * L
     # maximal isotropic subspace of an even quadric: [Q] = [P^n] + L^(n/2)
-    eq = rule_hyperbolic_reduction("Q", ONE, 4, 2, GRExpr.zero())
-    assert eq.rhs == GRExpr.proj_space(4) + GRExpr.lpower(2)
-    eq = rule_hyperbolic_reduction("Q", "S", 2, 0, "Scover")
-    assert eq.rhs == GRExpr.atom("S") * (ONE + GRExpr.lpower(2)) + GRExpr.atom(
-        "Scover"
-    ) * L
+    assert rule_hyperbolic_reduction(ONE, 4, 2, GRExpr()) == GRExpr.proj_space(4) + GRExpr.lpower(2)
+    s, cover = GRExpr.atom("S"), GRExpr.atom("Scover")
+    assert rule_hyperbolic_reduction(s, 2, 0, cover) == s * (ONE + GRExpr.lpower(2)) + cover * L
 
 
 def test_rule_family_total():
-    eq = rule_family_total("Q", X, 2, 1)
-    assert eq.rhs == GRExpr.proj_space(3) + X * L
-    eq = rule_family_total("Q", X, 4, 2)
-    assert eq.rhs == GRExpr.proj_space(5) * GRExpr.proj_space(1) + X * L**2
+    assert rule_family_total(X, 2, 1) == GRExpr.proj_space(3) + X * L
+    assert rule_family_total(X, 4, 2) == GRExpr.proj_space(5) * GRExpr.proj_space(1) + X * L**2
     with pytest.raises(InputError):
-        rule_family_total("Q", X, 4, 0)
+        rule_family_total(X, 4, 0)
 
 
 def test_derivations_match_statements():
@@ -139,7 +132,7 @@ def test_render_stable_forms():
     assert ((X - Y) * L**2).render() == "([X] - [Y])*L^2"
     assert GRExpr.proj_space(2).render() == "(1 + L + L^2)"
     assert (X * Y * L + ONE).render() == "1 + [X]*[Y]*L"
-    assert GRExpr.zero().render() == "0"
+    assert GRExpr().render() == "0"
 
 
 def test_integer_substitution_turns_rules_into_identities():
@@ -147,5 +140,5 @@ def test_integer_substitution_turns_rules_into_identities():
     for _ in range(30):
         p = rng.randint(2, 30)
         xv = rng.randint(0, 500)
-        lhs = rule_family_total("Q", X, 2, 1).rhs.evaluate(p, {"X": xv})
+        lhs = rule_family_total(X, 2, 1).evaluate(p, {"X": xv})
         assert lhs == (p**4 - 1) // (p - 1) + xv * p

@@ -70,12 +70,10 @@ def test_verra_residuals_are_the_hand_formulas_on_any_counts(p, x, y1, y2):
     assert (rep.residual_first, rep.residual_second, rep.y_difference) == hand_verra_residuals(p, x, y1, y2)
 
 
-def _blowup_with_correction_times_l(blowup, ambient, center, codim):
+def _blowup_with_correction_times_l(ambient, center, codim):
     """rule_blowup with its correction multiplied by L: L^2 instead of L for
     the codimension-2 centers of every derivation."""
-    eq = RULE_BLOWUP(blowup, ambient, center, codim)
-    ambient = grothring._as_expr(ambient)
-    return grothring.Equation(eq.name, eq.lhs, ambient + (eq.rhs - ambient) * grothring.L)
+    return ambient + (RULE_BLOWUP(ambient, center, codim) - ambient) * grothring.L
 
 
 def test_a_mutated_blowup_rule_fails_both_groth_and_count(capsys, monkeypatch):

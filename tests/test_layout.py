@@ -110,3 +110,23 @@ def test_span_statistics_read_parameters_of_their_function():
     for (module, attr), keys in reads.items():
         params = inspect.signature(getattr(importlib.import_module(module), attr)).parameters
         assert keys <= params.keys(), (module, attr)
+
+
+def test_every_budget_default_is_that_of_count():
+    # a layer that defaulted to another budget would stop a command at a
+    # budget its user never set
+    from quadring.cli import build_parser
+
+    default = build_parser().parse_args(["count", "--net", "net.json"]).budget
+    defaults = [
+        (path.name, node.name, ast.literal_eval(value))
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for arg, value in zip(
+            (node.args.posonlyargs + node.args.args)[::-1] + node.args.kwonlyargs,
+            node.args.defaults[::-1] + node.args.kw_defaults,
+        )
+        if arg.arg == "budget" and value is not None
+    ]
+    assert defaults and all(value == default for *_, value in defaults), defaults

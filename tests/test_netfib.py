@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import re
@@ -35,7 +36,7 @@ from quadring.netfib import (
     verify_relations,
 )
 
-from _util import corank_histogram_reduced, count_reduced_family_dual, determinant_of_linear_matrix, diagonal_gram, fiber_list, form_values, forms_congruent, legendre_character, projective_rows_where, random_invertible, random_symmetric, record_scan_blocks, zero_gram
+from _util import corank_histogram_reduced, count_reduced_family_dual, determinant_of_linear_matrix, diagonal_gram, fiber_list, form_values, forms_congruent, gram_from_array, legendre_character, projective_rows_where, random_invertible, random_symmetric, record_scan_blocks, zero_gram
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -277,7 +278,7 @@ def _planted_net(draw):
             mat[other, pivot] = mat[pivot, other]
     for mat in mats:
         mat[pivot, pivot] -= point @ mat @ point
-    net = QuadricNet(n=n, m=m, matrices=tuple(GramMatrix.from_array(mat % p) for mat in mats))
+    net = QuadricNet(n=n, m=m, matrices=tuple(gram_from_array(mat % p) for mat in mats))
     return net, tuple(point.tolist()), PrimeField(p), plant
 
 
@@ -285,8 +286,9 @@ def _planted_net(draw):
 @given(_planted_net())
 def test_points_on_x_by_projection_match_the_solved_scan(planted):
     # the projection from P against the solved scan of P^n, through a
-    # planted line (p points per direction) and a rank drop of b(P, .)
-    # (the fallback to the solved scan)
+    # planted line (p points per direction); a rank drop of b(P, .) puts P
+    # in a fiber's radical, which the projection refuses and the
+    # regularity scan reports
     net, point, field, plant = planted
     expected = points_on_X(net, field)
     lines = lines_through_point(net, point, field)
@@ -295,9 +297,18 @@ def test_points_on_x_by_projection_match_the_solved_scan(planted):
     projects = modmat.rank_mod(polar, len(kept), field) == net.m + 1
     assert not projects or plant != "rank drop"  # the others may drop by chance
     assert lines or plant != "line"
+    if not projects:
+        with pytest.raises(DegenerateSectionError, match="lies in the radical of a fiber"):
+            points_on_X(net, field, point=point)
+        # the regularity report lists every point of X in every radical, up
+        # to #P^m #X of them (3.7e9 on a net that vanishes mod 23), so it is
+        # asked only where that list is small
+        if projective_size(net.m, field.p) * len(expected) <= 10**6:
+            assert regularity_check(net, field).regular is False
+        return
     assert points_on_X(net, field, point=point) == expected
     assert points_on_X(net, field, jobs=2, point=point, lines=lines) == expected
-    walked = projective_size(net.n - projects, field.p)
+    walked = projective_size(net.n - 1, field.p)
     assert points_on_X(net, field, budget=walked, point=point) == expected
     with pytest.raises(BudgetExceededError):
         points_on_X(net, field, budget=walked - 1, point=point)
@@ -349,7 +360,7 @@ def test_proportional_zeros_match_the_in_memory_scan(data, size, p, jobs):
     if data.draw(st.booleans()):
         mats[data.draw(st.integers(0, k - 1))] = 0
     rows = projective_points_array(size - 1, field)
-    values = np.stack([form_values(rows, GramMatrix.from_array(m), field) for m in mats], axis=1)
+    values = np.stack([form_values(rows, gram_from_array(m), field) for m in mats], axis=1)
     head = rows[:, :k]
     factor = values[np.arange(len(rows)), (head != 0).argmax(axis=1)]
     on = head.any(axis=1) & ((values - head * factor[:, None]) % p == 0).all(axis=1)
@@ -408,7 +419,7 @@ def _violations_by_one_span_per_fiber(net, field):
         for rows, grams in net.fibers(field)
         for s, gram in zip(map(tuple, rows.tolist()), grams.tolist())
         if modmat.rank_mod(gram, size, field) < size
-        for u in map(tuple, zeros_on_span(net.matrices, modmat.kernel_basis(gram, size, field), field).tolist())
+        for u in map(tuple, zeros_on_span(net.residues(field), modmat.kernel_basis(gram, size, field), field).tolist())
     ]
 
 
@@ -441,7 +452,7 @@ def _degenerate_net(draw):
     if plant == "line":
         for mat in mats:
             mat[-2:, -2:] = 0
-    net = QuadricNet(n=n, m=m, matrices=tuple(GramMatrix.from_array(mat % p) for mat in mats))
+    net = QuadricNet(n=n, m=m, matrices=tuple(gram_from_array(mat % p) for mat in mats))
     return net, PrimeField(p), plant, point
 
 
@@ -763,7 +774,7 @@ def test_regularity_check_takes_the_kernels_from_one_elimination(monkeypatch):
         for rows, grams in net.fibers(F3)
         for s, gram in zip(map(tuple, rows.tolist()), grams.tolist())
         if modmat.rank_mod(gram, net.fiber_size, F3) < net.fiber_size
-        for u in map(tuple, zeros_on_span(net.matrices, modmat.kernel_basis(gram, net.fiber_size, F3), F3).tolist())
+        for u in map(tuple, zeros_on_span(net.residues(F3), modmat.kernel_basis(gram, net.fiber_size, F3), F3).tolist())
     ]
 
     def no_kernel_basis(*args):
@@ -906,7 +917,7 @@ def _net_with_a_planted_fiber(draw):
         diag = np.diag([rng.randrange(1, p) if i < rank else 0 for i in range(size)])
         pivot = int(np.flatnonzero(w)[0])  # w_pivot = 1
         mats[pivot] = (a.T @ diag @ a - sum(x * mat for i, (x, mat) in enumerate(zip(w, mats)) if i != pivot)) % p
-    net = QuadricNet(n=n, m=m, matrices=tuple(GramMatrix.from_array(mat % p) for mat in mats))
+    net = QuadricNet(n=n, m=m, matrices=tuple(gram_from_array(mat % p) for mat in mats))
     return net, tuple(w.tolist()), field, plant
 
 
@@ -996,6 +1007,30 @@ def test_verify_relations_canonical_pencil_skips_p3():
         rep = by_p[p]
         assert not rep.skipped
         assert rep.residuals == {"R1": 0, "R3": 0, "R4": 0}
+
+
+def test_count_skips_every_prime_where_the_point_is_in_a_radical(tmp_path, capsys, monkeypatch):
+    # the golden net with P = e_0 in the kernel of M_0 over Z: P is a point
+    # of X in the radical of the fiber over (1:0:0) at every prime, so b(P, .)
+    # loses rank there and the regularity scan skips the prime before the X
+    # count (at 7, 11 and 23 the net has no fiber of corank >= 2)
+    from quadring.netfib import relations
+
+    net, point = load_net(str(GOLDEN / "net.json"))
+    assert point == (1, 0, 0, 0, 0, 0)
+    mats = [[list(row) for row in mat.entries] for mat in net.matrices]
+    for i in range(net.fiber_size):
+        mats[0][0][i] = mats[0][i][0] = 0
+    mats[1][0][0] = mats[2][0][0] = 0
+    kernel_net = QuadricNet(n=4, m=2, matrices=tuple(GramMatrix.from_rows(m) for m in mats))
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(kernel_net.to_document(point=point)))
+    calls = []
+    monkeypatch.setattr(relations, "points_on_X", lambda *args, **kwargs: calls.append(args))
+    assert main(["count", "--net", str(path), "--primes", "7,11,23"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:] == [f"p={p} SKIPPED (rational regularity violation)" for p in (7, 11, 23)] + ["RESULT: FAILED"]
+    assert calls == []
 
 
 def test_verify_relations_rejects_unsupported_shape():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -146,11 +147,13 @@ def test_convergent_values_come_from_the_pqa_denominators():
         walk = list(sqrt_cf_convergents(d))
         assert all(p * p - d * q * q == v for p, q, v in walk)
         assert sum(v == 1 for _, _, v in walk) >= 1
-        a0, quotients, denominators = ns._pqa_period(d, 2_000_000)
-        period = len(quotients)
-        assert denominators[:-1] == denominators[-2::-1]  # the solver's one-period argument
+        period, _ = ns._pqa_period(d, 2_000_000)
+        denominators = [q for _, q in itertools.islice(ns._pqa(d), 2 * period)]
+        assert denominators[period - 1] == 1 and denominators[:period] == denominators[period:]
+        head = denominators[: period - 1]
+        assert head == head[::-1]  # the solver's one-period argument
         assert walk == [
-            (*ns._convergent(a0, quotients, k), (-1) ** (k + 1) * denominators[k % period]) for k in range(len(walk))
+            (*ns._convergent(d, k), (-1) ** (k + 1) * denominators[k % period]) for k in range(len(walk))
         ]
         assert ns.pell_fundamental(d) == next((p, q) for p, q, v in walk if v == 1)
 

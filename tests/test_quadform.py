@@ -38,6 +38,7 @@ from _util import (
     hyperbolic_reduce_at_vector,
     legendre_character,
     on_all_forms,
+    residue_stack,
     projective_rows_where,
     random_invertible,
     random_symmetric,
@@ -97,21 +98,21 @@ def test_count_examples():
     conic = diagonal_gram([1, 1, 1])
     assert count_projective_points(conic, F5) == 6  # smooth conic is a P^1
     assert count_projective_points(SPLIT_4, F3) == 16  # (p+1)^2
-    assert len(common_zeros([SPLIT_4], F3)) == 16
+    assert len(common_zeros(residue_stack([SPLIT_4], F3), F3)) == 16
     nonsplit = diagonal_gram([1, 1, 1, 2])
     assert classify(nonsplit, F3) == (4, -1)
     assert count_projective_points(nonsplit, F3) == 10  # p^2 + 1
-    assert len(common_zeros([nonsplit], F3)) == 10
+    assert len(common_zeros(residue_stack([nonsplit], F3), F3)) == 10
     assert count_projective_points(zero_gram(3), F5) == 31  # all of P^2
 
 
 def test_brute_force_examples():
-    assert len(common_zeros([zero_gram(2)], F3)) == 4  # all of P^1
+    assert len(common_zeros(residue_stack([zero_gram(2)], F3), F3)) == 4  # all of P^1
     for field in (F3, F5, F7):
         rank1 = GramMatrix.from_rows([[1, 0], [0, 0]])
-        assert len(common_zeros([rank1], field)) == 1  # the point (0:1)
+        assert len(common_zeros(residue_stack([rank1], field), field)) == 1  # the point (0:1)
     with pytest.raises(BudgetExceededError):
-        common_zeros([zero_gram(6)], F7, budget=100)
+        common_zeros(residue_stack([zero_gram(6)], F7), F7, budget=100)
 
 
 @pytest.mark.parametrize("size,p", [(4, 3), (5, 5), (6, 7)])
@@ -120,7 +121,7 @@ def test_closed_form_matches_brute_force_random(size, p):
     rng = random.Random(size * 100 + p)
     mats = [random_symmetric(rng, size, p=p) for _ in range(300)]
     rank, signed = classify_stack(np.array([m.entries for m in mats]), p)
-    brute = [len(common_zeros([m], field)) for m in mats]
+    brute = [len(common_zeros(residue_stack([m], field), field)) for m in mats]
     for i in range(len(mats)):
         assert quadric_points(size, rank[i : i + 1], signed[i : i + 1], p) == brute[i]
     assert quadric_points(size, rank, signed, p) == sum(brute)
@@ -248,14 +249,15 @@ def test_common_zeros_match_the_in_memory_scan(data, size, p, jobs):
     grams = data.draw(st.lists(_form(size, p), min_size=1, max_size=4))
     expected = _zeros_in_memory(grams, field)
     points = projective_size(size - 2, p)  # the solved scan walks P^(N-2)
-    assert np.array_equal(common_zeros(grams, field, budget=points, jobs=jobs), expected)
+    assert np.array_equal(common_zeros(residue_stack(grams, field), field, budget=points, jobs=jobs), expected)
     assert np.array_equal(projective_rows_where(size - 1, field, on_all_forms(grams, field), jobs=jobs), expected)
-    with pytest.raises(BudgetExceededError):
-        common_zeros(grams, field, budget=points - 1)
+    if size > 1:  # at N = 1 the walk is of P^-1, which has no points to charge
+        with pytest.raises(BudgetExceededError):
+            common_zeros(residue_stack(grams, field), field, budget=points - 1)
 
 
-def test_common_zeros_on_p1_solve_one_quadratic_on_scalars():
-    # N = 2: the walk is the one point u = 1, where the first form is
+def test_common_zeros_on_p1_solve_one_quadratic():
+    # N = 2: the walk of P^0 is the one point u = 1, where the first form is
     # a t^2 + 2 b t + c; every (a, b, c) of F_7 against `quadratic_roots` at
     # one cell, alone and with a second form tested at its roots
     p = 7
@@ -265,9 +267,9 @@ def test_common_zeros_on_p1_solve_one_quadratic_on_scalars():
         form = GramMatrix.from_rows([[c, b], [b, a]])
         _, t = quadratic_roots(np.array([a]), np.array([b]), np.array([c]), p)
         expected = [[1, x] for x in t.tolist()] + [[0, 1]] * (a == 0)
-        assert common_zeros([form], field, budget=1).tolist() == expected
+        assert common_zeros(residue_stack([form], field), field, budget=1).tolist() == expected
         both = [row for row in expected if other.q(row, field) == 0]
-        assert common_zeros([form, other], field, budget=1).tolist() == both
+        assert common_zeros(residue_stack([form, other], field), field, budget=1).tolist() == both
 
 
 @st.composite
@@ -294,10 +296,12 @@ def test_zeros_on_span_match_the_in_memory_mask(data, size, p):
     normals = np.array(modmat.kernel_basis(basis, size, field), dtype=np.int64).reshape(-1, size)
     in_span = (rows @ normals.T % p == 0).all(axis=1)
     expected = rows[in_span & on_all_forms(grams, field)(rows)]
-    points = projective_size(modmat.rank_mod(basis, size, field) - 2, p)
-    assert np.array_equal(zeros_on_span(grams, basis, field, budget=points), expected)
-    with pytest.raises(BudgetExceededError):
-        zeros_on_span(grams, basis, field, budget=points - 1)
+    rank = modmat.rank_mod(basis, size, field)
+    points = projective_size(rank - 2, p)
+    assert np.array_equal(zeros_on_span(residue_stack(grams, field), basis, field, budget=points), expected)
+    if rank > 1:  # a span of one point walks P^-1, which has no points to charge
+        with pytest.raises(BudgetExceededError):
+            zeros_on_span(residue_stack(grams, field), basis, field, budget=points - 1)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -319,7 +323,7 @@ def test_solved_common_zeros_match_the_full_scan(data, size, p, last, jobs):
     for g in {"free": [], "all": grams, "first": nonzero[:1]}[last]:
         g[-1][-1] = p * data.draw(st.integers(-2, 2))
     grams = [GramMatrix.from_rows(g) for g in grams]
-    assert np.array_equal(common_zeros(grams, field, jobs=jobs), full_scan_zeros(grams, field))
+    assert np.array_equal(common_zeros(residue_stack(grams, field), field, jobs=jobs), full_scan_zeros(grams, field))
 
 
 @pytest.mark.parametrize("p", [5, 13, 17])
@@ -336,7 +340,7 @@ def test_common_zeros_without_tables_match_the_full_scan(monkeypatch, p):
     expected = [full_scan_zeros(grams, field) for grams in cases]
     monkeypatch.setattr(gfp, "TABLE_PRIMES", 2)
     for grams, want in zip(cases, expected):
-        assert np.array_equal(common_zeros(grams, field), want)
+        assert np.array_equal(common_zeros(residue_stack(grams, field), field), want)
 
 
 @pytest.mark.parametrize("p", [10_007, 998_244_353, 2**31 - 1])
@@ -347,11 +351,11 @@ def test_common_zeros_on_a_line_at_large_primes(p):
     field = PrimeField(p)
     r, r2, c = 3, p - 12, 7
     split = GramMatrix.from_rows([[2 * r * r2, -(r + r2)], [-(r + r2), 2]])
-    assert common_zeros([split], field, budget=1).tolist() == [[1, r], [1, r2]]
+    assert common_zeros(residue_stack([split], field), field, budget=1).tolist() == [[1, r], [1, r2]]
     n = next(n for n in range(2, p) if legendre_character(n, field) == -1)
-    assert len(common_zeros([diagonal_gram([-n, 1])], field, budget=1)) == 0
+    assert len(common_zeros(residue_stack([diagonal_gram([-n, 1])], field), field, budget=1)) == 0
     linear = GramMatrix.from_rows([[c, 1], [1, 0]])
-    assert common_zeros([linear], field, budget=1).tolist() == [[1, (p - c) * (p + 1) // 2 % p], [0, 1]]
+    assert common_zeros(residue_stack([linear], field), field, budget=1).tolist() == [[1, (p - c) * (p + 1) // 2 % p], [0, 1]]
 
 
 def test_common_zeros_split_the_plane_when_it_outgrows_a_chunk(monkeypatch):
@@ -367,7 +371,7 @@ def test_common_zeros_split_the_plane_when_it_outgrows_a_chunk(monkeypatch):
     monkeypatch.setattr(gfp, "CHUNK_ROWS", 4)
     blocks = record_scan_blocks(monkeypatch)
     for (field, grams), want in zip(cases, expected):
-        assert len(want) and np.array_equal(common_zeros(grams, field, jobs=2), want)
+        assert len(want) and np.array_equal(common_zeros(residue_stack(grams, field), field, jobs=2), want)
     assert max(len(h) * len(s) for h, s in blocks) <= 4
 
 
