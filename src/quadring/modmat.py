@@ -1,11 +1,13 @@
 """Small exact linear algebra helpers mod p (row reduction, kernels, dets).
 
-The row routines take sequences of row sequences of ints and return plain
-lists; pivoting is deterministic (first nonzero entry in scan order), so
-every caller gets reproducible bases.  `kernel_stack` runs the same
-elimination on a whole stack of int64 matrices at once, with its pivots'
-inverses read through `gfp.lookup`.  Integers enter int64 arrays only
-through `residues`, and `matmul_mod` multiplies such arrays exactly.
+`row_reduce` is the one Gauss-Jordan elimination: it reduces a whole stack
+of int64 matrices of residues at once, pivoting deterministically on the
+first nonzero entry in scan order, so every caller gets reproducible bases,
+and it reads its pivots' inverses through `gfp.lookup`.  `kernel_stack`,
+`rank_mod` and `kernel_basis` are reads of it, the last two of a stack of
+one.  `det_mod` is a determinant on plain lists, which no library path
+calls.  Integers enter int64 arrays only through `residues`, and
+`matmul_mod` multiplies such arrays exactly.
 """
 
 from __future__ import annotations
@@ -16,58 +18,66 @@ import numpy as np
 
 from .gfp import PrimeField, inverse, lookup
 
-IntRows = Sequence[Sequence[int]]
 
-
-def row_reduce(rows: IntRows, ncols: int, field: PrimeField) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form mod p; returns (rref_rows, pivot_columns)."""
-    p = field.p
-    mat = [[int(x) % p for x in row] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = inverse(mat[r][c], p)
-        mat[r] = [x * inv % p for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [(x - f * y) % p for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
-
-
-def rank_mod(rows: IntRows, ncols: int, field: PrimeField) -> int:
-    return len(row_reduce(rows, ncols, field)[1])
-
-
-def kernel_basis(rows: IntRows, ncols: int, field: PrimeField) -> list[list[int]]:
-    """Basis of the right kernel of the matrix, one vector per free column.
-
-    Vectors are ordered by ascending free column; the free column carries 1.
+def row_reduce(mats: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reduced row echelon form of every matrix of a stack (k, r, c) of int64
+    residues mod p, by one Gauss-Jordan elimination of the whole stack:
+    pivot on the first nonzero entry in scan order and scale the pivot row
+    to 1.  Returns the ranks (k,), the reduced stack (k, r, c), whose first
+    rank rows are the nonzero rows, and the one-hot pivot stack (k, r, c),
+    1 where row i of a member has its pivot in column c.  Every product is
+    of two residues, exact for p < 2^31.
     """
-    p = field.p
-    rref, pivots = row_reduce(rows, ncols, field)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
+    a = np.array(mats, dtype=np.int64) % p
+    count, nrows, ncols = a.shape
+    rank = np.zeros(count, dtype=np.int64)
+    pivot = np.zeros_like(a)
+    for c in range(ncols):
+        nonzero = (a[:, :, c] != 0) & (np.arange(nrows) >= rank[:, None])
+        hit = np.flatnonzero(nonzero.any(axis=1))
+        if not hit.size:
             continue
-        v = [0] * ncols
-        v[free] = 1
-        for r, c in enumerate(pivots):
-            v[c] = (-rref[r][free]) % p
-        basis.append(v)
-    return basis
+        at, to = nonzero[hit].argmax(axis=1), rank[hit]
+        top, swapped = a[hit, at], a[hit, to]
+        a[hit, at] = swapped
+        top = top * lookup(inverse, top[:, c], p)[:, None] % p
+        sub = (a[hit] - a[hit, :, c, None] * top[:, None, :]) % p
+        sub[np.arange(len(hit)), to] = top
+        a[hit] = sub
+        pivot[hit, to, c] = 1
+        rank[hit] += 1
+    return rank, a, pivot
 
 
-def det_mod(rows: IntRows, field: PrimeField) -> int:
+def kernel_stack(mats: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rank and right kernel of every matrix of a stack (k, r, c) of int64
+    residues mod p, read from `row_reduce`.
+
+    The kernels come as a stack (k, c, c): row f of a member is the kernel
+    vector of its free column f, with 1 in that column, and rows at pivot
+    columns are zero.  So the nonzero rows, in order, are the member's
+    `kernel_basis`.
+    """
+    rank, a, pivot = row_reduce(mats, p)
+    # v_f = e_f - sum_i a[i, f] e_(pivot column of row i): one term per entry
+    kernels = (np.eye(a.shape[2], dtype=np.int64) - np.swapaxes(a, 1, 2) @ pivot) % p
+    return rank, kernels * (pivot.sum(axis=1) == 0)[:, :, None]
+
+
+def rank_mod(rows: np.ndarray, ncols: int, field: PrimeField) -> int:
+    """Rank mod p of one int64 matrix of residues with `ncols` columns."""
+    return int(row_reduce(np.reshape(rows, (1, -1, ncols)), field.p)[0][0])
+
+
+def kernel_basis(rows: np.ndarray, ncols: int, field: PrimeField) -> np.ndarray:
+    """Basis of the right kernel of one int64 matrix of residues with
+    `ncols` columns, one row per free column, in ascending order; the free
+    column carries 1."""
+    kernel = kernel_stack(np.reshape(rows, (1, -1, ncols)), field.p)[1][0]
+    return kernel[kernel.any(axis=1)]
+
+
+def det_mod(rows: Sequence[Sequence[int]], field: PrimeField) -> int:
     """Determinant mod p of a square matrix, by Gaussian elimination."""
     p = field.p
     n = len(rows)
@@ -87,42 +97,6 @@ def det_mod(rows: IntRows, field: PrimeField) -> int:
                 f = mat[i][c] * inv % p
                 mat[i] = [(x - f * y) % p for x, y in zip(mat[i], mat[c])]
     return det
-
-
-def kernel_stack(mats: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rank and right kernel of every matrix of a stack (k, r, c) of int64
-    residues mod p, by one Gauss-Jordan elimination of the whole stack with
-    `row_reduce`'s rule: pivot on the first nonzero entry in scan order and
-    scale the pivot row to 1.
-
-    The kernels come as a stack (k, c, c): row f of a member is the vector
-    `kernel_basis` gives for its free column f, with 1 in that column, and
-    rows at pivot columns are zero.  So the nonzero rows, in order, are the
-    member's `kernel_basis`.  Every product is of two residues, exact for
-    p < 2^31.
-    """
-    a = np.array(mats, dtype=np.int64) % p
-    count, nrows, ncols = a.shape
-    rank = np.zeros(count, dtype=np.int64)
-    # pivot[b, i, c] = 1 where row i of member b has its pivot in column c
-    pivot = np.zeros_like(a)
-    for c in range(ncols):
-        nonzero = (a[:, :, c] != 0) & (np.arange(nrows) >= rank[:, None])
-        hit = np.flatnonzero(nonzero.any(axis=1))
-        if not hit.size:
-            continue
-        at, to = nonzero[hit].argmax(axis=1), rank[hit]
-        top, swapped = a[hit, at], a[hit, to]
-        a[hit, at] = swapped
-        top = top * lookup(inverse, top[:, c], p)[:, None] % p
-        sub = (a[hit] - a[hit, :, c, None] * top[:, None, :]) % p
-        sub[np.arange(len(hit)), to] = top
-        a[hit] = sub
-        pivot[hit, to, c] = 1
-        rank[hit] += 1
-    # v_f = e_f - sum_i a[i, f] e_(pivot column of row i): one term per entry
-    kernels = (np.eye(ncols, dtype=np.int64) - np.swapaxes(a, 1, 2) @ pivot) % p
-    return rank, kernels * (pivot.sum(axis=1) == 0)[:, :, None]
 
 
 def residues(values, field: PrimeField) -> np.ndarray:

@@ -25,7 +25,10 @@ nothing more.  The relation residuals computed in `relations` fail loudly
 if a geometric hypothesis actually fails, which is the compensating check.
 Both are zero scans on a subspace (`quadform.zeros_on_span`), each charged
 to `budget` for that subspace only, except that a corank-1 radical is one
-point, tested for every such fiber at once.
+point, tested for every such fiber at once.  The regularity scan reads the
+degenerate fibers' kernels from one elimination (`modmat.kernel_stack`)
+and stops at its first violation; every subspace it could scan is charged
+before it starts.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import numpy as np
 
 from ..errors import DegenerateSectionError, InputError, json_int, load_json_object
 from ..gfp import PrimeField, ProjPoint, canonical_point, canonical_rows, character, lookup, projective_row_chunks
-from ..gfp import scale_to_canonical, scan_projective
+from ..gfp import scale_to_canonical, scan_projective, size_within_budget
 from .. import modmat
 from ..quadform import FiberChunk, GramMatrix, classify_stack, common_zeros, fiber_classes
 from ..quadform import _linear_and_constant, _mod, _rank_and_det, quadratic_roots, quadric_points, restrict, zeros_on_span
@@ -204,14 +207,13 @@ def _points_by_projection(
     # B has full rank, and then the columns of T put on B's pivot columns
     # are vectors L_j with B L_j = e_j
     k, dim = len(linear), len(kept)
-    rref, pivots = modmat.row_reduce(np.hstack((linear, np.eye(k, dtype=np.int64))).tolist(), dim + k, field)
-    if pivots[-1] >= dim:
+    _, rref, pivot = modmat.row_reduce(np.hstack((linear, np.eye(k, dtype=np.int64)))[None], p)
+    if pivot[0, :, dim:].any():
         raise DegenerateSectionError(
             f"the point {rep} lies in the radical of a fiber at p={p}: b(P, .) has rank below {k}"
         )
-    basis = np.zeros((k, dim), dtype=np.int64)
-    basis[:, pivots] = np.array(rref, dtype=np.int64)[:, dim:].T
-    basis = np.vstack((basis, np.array(modmat.kernel_basis(linear, dim, field), dtype=np.int64).reshape(-1, dim)))
+    # row i of T goes to the pivot column of row i: one term per entry
+    basis = np.vstack((rref[0, :, dim:].T @ pivot[0, :, :dim], modmat.kernel_basis(linear, dim, field)))
     forms = restrict(mats[:, kept][:, :, kept], basis, p)
     rows, factor = proportional_zeros(forms, field, budget, jobs)
     # sP + v: s = -l / 2 where q(v) = l B(v), every s on a line direction,
@@ -282,17 +284,15 @@ class RegularityReport:
 
     HEURISTIC: `regular` certifies that no F_p-rational radical vector of a
     degenerate fiber lies on the base locus X; geometric smoothness of X is
-    not certified.  Each violation is (base point, canonical point of X in
-    its fiber's radical).  `corank2_found` reports fibers of corank >= 2
-    (these make the discriminant curve and the double cover singular).
-    `flat` is the corank < n+2 check (no fiber is the zero quadric).
+    not certified.  `corank2_found` reports fibers of corank >= 2 (these
+    make the discriminant curve and the double cover singular).  `flat` is
+    the corank < n+2 check (no fiber is the zero quadric).
     """
 
     p: int
     regular: bool
     corank2_found: bool
     flat: bool
-    violations: tuple[tuple[ProjPoint, ProjPoint], ...]
     corank_histogram: dict[int, int]
 
     @property
@@ -308,32 +308,42 @@ class RegularityReport:
 
 
 def regularity_check(net: QuadricNet, field: PrimeField, budget: int = 2_000_000) -> RegularityReport:
-    """The coranks of `fiber_table`; the degenerate fibers' kernels come from
-    one `modmat.kernel_stack` call.  The one kernel vector u of a corank-1
-    fiber lies on X when q_j(u) = 0 for every j, tested for all of them at
-    once; the points of X on a larger kernel come from
-    `quadform.zeros_on_span`, which raises BudgetExceededError when that
-    kernel's projective space has more than `budget` points."""
+    """The coranks of `fiber_table`, and whether `_violations` finds none;
+    raises BudgetExceededError when the projective space of a kernel of
+    dimension >= 2 has more than `budget` points, wherever the first
+    violation lies."""
+    size = net.fiber_size
+    hist = dict(Counter((size - fiber_table(net, field)[0]).tolist()))
+    return RegularityReport(
+        p=field.p,
+        regular=next(_violations(net, field, budget), None) is None,
+        corank2_found=max(hist) >= 2,
+        flat=size not in hist,
+        corank_histogram=hist,
+    )
+
+
+def _violations(net: QuadricNet, field: PrimeField, budget: int) -> Iterator[tuple[ProjPoint, ProjPoint]]:
+    """Every (base point w, canonical point of X in the radical of M(w)), in
+    walk order.  The degenerate fibers' kernels come from one
+    `modmat.kernel_stack` call.  The one kernel vector u of a corank-1 fiber
+    lies on X when q_j(u) = 0 for every j, tested for all of them at once;
+    the points of X on a larger kernel come from `quadform.zeros_on_span`,
+    each such kernel's space checked against `budget` before the first
+    point is yielded."""
     p, size = field.p, net.fiber_size
-    rank, _, rows, grams = fiber_table(net, field)
+    _, _, rows, grams = fiber_table(net, field)
     kernel_rank, kernels = modmat.kernel_stack(grams, p)
+    for rank in kernel_rank[kernel_rank < size - 1].tolist():
+        size_within_budget(size - rank - 2, p, budget)  # the walk of `zeros_on_span`
     u = kernels.sum(axis=1)  # the nonzero row of a corank-1 kernel
     mats = net.residues(field)
     values = _mod(modmat.matmul_mod(u, mats, p) * u, p).sum(axis=2) % p
-    hits = np.flatnonzero((kernel_rank == size - 1) & ~values.any(axis=0))
-    found = {i: [x] for i, x in zip(hits.tolist(), scale_to_canonical(u[hits], p).tolist())}
-    for i in np.flatnonzero(kernel_rank < size - 1).tolist():
-        found[i] = zeros_on_span(mats, kernels[i][kernels[i].any(axis=1)].tolist(), field, budget).tolist()
-    violations = [(tuple(rows[i].tolist()), tuple(x)) for i in sorted(found) for x in found[i]]
-    hist = dict(Counter((size - rank).tolist()))
-    return RegularityReport(
-        p=field.p,
-        regular=not violations,
-        corank2_found=max(hist) >= 2,
-        flat=size not in hist,
-        violations=tuple(violations),
-        corank_histogram=hist,
-    )
+    hit = (kernel_rank == size - 1) & ~values.any(axis=0)
+    for i in np.flatnonzero(hit | (kernel_rank < size - 1)).tolist():
+        kernel = kernels[i][kernels[i].any(axis=1)]
+        found = scale_to_canonical(kernel, p) if hit[i] else zeros_on_span(mats, kernel, field, budget)
+        yield from ((tuple(rows[i].tolist()), tuple(x)) for x in found.tolist())
 
 
 def lines_through_point(
@@ -416,5 +426,5 @@ def _net_table(net: QuadricNet, field: PrimeField) -> tuple[np.ndarray, ...]:
 @functools.lru_cache(maxsize=64)
 def _inverse_vandermonde(size: int, field: PrimeField) -> np.ndarray:
     """V^-1 mod p for V[i, k] = i^k, i and k in 0..N < p: [V | I] reduces to [I | V^-1]."""
-    rows = [[i**k for k in range(size + 1)] + [int(i == j) for j in range(size + 1)] for i in range(size + 1)]
-    return np.array(modmat.row_reduce(rows, 2 * size + 2, field)[0], dtype=np.int64)[:, size + 1 :]
+    rows = modmat.residues([[i**k for k in range(size + 1)] + [int(i == j) for j in range(size + 1)] for i in range(size + 1)], field)
+    return modmat.row_reduce(rows[None], field.p)[1][0, :, size + 1 :]

@@ -94,7 +94,7 @@ class ReducedFamily:
     def check_basis_mod_p(self, field: PrimeField) -> None:
         """The subspace U must stay (k+1)-dimensional mod p for the model
         to make sense at this prime."""
-        if modmat.rank_mod(self.u_rows, self.n + 2, field) != self.k + 1:
+        if modmat.rank_mod(modmat.residues(self.u_rows, field), self.n + 2, field) != self.k + 1:
             raise InputError(
                 f"isotropic basis degenerates mod {field.p}; reduction invalid there"
             )

@@ -28,9 +28,10 @@ coordinate t a form is a t^2 + 2 b(u) t + c(u), so it walks u over P^(N-2)
 and solves for t (`quadratic_roots`: square roots and inverses read
 through `gfp.lookup`), which costs O(p^(N-2)) array work and is what
 `--budget` is charged for.  The scans take int64 stacks (k, N, N) of
-residues, like `classify_stack`; a `GramMatrix` holds the integers of a
-form before they are reduced.  The full scan of P^(N-1) is kept only as
-the tests' oracle.
+residues, like `classify_stack`, and `zeros_on_span` an int64 array of
+residues for its span, reduced by `modmat.row_reduce` as a stack of one;
+a `GramMatrix` holds the integers of a form before they are reduced.  The
+full scan of P^(N-1) is kept only as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -280,16 +281,17 @@ def common_zeros(mats: np.ndarray, field: PrimeField, budget: int = 2_000_000, j
     return np.concatenate((scan_projective(last - 1, field, zeros, budget, jobs), tail))
 
 
-def zeros_on_span(mats: np.ndarray, basis: modmat.IntRows, field: PrimeField, budget: int = 2_000_000) -> np.ndarray:
-    """The points of P^(N-1)(F_p) in the span of the rows of `basis` where
-    every form of a stack of N x N Grams of residues vanishes, in canonical
-    order: `common_zeros` of the forms K M K^T on P^(k-1), with `budget`
-    charged for that space, mapped by c -> c K.  With K the reduced row
-    echelon form of the basis, that map keeps points canonical and keeps
-    their order.  `common_zeros` solves for the last of the k coordinates,
-    so the budget is charged for P^(k-2)."""
+def zeros_on_span(mats: np.ndarray, basis: np.ndarray, field: PrimeField, budget: int = 2_000_000) -> np.ndarray:
+    """The points of P^(N-1)(F_p) in the span of the rows of `basis`, an
+    int64 array of residues, where every form of a stack of N x N Grams of
+    residues vanishes, in canonical order: `common_zeros` of the forms
+    K M K^T on P^(k-1), with `budget` charged for that space, mapped by
+    c -> c K.  With K the reduced row echelon form of the basis, that map
+    keeps points canonical and keeps their order.  `common_zeros` solves for
+    the last of the k coordinates, so the budget is charged for P^(k-2)."""
     size = mats.shape[-1]
-    rref = np.array(modmat.row_reduce(basis, size, field)[0], dtype=np.int64).reshape(-1, size)
+    rank, rref, _ = modmat.row_reduce(basis.reshape(1, -1, size), field.p)
+    rref = rref[0, : rank[0]]
     if len(rref) == 0:
         return rref
     return modmat.matmul_mod(common_zeros(restrict(mats, rref, field.p), field, budget), rref, field.p)

@@ -1,7 +1,8 @@
 """Shared helpers for the test suite, and the oracles the library is
-checked against: per-matrix Python routines for the batched ones, the Pell
-solver's two-period scan and walk, the determinant of a matrix of linear
-forms, and the reduced family counted along its other projection."""
+checked against: per-matrix Python routines for the batched ones (the row
+reduction and kernels of `modmat` among them), the Pell solver's
+two-period scan and walk, the determinant of a matrix of linear forms, and
+the reduced family counted along its other projection."""
 
 import math
 import random
@@ -101,6 +102,59 @@ def determinant_of_linear_matrix(matrices) -> HomPoly:
     return minors.get((1 << n) - 1, HomPoly.zero(nvars, n))
 
 
+def list_row_reduce(rows, ncols: int, field: PrimeField) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form mod p of one matrix of Python ints, with
+    the pivot rule of `modmat.row_reduce` (first nonzero entry in scan
+    order, pivot row scaled to 1): (nonzero rref rows, pivot columns).  The
+    oracle of the batched elimination."""
+    p = field.p
+    mat = [[int(x) % p for x in row] for row in rows]
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = pow(mat[r][c], p - 2, p)
+        mat[r] = [x * inv % p for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [(x - f * y) % p for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots
+
+
+def list_rank(rows, ncols: int, field: PrimeField) -> int:
+    return len(list_row_reduce(rows, ncols, field)[1])
+
+
+def list_kernel_basis(rows, ncols: int, field: PrimeField) -> list[list[int]]:
+    """The right kernel from `list_row_reduce`, one vector per free column
+    in ascending order, 1 in the free column."""
+    p = field.p
+    rref, pivots = list_row_reduce(rows, ncols, field)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = [0] * ncols
+        v[free] = 1
+        for r, c in enumerate(pivots):
+            v[c] = (-rref[r][free]) % p
+        basis.append(v)
+    return basis
+
+
+def kernel_array(rows, ncols: int, field: PrimeField) -> np.ndarray:
+    """`list_kernel_basis` as an int64 array (free, ncols)."""
+    return np.array(list_kernel_basis(rows, ncols, field), dtype=np.int64).reshape(-1, ncols)
+
+
 def count_reduced_family_dual(red: ReducedFamily, field: PrimeField) -> int:
     """#(reduced family)(F_p) counted along the other projection.
 
@@ -121,7 +175,7 @@ def count_reduced_family_dual(red: ReducedFamily, field: PrimeField) -> int:
             for j in range(red.k + 1)
         ]
         rows.append([red.quad[i].q(v, field) for i in range(red.m + 1)])
-        r = modmat.rank_mod(rows, red.m + 1, field)
+        r = list_rank(rows, red.m + 1, field)
         dim = red.m + 1 - r
         if dim > 0:
             total += projective_size(dim - 1, p)
@@ -185,7 +239,7 @@ def hyperbolic_reduce_at_vector(matrix: GramMatrix, v, field: PrimeField) -> Gra
         raise InputError("reduction vector lies in the radical (degenerate section)")
     # rows cutting out the complement: b(v, .) = 0 and b(e_{j0}, .) = 0
     mw = [matrix.entries[j0][j] % p for j in range(n)]
-    basis = np.array(modmat.kernel_basis([mv, mw], n, field), dtype=np.int64).reshape(-1, n)
+    basis = kernel_array([mv, mw], n, field)
     return gram_from_array(restrict(modmat.residues(matrix.entries, field), basis, p))
 
 

@@ -484,30 +484,51 @@ def test_disc_budget_is_the_period_walked(capsys, d, period):
     assert f"sqrt({d}) runs past the budget of {period - 1} PQa steps" in err
 
 
-def test_disc_default_budget_stops_a_huge_discriminant():
-    # d = 1000000007^2 - 24, about 10^18: a period of up to about
-    # sqrt(d) log d steps, which the default budget of 2,000,000 cuts short
-    # in time (1 GB of address space; the walk fills it in seconds without
-    # a bound).  The walk keeps nothing per step, so the child's peak RSS,
-    # which it prints after `main` returns, stays flat.  The peak is read as
-    # VmHWM: RUSAGE_SELF keeps the high-water mark of the pytest process it
-    # was forked from across the exec.
+def _run_with_peak_rss(argv: list[str]) -> tuple[subprocess.CompletedProcess, int]:
+    """`main(argv)` in a child with 1 GB of address space: the process and
+    the child's peak RSS in kB, which it prints after `main` returns.  The
+    peak is read as VmHWM: RUSAGE_SELF keeps the high-water mark of the
+    pytest process it was forked from across the exec."""
     if not os.path.exists("/proc/self/status"):
         pytest.skip("needs /proc")
     child = (
         "import resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
         "from quadring.cli import main\n"
-        "code = main(['disc', '--ns', '1000000007,3'])\n"
+        f"code = main({argv!r})\n"
         "print(next(line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:')))\n"
         "sys.exit(code)\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=60)
+    return proc, int(proc.stdout.splitlines()[-1])
+
+
+def test_disc_default_budget_stops_a_huge_discriminant():
+    # d = 1000000007^2 - 24, about 10^18: a period of up to about
+    # sqrt(d) log d steps, which the default budget of 2,000,000 cuts short
+    # in time (the walk fills 1 GB in seconds without a bound).  The walk
+    # keeps nothing per step, so the peak RSS stays flat
+    proc, peak = _run_with_peak_rss(["disc", "--ns", "1000000007,3"])
     assert proc.returncode == 3
     assert "sqrt(1000000014000000025) runs past the budget of 2000000 PQa steps" in proc.stderr
-    assert int(proc.stdout) < 40 * 1024  # kB
+    assert peak < 40 * 1024  # kB
+
+
+def test_count_stops_the_regularity_scan_at_its_first_violation(tmp_path):
+    # the golden net times 7 vanishes mod 7: every fiber over P^2(F_7) is
+    # the zero quadric, and every point of X = P^5(F_7) lies in every
+    # radical, 57 x 19,608 pairs.  `count` reads only whether there is one,
+    # so the peak RSS stays flat (the whole list peaked above 400 MB)
+    doc = json.loads((GOLDEN / "net.json").read_text())
+    doc["matrices"] = [[7 * x for x in mat] for mat in doc["matrices"]]
+    path = tmp_path / "net7.json"
+    path.write_text(json.dumps(doc))
+    proc, peak = _run_with_peak_rss(["count", "--net", str(path), "--primes", "7"])
+    assert proc.returncode == 1
+    assert "p=7 SKIPPED (zero fiber (not flat); fiber of corank >= 2; rational regularity violation)" in proc.stdout
+    assert peak < 100 * 1024  # kB
 
 
 @pytest.mark.parametrize(

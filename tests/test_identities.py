@@ -35,7 +35,7 @@ def test_count_residuals_are_the_hand_formulas_on_any_counts(shape, p, x, q, y, 
     # values; no point means no reduced family and no Qbar
     n, m = shape
     net = QuadricNet(n=n, m=m, matrices=(diagonal_gram([1] * (n + 2)),) * (m + 1))
-    regular = RegularityReport(p=p, regular=True, corank2_found=False, flat=True, violations=(), corank_histogram={0: 1})
+    regular = RegularityReport(p=p, regular=True, corank2_found=False, flat=True, corank_histogram={0: 1})
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(relations, "regularity_check", lambda *a, **k: regular)
         mp.setattr(relations, "lines_through_point", lambda *a, **k: [])

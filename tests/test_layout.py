@@ -82,6 +82,23 @@ def test_every_method_has_a_reference_in_src_or_is_traced():
     assert unreferenced == []
 
 
+def test_the_names_only_the_tracer_calls_are_these_seven():
+    # names the benchmark's tracer binds and nothing in `src/` calls: their
+    # counters read 0 on every workload.  A deletion shrinks this set in the
+    # same change, and a traced name that loses its last caller in `src/`
+    # (`modmat.rank_mod` or `kernel_basis`, say) fails here
+    _, _, callers = _definitions()
+    assert {(module, attr) for module, attr in TRACED if not callers[attr]} == {
+        ("quadring.quadform", "classify"),
+        ("quadring.quadform", "count_projective_points"),
+        ("quadring.modmat", "det_mod"),
+        ("quadring.nslattice", "solve_pell_like"),
+        ("quadring.gfp", "enumerate_projective"),
+        ("quadring.netfib.search", "random_cubic_with_plane"),
+        ("quadring.netfib.search", "random_verra_form"),
+    }
+
+
 def test_every_traced_name_resolves():
     for module in TRACING.QUADRING_MODULES:
         importlib.import_module(module)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -36,7 +37,7 @@ from quadring.netfib import (
     verify_relations,
 )
 
-from _util import corank_histogram_reduced, count_reduced_family_dual, determinant_of_linear_matrix, diagonal_gram, fiber_list, form_values, forms_congruent, gram_from_array, legendre_character, projective_rows_where, random_invertible, random_symmetric, record_scan_blocks, zero_gram
+from _util import corank_histogram_reduced, count_reduced_family_dual, determinant_of_linear_matrix, diagonal_gram, fiber_list, form_values, forms_congruent, gram_from_array, kernel_array, legendre_character, list_kernel_basis, list_rank, projective_rows_where, random_invertible, random_symmetric, record_scan_blocks, zero_gram
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -79,13 +80,13 @@ def _reduced_fiber_by_sums(red, s, field):
         [sum(rep[i] * red.bilinear[j][i][c] for i in range(red.m + 1)) % p for c in range(cols)]
         for j in range(red.k + 1)
     ]
-    if modmat.rank_mod(lin, cols, field) < red.k + 1:
+    if list_rank(lin, cols, field) < red.k + 1:
         raise DegenerateSectionError(f"section degenerates over base point {tuple(s)} at p={p}")
     gram = [
         [sum(rep[i] * red.quad[i].entries[a][b] for i in range(red.m + 1)) % p for b in range(cols)]
         for a in range(cols)
     ]
-    basis = modmat.kernel_basis(lin, cols, field)
+    basis = list_kernel_basis(lin, cols, field)
     return GramMatrix.from_rows(
         [
             [sum(ku[i] * gram[i][j] * kv[j] for i in range(cols) for j in range(cols)) % p for kv in basis]
@@ -294,17 +295,16 @@ def test_points_on_x_by_projection_match_the_solved_scan(planted):
     lines = lines_through_point(net, point, field)
     kept = [i for i in range(net.fiber_size) if i != point.index(1)]
     polar = [[row[i] for i in kept] for row in (np.array([m.entries for m in net.matrices]) @ point).tolist()]
-    projects = modmat.rank_mod(polar, len(kept), field) == net.m + 1
+    projects = list_rank(polar, len(kept), field) == net.m + 1
     assert not projects or plant != "rank drop"  # the others may drop by chance
     assert lines or plant != "line"
     if not projects:
         with pytest.raises(DegenerateSectionError, match="lies in the radical of a fiber"):
             points_on_X(net, field, point=point)
-        # the regularity report lists every point of X in every radical, up
-        # to #P^m #X of them (3.7e9 on a net that vanishes mod 23), so it is
-        # asked only where that list is small
-        if projective_size(net.m, field.p) * len(expected) <= 10**6:
-            assert regularity_check(net, field).regular is False
+        # the regularity scan stops at its first violation, so it is asked
+        # even where every point of X lies in every radical (a net that
+        # vanishes mod 23, #P^m #X pairs in all)
+        assert regularity_check(net, field).regular is False
         return
     assert points_on_X(net, field, point=point) == expected
     assert points_on_X(net, field, jobs=2, point=point, lines=lines) == expected
@@ -391,9 +391,7 @@ def test_regularity_common_radical_vector_flagged():
     net = QuadricNet(
         n=2, m=1, matrices=(GramMatrix(padded), zero_gram(4))
     )
-    report = regularity_check(net, F5)
-    assert not report.regular
-    assert report.violations
+    assert not regularity_check(net, F5).regular
 
 
 def test_regularity_zero_fiber_scans_its_kernel_within_the_budget():
@@ -405,21 +403,21 @@ def test_regularity_zero_fiber_scans_its_kernel_within_the_budget():
     f13 = PrimeField(13)
     report = regularity_check(net, f13)
     assert not report.flat and not report.regular and report.corank2_found
-    assert report.violations == tuple(((0, 0, 1), x) for x in points_on_X(net, f13))
+    assert list(family._violations(net, f13, 2_000_000)) == [((0, 0, 1), x) for x in points_on_X(net, f13)]
     with pytest.raises(BudgetExceededError):
         regularity_check(net, f13, budget=projective_size(4, 13) - 1)
 
 
 def _violations_by_one_span_per_fiber(net, field):
-    # one `zeros_on_span` on the `kernel_basis` of each degenerate fiber, in
-    # walk order
+    # one `zeros_on_span` on the list oracle's kernel of each degenerate
+    # fiber, in walk order
     size = net.fiber_size
     return [
         (s, u)
         for rows, grams in net.fibers(field)
         for s, gram in zip(map(tuple, rows.tolist()), grams.tolist())
-        if modmat.rank_mod(gram, size, field) < size
-        for u in map(tuple, zeros_on_span(net.residues(field), modmat.kernel_basis(gram, size, field), field).tolist())
+        if list_rank(gram, size, field) < size
+        for u in map(tuple, zeros_on_span(net.residues(field), kernel_array(gram, size, field), field).tolist())
     ]
 
 
@@ -464,14 +462,29 @@ def test_batched_corank_1_radicals_match_one_span_per_fiber(degenerate):
     # walk order
     net, field, plant, point = degenerate
     report = regularity_check(net, field)
-    assert list(report.violations) == _violations_by_one_span_per_fiber(net, field)
+    violations = list(family._violations(net, field, 2_000_000))
+    assert violations == _violations_by_one_span_per_fiber(net, field)
+    assert report.regular == (violations == [])
     e0 = (1,) + (0,) * net.m
     if plant == "radical":
-        assert (e0, point) in report.violations
+        assert (e0, point) in violations
     if plant in ("corank 2", "line"):
         assert report.corank2_found
     if plant == "line":
-        assert sum(s == e0 for s, _ in report.violations) >= field.p + 1
+        assert sum(s == e0 for s, _ in violations) >= field.p + 1
+
+
+def test_regularity_budget_does_not_depend_on_the_first_violation():
+    # M(1:0) = diag(1, 1, 1, 0) has e_3 in its radical and on X: the first
+    # violation in walk order.  M(0:1) = diag(1, 0, 0, 0), last in walk
+    # order, has a kernel of dimension 3, whose scan walks P^1.  The scan
+    # stops at the first violation, yet every larger kernel's space is
+    # charged to the budget first
+    net = QuadricNet(n=2, m=1, matrices=(diagonal_gram([1, 1, 1, 0]), diagonal_gram([1, 0, 0, 0])))
+    assert next(family._violations(net, F5, 6)) == ((1, 0), (0, 0, 0, 1))
+    assert not regularity_check(net, F5, budget=6).regular
+    with pytest.raises(BudgetExceededError, match=r"P\^1\(F_5\), which has 6 points, over the budget of 5"):
+        regularity_check(net, F5, budget=5)
 
 
 def test_regularity_check_without_degenerate_fibers(monkeypatch):
@@ -488,7 +501,7 @@ def test_regularity_check_without_degenerate_fibers(monkeypatch):
     monkeypatch.setattr(modmat, "kernel_stack", recording)
     report = regularity_check(net, F5)
     assert report.regular and report.flat and not report.corank2_found
-    assert report.corank_histogram == {0: 6} and report.violations == ()
+    assert report.corank_histogram == {0: 6}
     assert stacks == [0]
 
 
@@ -737,6 +750,20 @@ def test_reduced_family_counts_call_no_kernel_basis(monkeypatch):
     assert calls == []
 
 
+def test_check_basis_mod_p_reduces_integers_of_any_size():
+    # u_rows are integers over Z: an entry past 2^63 enters the elimination
+    # as its residue mod p
+    net, point = load_net(str(GOLDEN / "net.json"))
+    red = hyperbolic_reduce_family(net, [list(point)])
+    (row,) = red.u_rows
+    big = 53 * 2**64
+    vanishing = dataclasses.replace(red, u_rows=((big,) + (0,) * (len(row) - 1),))
+    with pytest.raises(InputError, match="isotropic basis degenerates mod 53"):
+        vanishing.check_basis_mod_p(PrimeField(53))
+    vanishing.check_basis_mod_p(PrimeField(41))  # 53 * 2^64 is a unit mod 41
+    dataclasses.replace(red, u_rows=((row[0] + big,) + row[1:],)).check_basis_mod_p(PrimeField(53))
+
+
 @pytest.mark.parametrize("command", ["count", "reduce"])
 def test_each_family_is_classified_once_per_chunk(capsys, monkeypatch, command):
     # regularity, Q, Y and Qbar (count), or Qbar and both Y (reduce), read one
@@ -767,23 +794,17 @@ def test_each_family_is_classified_once_per_chunk(capsys, monkeypatch, command):
 def test_regularity_check_takes_the_kernels_from_one_elimination(monkeypatch):
     # the plane-pair net has rational regularity violations at p = 3; the
     # batched kernels give the same violations, in the same order, as one
-    # `kernel_basis` per degenerate fiber in walk order
+    # kernel per degenerate fiber in walk order
     net, _ = load_net(str(GOLDEN / "net_plane_pair.json"))
-    expected = [
-        (s, u)
-        for rows, grams in net.fibers(F3)
-        for s, gram in zip(map(tuple, rows.tolist()), grams.tolist())
-        if modmat.rank_mod(gram, net.fiber_size, F3) < net.fiber_size
-        for u in map(tuple, zeros_on_span(net.residues(F3), modmat.kernel_basis(gram, net.fiber_size, F3), F3).tolist())
-    ]
+    expected = _violations_by_one_span_per_fiber(net, F3)
 
     def no_kernel_basis(*args):
         raise AssertionError("regularity_check called kernel_basis")
 
     monkeypatch.setattr(modmat, "kernel_basis", no_kernel_basis)
     family.fiber_table.cache_clear()
-    report = regularity_check(net, F3)
-    assert expected and list(report.violations) == expected
+    assert expected and list(family._violations(net, F3, 2_000_000)) == expected
+    assert not regularity_check(net, F3).regular
 
 
 def test_fiber_table_is_read_only():

@@ -36,7 +36,9 @@ from _util import (
     forms_congruent,
     full_scan_zeros,
     hyperbolic_reduce_at_vector,
+    kernel_array,
     legendre_character,
+    list_rank,
     on_all_forms,
     residue_stack,
     projective_rows_where,
@@ -274,14 +276,15 @@ def test_common_zeros_on_p1_solve_one_quadratic():
 
 @st.composite
 def _basis(draw, size, p):
-    """1 to `size` rows in F_p^size spanning a subspace of dimension >= 1:
-    random ones, possibly dependent, or the identity (all of P^(size-1))."""
+    """1 to `size` rows of residues in F_p^size spanning a subspace of
+    dimension >= 1, as an int64 array: random ones, possibly dependent, or
+    the identity (all of P^(size-1))."""
     if draw(st.booleans()):
-        return np.eye(size, dtype=np.int64).tolist()
+        return np.eye(size, dtype=np.int64)
     k = draw(st.integers(1, size))
     rows = draw(st.lists(st.lists(st.integers(0, p - 1), min_size=size, max_size=size), min_size=k, max_size=k))
     assume(any(map(any, rows)))
-    return rows
+    return np.array(rows, dtype=np.int64)
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -293,10 +296,10 @@ def test_zeros_on_span_match_the_in_memory_mask(data, size, p):
     grams = data.draw(st.lists(_form(size, p), min_size=1, max_size=4))
     basis = data.draw(_basis(size, p))
     rows = projective_points_array(size - 1, field)
-    normals = np.array(modmat.kernel_basis(basis, size, field), dtype=np.int64).reshape(-1, size)
+    normals = kernel_array(basis.tolist(), size, field)
     in_span = (rows @ normals.T % p == 0).all(axis=1)
     expected = rows[in_span & on_all_forms(grams, field)(rows)]
-    rank = modmat.rank_mod(basis, size, field)
+    rank = list_rank(basis.tolist(), size, field)
     points = projective_size(rank - 2, p)
     assert np.array_equal(zeros_on_span(residue_stack(grams, field), basis, field, budget=points), expected)
     if rank > 1:  # a span of one point walks P^-1, which has no points to charge
