@@ -3,11 +3,18 @@ rendering, and discriminant tables.
 
 Exit codes partition the outcomes: 0 success, 1 a mathematical residual
 failed, 2 malformed input (a reduction point whose section degenerates at
-a requested prime included), 3 an enumeration or search budget ran out.
+a requested prime and an --out path that cannot be written included), 3 an
+enumeration or search budget ran out.
 Machine-readable output is a single JSON document with sorted keys and a
 format_version field; identical inputs (and seed) produce byte-identical
 documents whatever the --jobs setting, since worker counts only partition
 index ranges whose integer merges are order-free.
+
+`count`, `cubic` and `verra` check an identity prime by prime and share one
+emit path, `_emit_reports`.  Each report says whether a hypothesis of its
+identity fails at its prime (`skipped`), whether the identity held there
+(`passed`) and how it prints (`text_line`); a command is ok, and exits 0,
+when some prime is not skipped and every prime that is not skipped passed.
 
 The numeric layers (`gfp`, `mpoly`, `netfib`, and numpy beneath them) are
 imported inside the handlers that run them, so `groth` and `disc` start
@@ -17,6 +24,7 @@ without loading numpy.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -27,7 +35,7 @@ from .errors import BudgetExceededError, DegenerateSectionError, InputError, jso
 
 if TYPE_CHECKING:
     from .mpoly import HomPoly
-    from .netfib import CountReport, QuadricNet
+    from .netfib import QuadricNet
 
 FORMAT_VERSION = 1
 
@@ -104,25 +112,11 @@ def load_verra_form(path: str) -> HomPoly:
     tensor = doc.get("tensor")
     if not isinstance(tensor, list) or len(tensor) != 81:
         raise InputError(f"form file {path} needs an 81-entry 'tensor' array")
-    tensor = [json_int(x, "tensor entry") for x in tensor]
     terms: dict[tuple[int, ...], int] = {}
-    idx = 0
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                for l in range(3):
-                    c = tensor[idx]
-                    idx += 1
-                    if c == 0:
-                        continue
-                    exps = [0] * 6
-                    exps[i] += 1
-                    exps[j] += 1
-                    exps[3 + k] += 1
-                    exps[3 + l] += 1
-                    key = tuple(exps)
-                    terms[key] = terms.get(key, 0) + c
-    return HomPoly(6, 4, {e: c for e, c in terms.items() if c})
+    for (i, j, k, l), x in zip(itertools.product(range(3), repeat=4), tensor):
+        key = tuple(map((i, j, 3 + k, 3 + l).count, range(6)))
+        terms[key] = terms.get(key, 0) + json_int(x, "tensor entry")
+    return HomPoly(6, 4, terms)
 
 
 def _dumps(doc: dict) -> str:
@@ -130,16 +124,30 @@ def _dumps(doc: dict) -> str:
 
 
 def _write_json_file(path: str, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_dumps(doc))
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(_dumps(doc))
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _emit(doc: dict, lines: list[str], fmt: str) -> None:
-    if fmt == "json":
-        sys.stdout.write(_dumps(doc))
+def _emit(args: argparse.Namespace, doc: dict, lines: list[str]) -> None:
+    if args.format == "json":
+        sys.stdout.write(_dumps({"format_version": FORMAT_VERSION, "command": args.command, **doc}))
     else:
         for line in lines:
             sys.stdout.write(line + "\n")
+
+
+def _emit_reports(args: argparse.Namespace, doc: dict, lines: list[str], reports: Sequence) -> int:
+    """Emit a per-prime check (`count`, `cubic`, `verra`): it is ok when some
+    prime is not skipped and every prime that is not skipped passed."""
+    checked = [r for r in reports if not r.skipped]
+    ok = bool(checked) and all(r.passed for r in checked)
+    lines = lines + [r.text_line() for r in reports]
+    lines.append("RESULT: " + ("all residuals zero" if ok else "FAILED"))
+    _emit(args, {**doc, "reports": [r.to_document() for r in reports], "ok": ok}, lines)
+    return 0 if ok else 1
 
 
 def _find_integral_point(net: QuadricNet) -> tuple[int, ...] | None:
@@ -162,18 +170,6 @@ def _find_integral_point(net: QuadricNet) -> tuple[int, ...] | None:
     return None
 
 
-def _report_line(rep: CountReport) -> str:
-    if rep.skipped:
-        return f"p={rep.p} SKIPPED ({rep.skip_reason})"
-    counts = f"X={rep.x_count} Q={rep.q_count} Qbar={rep.qbar_count} Y={rep.y_count}"
-    residuals = " ".join(f"{k}={v}" for k, v in sorted(rep.residuals.items()))
-    flags = []
-    if rep.line_through_point_found:
-        flags.append("line-through-point")
-    flag_text = f" flags={','.join(flags)}" if flags else ""
-    return f"p={rep.p} {counts} {residuals}{flag_text}"
-
-
 def cmd_count(args: argparse.Namespace) -> int:
     from .netfib import SUPPORTED_SHAPES, load_net, verify_relations
 
@@ -184,25 +180,8 @@ def cmd_count(args: argparse.Namespace) -> int:
     primes = _parse_primes(args.primes)
     budget, jobs = _at_least_one(args.budget, "--budget"), _at_least_one(args.jobs, "--jobs")
     reports = verify_relations(net, point, primes, budget=budget, jobs=jobs)
-    checked = [r for r in reports if not r.skipped]
-    ok = bool(checked) and all(
-        r.all_zero() and not r.line_through_point_found for r in checked
-    )
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "command": "count",
-        "n": net.n,
-        "m": net.m,
-        "point": list(point) if point else None,
-        "primes": primes,
-        "reports": [r.to_document() for r in reports],
-        "ok": ok,
-    }
-    lines = [f"net: n={net.n} m={net.m} point={point}"]
-    lines += [_report_line(r) for r in reports]
-    lines.append("RESULT: " + ("all residuals zero" if ok else "FAILED"))
-    _emit(doc, lines, args.format)
-    return 0 if ok else 1
+    doc = {"n": net.n, "m": net.m, "point": list(point) if point else None, "primes": primes}
+    return _emit_reports(args, doc, [f"net: n={net.n} m={net.m} point={point}"], reports)
 
 
 def cmd_groth(args: argparse.Namespace) -> int:
@@ -213,8 +192,6 @@ def cmd_groth(args: argparse.Namespace) -> int:
     )
     derivations = [grothring.derive(name) for name in names]
     doc = {
-        "format_version": FORMAT_VERSION,
-        "command": "groth",
         "derivations": [
             {
                 "name": d.name,
@@ -234,7 +211,7 @@ def cmd_groth(args: argparse.Namespace) -> int:
         lines.extend(d.render_lines())
         lines.append("")
     ok = all(d.consistent() for d in derivations)
-    _emit(doc, lines, args.format)
+    _emit(args, doc, lines)
     return 0 if ok else 1
 
 
@@ -253,11 +230,7 @@ def cmd_disc(args: argparse.Namespace) -> int:
         lo, hi = _parse_range(args.range)
         for d in range(lo, hi + 1):  # each d may walk `budget` PQa steps
             verdicts.append((d, nslattice.classify_discriminant(d, budget)))
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "command": "disc",
-        "verdicts": [v.to_document() for _, v in verdicts],
-    }
+    doc = {"verdicts": [v.to_document() for _, v in verdicts]}
     lines = []
     for d, v in verdicts:
         witness = (
@@ -268,7 +241,7 @@ def cmd_disc(args: argparse.Namespace) -> int:
         lines.append(
             f"d={d} {v.classification} brauer_vanishes={str(v.brauer_vanishes).lower()}{witness}"
         )
-    _emit(doc, lines, args.format)
+    _emit(args, doc, lines)
     return 0
 
 
@@ -286,8 +259,6 @@ def cmd_random(args: argparse.Namespace) -> int:
     )
     net_doc = result.net.to_document(point=result.point)
     doc = {
-        "format_version": FORMAT_VERSION,
-        "command": "random",
         "seed": args.seed,
         "attempts": result.attempts,
         "primes": primes,
@@ -300,7 +271,7 @@ def cmd_random(args: argparse.Namespace) -> int:
     if args.out:
         _write_json_file(args.out, net_doc)
         lines.append(f"net written to {args.out}")
-    _emit(doc, lines, args.format)
+    _emit(args, doc, lines)
     return 0
 
 
@@ -314,12 +285,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     if point is None:
         raise InputError("reduction needs a point: give --point or a net file with one")
     reduced = hyperbolic_reduce_family(net, [list(point)])
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "command": "reduce",
-        "point": list(point),
-        "reduced": reduced.to_document(),
-    }
+    doc = {"point": list(point), "reduced": reduced.to_document()}
     lines = [
         f"reduced family: base P^{reduced.m}, fibers of dimension {reduced.reduced_dim}",
         f"pivots deleted: {list(reduced.pivots)}",
@@ -343,7 +309,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     if args.out:
         _write_json_file(args.out, doc["reduced"])
         lines.append(f"reduced family written to {args.out}")
-    _emit(doc, lines, args.format)
+    _emit(args, doc, lines)
     return 0
 
 
@@ -353,24 +319,7 @@ def cmd_cubic(args: argparse.Namespace) -> int:
     form = load_cubic_form(args.form)
     primes = _parse_primes(args.primes)
     reports = cubic_with_plane_counts(form, primes, budget=_at_least_one(args.budget, "--budget"))
-    clean = [r for r in reports if not (r.corank2_found or r.singular_on_plane)]
-    ok = bool(clean) and all(r.residual == 0 for r in clean)
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "command": "cubic",
-        "primes": primes,
-        "reports": [r.to_document() for r in reports],
-        "ok": ok,
-    }
-    lines = []
-    for r in reports:
-        flags = (" corank2" if r.corank2_found else "") + (
-            " singular-on-plane" if r.singular_on_plane else ""
-        )
-        lines.append(f"p={r.p} X={r.x_count} Y={r.y_count} residual={r.residual}{flags}")
-    lines.append("RESULT: " + ("all residuals zero" if ok else "FAILED"))
-    _emit(doc, lines, args.format)
-    return 0 if ok else 1
+    return _emit_reports(args, {"primes": primes}, [], reports)
 
 
 def cmd_verra(args: argparse.Namespace) -> int:
@@ -379,33 +328,7 @@ def cmd_verra(args: argparse.Namespace) -> int:
     form = load_verra_form(args.form)
     primes = _parse_primes(args.primes)
     reports = verra_counts(form, primes, budget=_at_least_one(args.budget, "--budget"))
-    clean = [r for r in reports if not (r.corank2_first or r.corank2_second)]
-    ok = bool(clean) and all(
-        r.residual_first == 0 and r.residual_second == 0 and r.y_difference == 0
-        for r in clean
-    )
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "command": "verra",
-        "primes": primes,
-        "reports": [r.to_document() for r in reports],
-        "ok": ok,
-    }
-    lines = []
-    for r in reports:
-        flags = []
-        if r.corank2_first:
-            flags.append("corank2-first")
-        if r.corank2_second:
-            flags.append("corank2-second")
-        flag = f" flags={','.join(flags)}" if flags else ""
-        lines.append(
-            f"p={r.p} X={r.x_count} Y1={r.y1_count} Y2={r.y2_count} "
-            f"r1={r.residual_first} r2={r.residual_second} dY={r.y_difference}{flag}"
-        )
-    lines.append("RESULT: " + ("all residuals zero" if ok else "FAILED"))
-    _emit(doc, lines, args.format)
-    return 0 if ok else 1
+    return _emit_reports(args, {"primes": primes}, [], reports)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -177,6 +177,18 @@ class CubicReport:
     corank2_found: bool
     singular_on_plane: bool
 
+    @property
+    def skipped(self) -> bool:
+        return self.corank2_found or self.singular_on_plane
+
+    @property
+    def passed(self) -> bool:
+        return self.residual == 0
+
+    def text_line(self) -> str:
+        flags = (" corank2" if self.corank2_found else "") + (" singular-on-plane" if self.singular_on_plane else "")
+        return f"p={self.p} X={self.x_count} Y={self.y_count} residual={self.residual}{flags}"
+
     def to_document(self) -> dict:
         return {
             "p": self.p,
@@ -244,7 +256,6 @@ def swap_verra_factors(g: HomPoly) -> HomPoly:
 def _verra_quadric_entries(g: HomPoly) -> list[list[HomPoly]]:
     """Doubled Gram entries, in s, of the quadric fibration over the first
     factor: coordinates (w, t0, t1, t2), form w^2 - G(s, t)."""
-    validate_verra_form(g)
     two = {(0, 0, 0): 2}
     zero = {}
     entries: list[list[dict]] = [
@@ -284,6 +295,22 @@ class VerraReport:
     y_difference: int
     corank2_first: bool
     corank2_second: bool
+
+    @property
+    def skipped(self) -> bool:
+        return self.corank2_first or self.corank2_second
+
+    @property
+    def passed(self) -> bool:
+        return self.residual_first == 0 and self.residual_second == 0 and self.y_difference == 0
+
+    def text_line(self) -> str:
+        flags = [name for name, on in (("corank2-first", self.corank2_first), ("corank2-second", self.corank2_second)) if on]
+        return (
+            f"p={self.p} X={self.x_count} Y1={self.y1_count} Y2={self.y2_count} "
+            f"r1={self.residual_first} r2={self.residual_second} dY={self.y_difference}"
+            + (f" flags={','.join(flags)}" if flags else "")
+        )
 
     def to_document(self) -> dict:
         return {

@@ -20,12 +20,12 @@ Primes with a `RegularityReport.skip_reason` (a zero fiber, a fiber of
 corank >= 2 or a failed rational regularity scan) are reported as skipped:
 the cover there is singular and the identities are not expected, which
 matches the policy of skipping primes that divide bad behavior.  A
-rational line through P is *not* a skip: the residuals are still computed
-and the line is reported as a flag.  Note that for a regular net the R2
-count is blind to rational lines through P: the line direction acquires a
-P^2 fiber in the reduced family while the projection contracts the line's
-p points, and the two effects cancel exactly, so the flag rather than the
-residual carries that diagnostic.
+rational line through P is *not* a skip: the residuals are still computed,
+the line is reported as a flag, and the prime does not pass.  Note that
+for a regular net the R2 count is blind to rational lines through P: the
+line direction acquires a P^2 fiber in the reduced family while the
+projection contracts the line's p points, and the two effects cancel
+exactly, so the flag rather than the residual carries that diagnostic.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ class CountReport:
     p: int
     n: int
     m: int
-    skipped: bool = False
     skip_reason: str | None = None
     point: tuple[int, ...] | None = None
     x_count: int | None = None
@@ -76,8 +75,21 @@ class CountReport:
     line_through_point_found: bool = False
     flat: bool = True
 
-    def all_zero(self) -> bool:
-        return bool(self.residuals) and all(v == 0 for v in self.residuals.values())
+    @property
+    def skipped(self) -> bool:
+        return self.skip_reason is not None
+
+    @property
+    def passed(self) -> bool:
+        return all(v == 0 for v in self.residuals.values()) and not self.line_through_point_found
+
+    def text_line(self) -> str:
+        if self.skipped:
+            return f"p={self.p} SKIPPED ({self.skip_reason})"
+        counts = f"X={self.x_count} Q={self.q_count} Qbar={self.qbar_count} Y={self.y_count}"
+        residuals = " ".join(f"{k}={v}" for k, v in sorted(self.residuals.items()))
+        flags = " flags=line-through-point" if self.line_through_point_found else ""
+        return f"p={self.p} {counts} {residuals}{flags}"
 
     def to_document(self) -> dict:
         return {
@@ -125,16 +137,14 @@ def _report_for_prime(
         flat=reg.flat,
     )
     if reg.skip_reason is not None:
-        return CountReport(skipped=True, skip_reason=reg.skip_reason, **base)
+        return CountReport(skip_reason=reg.skip_reason, **base)
 
     rep = None
     if point is not None:
         try:
             rep = canonical_point(point, field)
         except ValueError:
-            return CountReport(
-                skipped=True, skip_reason=f"point vanishes mod {p}", **base
-            )
+            return CountReport(skip_reason=f"point vanishes mod {p}", **base)
 
     # one line scan per prime: its directions are the line term of the X
     # count by projection from the point, and they set the line flag

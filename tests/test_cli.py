@@ -872,6 +872,39 @@ def test_verra_command(capsys, tmp_path):
     assert "dY=0" in out
 
 
+def test_verra_leaves_primes_with_a_corank_2_fiber_out_of_ok(capsys, tmp_path):
+    # s0^2 t0^2 + s1^2 t1^2: both fibrations have a fiber of corank 2 at
+    # p = 3 and 5, so both primes are skipped and nothing is left to pass
+    tensor = [0] * 81
+    tensor[0] = tensor[40] = 1
+    path = tmp_path / "verra.json"
+    path.write_text(json.dumps({"tensor": tensor}))
+    code, out, _ = run_cli(capsys, "verra", "--form", str(path), "--primes", "3,5")
+    assert code == 1
+    assert out.splitlines()[0] == "p=3 X=223 Y1=13 Y2=13 r1=54 r2=54 dY=0 flags=corank2-first,corank2-second"
+    assert out.endswith("RESULT: FAILED\n")
+    code, out, _ = run_cli(capsys, "verra", "--form", str(path), "--primes", "3,5", "--format", "json")
+    doc = json.loads(out)
+    assert code == 1 and doc["ok"] is False
+    assert [r["residuals"]["first"] for r in doc["reports"]] == [54, 250]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reduce", "--net", str(GOLDEN / "net.json")],
+        ["random", "--n", "2", "--m", "1", "--seed", "1", "--primes", "3,5"],
+    ],
+    ids=["reduce", "random"],
+)
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_out_path_that_cannot_be_written_exits_two(capsys, tmp_path, argv, target):
+    path = tmp_path / "missing" / "x.json" if target == "missing-dir" else tmp_path
+    code, out, err = run_cli(capsys, *argv, "--out", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {path}: ")
+
+
 @pytest.mark.parametrize(
     "argv,stdout_start",
     [

@@ -17,6 +17,10 @@ the point at 5..13.
 `disc.stdout` (`disc --range 1..5000`, JSON) and `disc.text.stdout`
 (`disc --range 1..300`, text) are the verdicts printed while each sign of
 a^2 - d*b^2 = +-8 still had its own continued-fraction walk.
+
+`cubic.text.stdout` and `verra.text.stdout` are the text output of the
+`cubic` and `verra` cases below, as printed while each command built its
+own report lines and `ok` rule.
 """
 
 from pathlib import Path
@@ -55,6 +59,12 @@ def test_skipped_and_flagged_count_output_is_unchanged(capsys, net, fmt):
     argv = ["count", "--net", str(GOLDEN / f"net_{net}.json"), "--primes", "3,5,7,11,13", "--format", fmt]
     assert cli_main(argv) == 1
     assert capsys.readouterr().out == (GOLDEN / f"count_{net}.{fmt}.stdout").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", ["cubic", "verra"])
+def test_recipe_text_output_is_unchanged(capsys, name):
+    assert cli_main(dict(CASES)[name]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.text.stdout").read_text(encoding="utf-8")
 
 
 def test_disc_text_output_is_unchanged(capsys):

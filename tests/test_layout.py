@@ -12,6 +12,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -127,6 +128,14 @@ def test_span_statistics_read_parameters_of_their_function():
     for (module, attr), keys in reads.items():
         params = inspect.signature(getattr(importlib.import_module(module), attr)).parameters
         assert keys <= params.keys(), (module, attr)
+
+
+def test_the_cli_names_no_report_flag():
+    # whether a prime is skipped or passed is decided by its report, in the
+    # module that builds it; the command line reads only `skipped`, `passed`,
+    # `text_line` and `to_document`
+    flags = {"corank2_found", "singular_on_plane", "corank2_first", "corank2_second", "line_through_point_found"}
+    assert flags & set(re.findall(r"\w+", (SRC / "cli.py").read_text())) == set()
 
 
 def test_every_budget_default_is_that_of_count():

@@ -1093,6 +1093,31 @@ def test_planted_line_sets_flag_but_counts_cancel():
     assert rep.residuals == {"R1": 0, "R2": 0, "R3": 0, "R4": 0}
 
 
+_ENTRIES = st.one_of(st.integers(-9, 9), st.sampled_from([2**70, -(2**70), 2**70 + 1]))
+
+
+@st.composite
+def _net_and_point(draw):
+    """A net of small shape with symmetric entries up to 2^70 in size, and
+    a point of its fiber size or None."""
+    n, m = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    size = n + 2
+    mats = []
+    for _ in range(m + 1):
+        upper = {(i, j): draw(_ENTRIES) for i in range(size) for j in range(i, size)}
+        mats.append(GramMatrix.from_rows([[upper[min(i, j), max(i, j)] for j in range(size)] for i in range(size)]))
+    point = draw(st.none() | st.tuples(*[_ENTRIES] * size))
+    return QuadricNet(n=n, m=m, matrices=tuple(mats)), point
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_net_and_point())
+def test_net_documents_round_trip_through_json(net_and_point):
+    net, point = net_and_point
+    doc = json.loads(json.dumps(net.to_document(point=point)))
+    assert QuadricNet.from_document(doc) == (net, point)
+
+
 def test_net_document_round_trip(accepted_net):
     doc = accepted_net.net.to_document(point=accepted_net.point)
     net2, point2 = QuadricNet.from_document(doc)
