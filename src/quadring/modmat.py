@@ -6,8 +6,8 @@ first nonzero entry in scan order, so every caller gets reproducible bases,
 and it reads its pivots' inverses through `gfp.lookup`.  `kernel_stack`,
 `rank_mod` and `kernel_basis` are reads of it, the last two of a stack of
 one.  `det_mod` is a determinant on plain lists, which no library path
-calls.  Integers enter int64 arrays only through `residues`, and
-`matmul_mod` multiplies such arrays exactly.
+calls.  Integers enter int64 arrays only through `residues`, `_mod`
+reduces int64 arrays, and `matmul_mod` multiplies such arrays exactly.
 """
 
 from __future__ import annotations
@@ -103,6 +103,14 @@ def residues(values, field: PrimeField) -> np.ndarray:
     """Nested integers reduced mod p as Python ints, so an entry of any
     size is exact, then stored as an int64 array of the same shape."""
     return (np.array(values, dtype=object) % field.p).astype(np.int64)
+
+
+def _mod(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p for an int64 array, as x - (x // p) p: numpy divides by a
+    scalar about twice as fast as it takes the remainder."""
+    q = x // p
+    q *= p
+    return np.subtract(x, q, out=q)
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:

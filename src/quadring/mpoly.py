@@ -1,6 +1,9 @@
-"""Sparse homogeneous multivariate polynomials over Z: the cubic and (2,2)
-forms that `cubic` and `verra` read, and the polynomial entries of their
-fiber Gram matrices, evaluated mod p at every row of an array.
+"""Sparse homogeneous multivariate polynomials over Z, the cubic and (2,2)
+forms that `cubic` and `verra` read, and values mod p on every row of an
+array: dense, the values of a list of monomials read from the powers of
+F_p that a walk tabulates once (`power_tables`, `monomial_values`), for the
+net's discriminant and the recipes' fiber Grams and (2,2) form, or sparse,
+term by term, for the cubic's few-term forms (`evaluate_on_array`).
 
 Coefficients are arbitrary-precision Python ints, so sums and products of
 forms stay exact.  Terms are stored as an exponent-vector map with no zero
@@ -16,6 +19,7 @@ import numpy as np
 
 from .errors import InputError
 from .gfp import PrimeField
+from .modmat import _mod
 
 Exponents = tuple[int, ...]
 
@@ -121,3 +125,25 @@ def evaluate_on_array(f: HomPoly, points: np.ndarray, field: PrimeField) -> np.n
         vals += term
         vals %= p
     return vals
+
+
+def power_tables(exps: np.ndarray, field: PrimeField) -> np.ndarray:
+    """The powers of F_p that the monomials x^e read, for the exponent
+    vectors e in the columns of `exps` (n, k): an int64 array (n, p, k)
+    whose entry (i, v, c) is v^exps[i, c] mod p, 0^0 = 1.  A walk builds it
+    once and reads it at every chunk with `monomial_values`."""
+    p = field.p
+    powers = np.ones((int(exps.max(initial=0)) + 1, p), dtype=np.int64)
+    for k in range(1, len(powers)):
+        powers[k] = _mod(powers[k - 1] * np.arange(p), p)
+    return np.ascontiguousarray(powers[exps].transpose(0, 2, 1))
+
+
+def monomial_values(tables: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
+    """x^e mod p at every row x of `rows` (int64 residues, one variable per
+    column) for every monomial of `power_tables`, as an array (rows, k).
+    Each product is of two residues, exact for p < 2^31."""
+    values = tables[0][rows[:, 0]]
+    for table, column in zip(tables[1:], rows.T[1:]):
+        values = _mod(values * table[column], p)
+    return values

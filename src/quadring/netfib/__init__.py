@@ -16,7 +16,6 @@ from .recipes import (
     VerraReport,
     cubic_fiber_grams,
     cubic_with_plane_counts,
-    swap_verra_factors,
     validate_cubic_with_plane,
     validate_verra_form,
     verra_counts,

@@ -41,11 +41,13 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 import numpy as np
 
 from ..errors import DegenerateSectionError, InputError, json_int, load_json_object
-from ..gfp import PrimeField, ProjPoint, canonical_point, canonical_rows, character, lookup, projective_row_chunks
+from ..gfp import PrimeField, ProjPoint, canonical_point, canonical_rows, projective_row_chunks
 from ..gfp import scale_to_canonical, scan_projective, size_within_budget
 from .. import modmat
-from ..quadform import FiberChunk, GramMatrix, classify_stack, common_zeros, fiber_classes
-from ..quadform import _linear_and_constant, _mod, _rank_and_det, quadratic_roots, quadric_points, restrict, zeros_on_span
+from ..modmat import _mod
+from ..mpoly import monomial_values, power_tables
+from ..quadform import FiberChunk, GramMatrix, classify_stack, common_zeros, fiber_classes, signed_character
+from ..quadform import _linear_and_constant, _rank_and_det, quadratic_roots, quadric_points, restrict, zeros_on_span
 
 if TYPE_CHECKING:
     from .reduction import ReducedFamily
@@ -404,21 +406,19 @@ def _discriminant(net: QuadricNet, field: PrimeField) -> tuple[np.ndarray, np.nd
 
 def _net_table(net: QuadricNet, field: PrimeField) -> tuple[np.ndarray, ...]:
     """`fiber_table` of a net at p > N: det M(w) on each chunk of the walk of
-    P^m(F_p), from `_discriminant` and power tables, gives rank N and the
-    character of (-1)^(N/2) det (0 at odd N) where det != 0; one call classifies the rest."""
+    P^m(F_p), the monomial values of `_discriminant`'s exponents times its
+    coefficients, gives rank N and the signed character where det != 0;
+    one call classifies the rest."""
     p, size, m = field.p, net.fiber_size, net.m
     exps, coeffs = _discriminant(net, field)
-    powers = modmat.residues([[v**k for k in range(size + 1)] for v in range(p)], field)  # v^k for v in F_p
+    tables = power_tables(exps, field)
     dets, rows = [], []
     for w in projective_row_chunks(m, field):
-        terms = powers[:, exps[0]][w[:, 0]]
-        for i in range(1, m + 1):
-            terms = _mod(terms * powers[:, exps[i]][w[:, i]], p)
-        dets.append(modmat.matmul_mod(terms, coeffs, p))
+        dets.append(modmat.matmul_mod(monomial_values(tables, w, p), coeffs, p))
         rows.append(w[dets[-1] == 0])
     det, rows = np.concatenate(dets), np.concatenate(rows)
     grams = _fiber_grams(net, rows, field)
-    rank, signed = np.full(len(det), size), lookup(character, (-1) ** (size // 2) * det % p, p) * (size % 2 == 0)
+    rank, signed = np.full(len(det), size), signed_character(size, det, p)
     rank[det == 0], signed[det == 0] = classify_stack(grams, p)
     return rank, signed, rows, grams
 

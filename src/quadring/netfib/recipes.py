@@ -5,11 +5,11 @@ divisor.
 Cubic with a plane.  For a cubic form F in x0..x5 lying in the ideal
 (x3, x4, x5), projecting the blowup of the plane {x3 = x4 = x5 = 0} to
 P^2_(x3:x4:x5) fibers it into quadric surfaces: substituting
-(x3, x4, x5) = t * (s3, s4, s5) turns F into t * G_s(y0, y1, y2, t) with
-G_s a quadratic form in (y, t) whose Gram entries are polynomials in s (the
-yy block linear, the yt entries quadratic, the tt entry cubic).  Scaling
-the representative of s rescales t, so fiber counts and determinant
-characters are representative-independent.  The expected count identity,
+(x3, x4, x5) = t * (s3, s4, s5) turns each term c y^a (x3, x4, x5)^b of
+F into t * c s^b y^a t^(|b| - 1), so F = t * G_s(y0, y1, y2, t) with the yy
+block of G_s linear in s, the yt entries quadratic and the tt entry cubic.
+Scaling the representative of s rescales t, so fiber counts and
+determinant characters are representative-independent.  The expected count identity,
 the `cubic-plane` derivation of `grothring` read at L = p, is
 
     #X = 1 + p^2 + p^4 + p * #Y
@@ -36,15 +36,18 @@ routes of the `verra` derivation read at L = p give
 
 forcing #Y_1 = #Y_2.
 
-All Gram matrices here are kept doubled (polarization matrices) to stay
-integral; doubling multiplies determinants by even powers of 2 and leaves
-ranks, characters, and point counts unchanged.
+Each fibration is a `Fibration`: a map from a base monomial e in s, of any
+degree, to an integer Gram G_e, the fiber over s being sum_e s^e G_e.  The
+Grams are doubled (polarization matrices) to stay integral: `_fibration`
+puts a term c at (i, j) and at (j, i), so a diagonal term gets 2c, which
+multiplies determinants by even powers of 2 and leaves ranks, characters,
+and point counts unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -61,12 +64,13 @@ from ..gfp import (
     projective_size,
     size_within_budget,
 )
-from ..mpoly import HomPoly, evaluate_on_array
+from ..mpoly import Exponents, HomPoly, evaluate_on_array, monomial_values, power_tables
 from ..quadform import FiberChunk, common_zeros, double_cover_count, fiber_classes
 from ..quadform import quadratic_roots
 
 CUBIC_VARS = 6
 PLANE_VARS = (3, 4, 5)
+Fibration = dict[Exponents, list[list[int]]]  # base monomial e -> 4 x 4 doubled Gram G_e
 
 
 def validate_cubic_with_plane(f: HomPoly) -> None:
@@ -82,70 +86,58 @@ def validate_cubic_with_plane(f: HomPoly) -> None:
             )
 
 
-def cubic_fiber_grams(f: HomPoly) -> list[list[HomPoly]]:
-    """Doubled Gram entries of the induced quadric fibration, as polynomials
-    in (s3, s4, s5).
+def _fibration(terms: Iterable[tuple[Exponents, int, int, int]]) -> Fibration:
+    """The doubled Grams by base monomial of the terms (e, i, j, c) of a
+    quadric fibration over P^2: c at (i, j) and at (j, i) of G_e, so a
+    diagonal term gets 2c."""
+    grams: Fibration = {}
+    for e, i, j, c in terms:
+        gram = grams.setdefault(e, [[0] * 4 for _ in range(4)])
+        gram[i][j] += c
+        gram[j][i] += c
+    return grams
 
-    Coordinates on the fiber are (y0, y1, y2, t); entry degrees in s are 1
-    on the yy block, 2 on the yt border, 3 at tt.
-    """
+
+def _pair(exps: Exponents) -> tuple[int, int]:
+    """The two variables of a degree-2 monomial, in order."""
+    i, j = (k for k, e in enumerate(exps) for _ in range(e))
+    return i, j
+
+
+def cubic_fiber_grams(f: HomPoly) -> Fibration:
+    """The quadric fibration of a cubic through the plane, as a map from a
+    base monomial e in (s3, s4, s5) to the integer doubled Gram G_e on the
+    fiber coordinates (y0, y1, y2, t): the fiber over s is sum s^e G_e.  A
+    term c y^a (x3, x4, x5)^b is c s^b y^a t^(|b| - 1)."""
     validate_cubic_with_plane(f)
-    entries: list[list[dict]] = [[{} for _ in range(4)] for _ in range(4)]
-
-    def bump(i: int, j: int, s_exps: tuple[int, int, int], c: int) -> None:
-        acc = entries[i][j]
-        acc[s_exps] = acc.get(s_exps, 0) + c
-
-    for exps, coeff in f.terms.items():
-        y_part = exps[:3]
-        s_part = (exps[3], exps[4], exps[5])
-        k = sum(s_part)
-        if k == 1:
-            # quadratic in y: doubled Gram gets 2c on the diagonal, c off it
-            ys = [i for i in range(3) for _ in range(y_part[i])]
-            a, b = ys[0], ys[1]
-            if a == b:
-                bump(a, a, s_part, 2 * coeff)
-            else:
-                bump(a, b, s_part, coeff)
-                bump(b, a, s_part, coeff)
-        elif k == 2:
-            a = next(i for i in range(3) if y_part[i])
-            bump(a, 3, s_part, coeff)
-            bump(3, a, s_part, coeff)
-        else:  # k == 3, pure t^2 term
-            bump(3, 3, s_part, 2 * coeff)
-
-    return [
-        [HomPoly(3, deg, entries[i][j]) for j, deg in enumerate(row_degs)]
-        for i, row_degs in enumerate(
-            [(1, 1, 1, 2), (1, 1, 1, 2), (1, 1, 1, 2), (2, 2, 2, 3)]
-        )
-    ]
+    return _fibration((exps[3:], *_pair(exps[:3] + (sum(exps[3:]) - 1,)), c) for exps, c in f.terms.items())
 
 
-def _fiber_grams(entry_polys: Sequence[Sequence[HomPoly]], field: PrimeField) -> Iterator[FiberChunk]:
+def _fiber_grams(fibration: Fibration, field: PrimeField) -> Iterator[FiberChunk]:
     """(base rows, fiber Gram stack) for each chunk of rows of P^2(F_p), in
-    canonical order: each entry polynomial is evaluated once per chunk by
-    `evaluate_on_array`."""
+    canonical order: the chunk's values of the base monomials times the
+    stacked G_e, in one product."""
+    p = field.p
+    tables = power_tables(np.array(list(fibration)).T, field)
+    grams = modmat.residues(list(fibration.values()), field).reshape(len(fibration), -1)
     for rows in projective_row_chunks(2, field):
-        yield rows, np.array([[evaluate_on_array(poly, rows, field) for poly in row] for row in entry_polys]).transpose(2, 0, 1)
+        yield rows, modmat.matmul_mod(monomial_values(tables, rows, p), grams, p).reshape(-1, 4, 4)
 
 
-def _double_cover_count(entry_polys: Sequence[Sequence[HomPoly]], field: PrimeField) -> tuple[int, bool]:
-    """#Y(F_p) of a quadric fibration over P^2 given by its Gram entry
-    polynomials, and whether some fiber has corank >= 2."""
-    rank, signed, _, _ = fiber_classes(_fiber_grams(entry_polys, field), len(entry_polys), field.p)
-    return double_cover_count(len(entry_polys), rank, signed), bool((rank < len(entry_polys) - 1).any())
+def _double_cover_count(fibration: Fibration, field: PrimeField) -> tuple[int, bool]:
+    """#Y(F_p) of a quadric fibration over P^2, and whether some fiber has
+    corank >= 2."""
+    rank, signed, _, _ = fiber_classes(_fiber_grams(fibration, field), 4, field.p)
+    return double_cover_count(4, rank, signed), bool((rank < 3).any())
 
 
-def _singular_on_plane(grams: Sequence[Sequence[HomPoly]], field: PrimeField) -> bool:
+def _singular_on_plane(fibration: Fibration, field: PrimeField) -> bool:
     """Whether the cubic of `cubic_fiber_grams` is singular at an F_p-point
     of the plane x3 = x4 = x5 = 0, i.e. whether its three plane conics share
-    an F_p-zero: the s_k-coefficient of yy entry (i, j) of `grams` is entry
-    (i, j) of the doubled Gram of the conic of x_k."""
+    an F_p-zero: the conic of x_k is the yy block of G at the unit vector
+    e_k of the base."""
     units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    conics = modmat.residues([[[grams[i][j].terms.get(e, 0) for j in range(3)] for i in range(3)] for e in units], field)
+    conics = modmat.residues([[row[:3] for row in fibration.get(e, [[0] * 3] * 3)[:3]] for e in units], field)
     return len(common_zeros(conics, field)) > 0
 
 
@@ -246,40 +238,17 @@ def validate_verra_form(g: HomPoly) -> None:
             raise InputError(f"monomial {exps} is not of bidegree (2, 2)")
 
 
-def swap_verra_factors(g: HomPoly) -> HomPoly:
-    """The same form with the two P^2 factors exchanged."""
-    return HomPoly(
-        6, 4, {exps[3:] + exps[:3]: c for exps, c in g.terms.items()}
-    )
-
-
-def _verra_quadric_entries(g: HomPoly) -> list[list[HomPoly]]:
-    """Doubled Gram entries, in s, of the quadric fibration over the first
-    factor: coordinates (w, t0, t1, t2), form w^2 - G(s, t)."""
-    two = {(0, 0, 0): 2}
-    zero = {}
-    entries: list[list[dict]] = [
-        [dict(two), dict(zero), dict(zero), dict(zero)],
-        [dict(zero), {}, {}, {}],
-        [dict(zero), {}, {}, {}],
-        [dict(zero), {}, {}, {}],
-    ]
-    for exps, coeff in g.terms.items():
-        s_part = exps[:3]
-        t_part = exps[3:]
-        ts = [i for i in range(3) for _ in range(t_part[i])]
-        a, b = ts[0], ts[1]
-        if a == b:
-            acc = entries[1 + a][1 + a]
-            acc[s_part] = acc.get(s_part, 0) - 2 * coeff
-        else:
-            for i, j in ((a, b), (b, a)):
-                acc = entries[1 + i][1 + j]
-                acc[s_part] = acc.get(s_part, 0) - coeff
-    degs = [[0, 2, 2, 2], [2, 2, 2, 2], [2, 2, 2, 2], [2, 2, 2, 2]]
-    return [
-        [HomPoly(3, degs[i][j], entries[i][j]) for j in range(4)] for i in range(4)
-    ]
+def _verra_fibrations(g: HomPoly) -> tuple[Fibration, Fibration]:
+    """The quadric fibrations {w^2 = G(s, t)} over each factor, from one
+    pass over G's terms: w^2 at e = 0, and each term c s^a t^b gives -c on
+    the t-pair of the first fibration at e = a and on the s-pair of the
+    second at e = b, on the coordinates (w, t) and (w, s)."""
+    first, second = [((0, 0, 0), 0, 0, 1)], [((0, 0, 0), 0, 0, 1)]
+    for exps, c in g.terms.items():
+        a, b = exps[:3], exps[3:]
+        first.append((a, *_pair((0,) + b), -c))
+        second.append((b, *_pair((0,) + a), -c))
+    return _fibration(first), _fibration(second)
 
 
 @dataclass(frozen=True)
@@ -330,21 +299,20 @@ class VerraReport:
 
 def _verra_x_count(g: HomPoly, field: PrimeField) -> int:
     """#X(F_p), the sum of 1 + chi(G(s, t)) over P^2 x P^2.  G(s, t) is
-    m(s)^T K m(t) for the quadratic monomials m and the 6 x 6 matrix K of
-    coefficients, so one product gives m(s)^T K at every s, and one product
-    per block of s with the m(t) gives G on the block's grid of (s, t)."""
+    m(s)^T K m(t) for the s- and t-parts m of G's monomials and the matrix
+    K of coefficients, so one product gives m(s)^T K at every s, and one
+    product per block of s with the m(t) gives G on the block's grid."""
     p = field.p
     plane = projective_points_array(2, field)
-    pairs = [(i, j) for i in range(3) for j in range(i, 3)]
-    mono = np.stack([plane[:, i] * plane[:, j] % p for i, j in pairs], axis=1)
-    index = {tuple(int(k == i) + int(k == j) for k in range(3)): n for n, (i, j) in enumerate(pairs)}
-    coeffs = [[0] * 6 for _ in range(6)]
-    for exps, c in g.terms.items():
-        coeffs[index[exps[:3]]][index[exps[3:]]] = c
-    left = modmat.matmul_mod(mono, modmat.residues(coeffs, field), p)
+    exps = np.array(list(g.terms)).T
+    (s_exps, s_at), (t_exps, t_at) = (np.unique(part, axis=1, return_inverse=True) for part in (exps[:3], exps[3:]))
+    coeffs = np.zeros((s_exps.shape[1], t_exps.shape[1]), dtype=np.int64)
+    coeffs[s_at.reshape(-1), t_at.reshape(-1)] = modmat.residues(list(g.terms.values()), field)  # one term per pair
+    left = modmat.matmul_mod(monomial_values(power_tables(s_exps, field), plane, p), coeffs, p)
+    right = monomial_values(power_tables(t_exps, field), plane, p).T
     step = max(1, CHUNK_ROWS // len(plane))
     return len(plane) ** 2 + sum(
-        int(lookup(character, modmat.matmul_mod(left[lo : lo + step], mono.T, p), p).sum())
+        int(lookup(character, modmat.matmul_mod(left[lo : lo + step], right, p), p).sum())
         for lo in range(0, len(plane), step)
     )
 
@@ -362,8 +330,7 @@ def verra_counts(g: HomPoly, primes: Sequence[int], budget: int = 2_000_000) -> 
             raise BudgetExceededError(
                 f"the X count walks P^2(F_{p}) x P^2(F_{p}), which has {pairs} points, over the budget of {budget}"
             )
-    first = _verra_quadric_entries(g)
-    second = _verra_quadric_entries(swap_verra_factors(g))
+    first, second = _verra_fibrations(g)
     verra, x = derive("verra"), GRExpr.atom("X")
     residuals = (x - verra.route_a, x - verra.route_b, GRExpr.atom("Y1") - GRExpr.atom("Y2"))
     reports = []

@@ -30,6 +30,7 @@ exactly, so the flag rather than the residual carries that diagnostic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
@@ -139,13 +140,7 @@ def _report_for_prime(
     if reg.skip_reason is not None:
         return CountReport(skip_reason=reg.skip_reason, **base)
 
-    rep = None
-    if point is not None:
-        try:
-            rep = canonical_point(point, field)
-        except ValueError:
-            return CountReport(skip_reason=f"point vanishes mod {p}", **base)
-
+    rep = None if point is None else canonical_point(point, field)  # primitive, so nonzero mod p
     # one line scan per prime: its directions are the line term of the X
     # count by projection from the point, and they set the line flag
     lines = None if rep is None else lines_through_point(net, rep, field, budget=budget)
@@ -181,10 +176,10 @@ def verify_relations(
 ) -> list[CountReport]:
     """Residual reports for the net at each prime.
 
-    The point, when given, must be a nonzero integer vector on X over Z
-    (used at every prime, so it lies on X mod p wherever it does not vanish
-    mod p), and the net is reduced along it once, over Z; None restricts
-    the report to the point-free residuals.  Precondition failures surface
+    The point, when given, must be a nonzero integer vector on X over Z.
+    Divided by the gcd of its entries, it is a point of X mod every prime,
+    and the net is reduced along it once, over Z; None restricts the
+    report to the point-free residuals.  Precondition failures surface
     as flags and skips.  A prime whose space the X scan walks holds more
     than `budget` points raises BudgetExceededError before any fiber is
     counted: P^(n-1)(F_p) when a point is given, since the scan projects
@@ -202,6 +197,8 @@ def verify_relations(
         bad = [i for i, mat in enumerate(net.matrices) if mat.q(point) != 0]
         if bad:
             raise InputError(f"point is not on X over Z (forms {bad} do not vanish)")
+        content = math.gcd(*point)
+        point = tuple(x // content for x in point)
     for p in primes:
         size_within_budget(net.n - (point is not None), p, budget)  # the X scan's space
     reduced = None if point is None else hyperbolic_reduce_family(net, [list(point)])

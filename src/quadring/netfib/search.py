@@ -21,11 +21,11 @@ from ..quadform import GramMatrix
 from .family import QuadricNet, lines_through_point, regularity_check
 from .recipes import (
     PLANE_VARS,
+    Fibration,
     cubic_fiber_grams,
-    swap_verra_factors,
     _double_cover_count,
     _singular_on_plane,
-    _verra_quadric_entries,
+    _verra_fibrations,
 )
 from .relations import SUPPORTED_SHAPES
 
@@ -115,12 +115,10 @@ def _random_quadric_coeffs(rng: random.Random, bound: int) -> dict:
     return terms
 
 
-def _fibers_corank_at_most_one(
-    entry_polys: Sequence[Sequence[HomPoly]], primes: Sequence[int]
-) -> bool:
+def _fibers_corank_at_most_one(fibration: Fibration, primes: Sequence[int]) -> bool:
     """Whether every fiber of the quadric fibration over P^2 has corank <= 1
     at every prime."""
-    return not any(_double_cover_count(entry_polys, PrimeField(p))[1] for p in primes)
+    return not any(_double_cover_count(fibration, PrimeField(p))[1] for p in primes)
 
 
 def random_cubic_with_plane(primes: Sequence[int], seed: int) -> HomPoly:
@@ -168,10 +166,7 @@ def random_verra_form(primes: Sequence[int], seed: int) -> HomPoly:
         if not terms:
             continue
         form = HomPoly(6, 4, terms)
-        if all(
-            _fibers_corank_at_most_one(_verra_quadric_entries(g), primes)
-            for g in (form, swap_verra_factors(form))
-        ):
+        if all(_fibers_corank_at_most_one(fibration, primes) for fibration in _verra_fibrations(form)):
             return form
     raise BudgetExceededError(
         f"no acceptable (2,2) form found in {RECIPE_MAX_ATTEMPTS} attempts (seed {seed})"

@@ -10,7 +10,8 @@ the characteristic is odd.  For even rank r = 2t the *signed* discriminant
 character is chi((-1)^t * det of the nondegenerate block).  The (-1)^t sign
 makes the invariant stable under splitting off hyperbolic planes, which is
 exactly what the determinant double-cover bookkeeping in `netfib` needs: a
-raw determinant flips by det(h) = -1 per split-off plane.
+raw determinant flips by det(h) = -1 per split-off plane.  Every reading of
+the convention goes through `signed_character`.
 
 Point counts.  For a form of rank r and corank c on N = r + c variables,
 
@@ -42,6 +43,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import modmat
+from .modmat import _mod
 from .errors import InputError
 from .gfp import PrimeField, character, inverse, lookup, scan_projective, square_root
 
@@ -98,9 +100,15 @@ def classify_stack(grams: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     full rank.  Every product is of two residues, exact for p < 2^31.
     """
     rank, det = _rank_and_det(grams, p)
-    # the product of the pivots is never 0
-    signed = lookup(character, np.where(rank // 2 % 2 == 1, p - det, det), p)
-    return rank, np.where(rank % 2 == 0, signed, 0)
+    return rank, signed_character(rank, det, p)
+
+
+def signed_character(rank: np.ndarray | int, det: np.ndarray, p: int) -> np.ndarray:
+    """chi((-1)^(r/2) det) at even rank r and 0 at odd rank, for int64
+    residues det of the nondegenerate blocks (a 0 reads 0)."""
+    rank = np.asarray(rank)
+    signed = lookup(character, _mod(np.where(rank // 2 % 2 == 1, p - 1, 1) * det, p), p)
+    return signed * (rank % 2 == 0)
 
 
 def _rank_and_det(grams: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -180,14 +188,6 @@ def double_cover_count(size: int, rank: np.ndarray, signed: np.ndarray) -> int:
     if size % 2 != 0:
         raise InputError("determinant double cover needs an even Gram size")
     return len(rank) + int(signed[rank == size].sum())
-
-
-def _mod(x: np.ndarray, p: int) -> np.ndarray:
-    """x mod p for an int64 array, as x - (x // p) p: numpy divides by a
-    scalar about twice as fast as it takes the remainder."""
-    q = x // p
-    q *= p
-    return np.subtract(x, q, out=q)
 
 
 def _root_runs(a: np.ndarray, b: np.ndarray, c: np.ndarray, p: int) -> tuple[np.ndarray, ...]:

@@ -290,6 +290,11 @@ def plane_cubic(seed: int, x0_squared: int) -> HomPoly:
     return HomPoly(6, 3, terms)
 
 
+def swap_verra_factors(g: HomPoly) -> HomPoly:
+    """The same (2,2) form with the two P^2 factors exchanged."""
+    return HomPoly(6, 4, {exps[3:] + exps[:3]: c for exps, c in g.terms.items()})
+
+
 def record_scan_blocks(monkeypatch) -> list:
     """Make `quadform.common_zeros` record every block (h, s) its walk hands
     to the zero test; returns the list the blocks are appended to."""

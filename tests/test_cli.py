@@ -146,6 +146,16 @@ def test_count_explicit_point_flag(capsys, pencil_file):
     assert "R2=0" in out
 
 
+def test_count_divides_the_point_by_its_content(capsys):
+    # -6 e0 is the point e0: no prime divides its primitive representative,
+    # so p = 3 is counted as for e0, not skipped
+    argv = ["count", "--net", str(GOLDEN / "net.json"), "--primes", "3,5,7", "--format", "json"]
+    code, out, _ = run_cli(capsys, *argv, "--point=-6,0,0,0,0,0")
+    reports = json.loads(out)["reports"]
+    assert code == 0 and not reports[0]["skipped"]
+    assert reports == json.loads(run_cli(capsys, *argv, "--point", "1,0,0,0,0,0")[1])["reports"]
+
+
 def test_count_point_off_x_rejected(capsys, pencil_file):
     code, _, err = run_cli(
         capsys,

@@ -1,11 +1,13 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quadring import modmat
 from quadring.errors import InputError
 from quadring.gfp import PrimeField
-from quadring.mpoly import HomPoly, evaluate_on_array
+from quadring.mpoly import HomPoly, evaluate_on_array, monomial_values, power_tables
 
 from _util import determinant_of_linear_matrix, monomial, random_symmetric, scaled
 
@@ -133,6 +135,27 @@ def test_evaluate_on_array_is_exact_at_the_largest_prime():
     f = _random_hompoly(random.Random(2), 2, 5)
     pts = np.array([[p - 1 - k, p - 3 * k - 2] for k in range(20)], dtype=np.int64)
     assert evaluate_on_array(f, pts, field).tolist() == [f.evaluate(row, field) for row in pts.tolist()]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(1, 4), p=st.sampled_from([3, 5, 7, 101, 10007]))
+def test_monomial_values_match_hompoly_evaluate(data, n, p):
+    # oracle: each monomial as a HomPoly evaluated at each row; the all-zero
+    # exponent is always among the monomials and reads 1, 0^0 included
+    vector = st.tuples(*[st.integers(0, 7)] * n)
+    exps = data.draw(st.lists(vector, max_size=6)) + [(0,) * n]
+    rows = data.draw(st.lists(st.tuples(*[st.integers(0, p - 1)] * n), min_size=1, max_size=20))
+    field = PrimeField(p)
+    values = monomial_values(power_tables(np.array(exps).T, field), np.array(rows), p)
+    assert values.tolist() == [[HomPoly(n, sum(e), {e: 1}).evaluate(row, field) for e in exps] for row in rows]
+
+
+def test_monomial_values_at_p_3_read_zero_exponents_as_1():
+    field = PrimeField(3)
+    exps = np.array([[0, 0, 2, 1], [0, 3, 0, 1]])  # 1, y^3, x^2, x y
+    rows = np.array([[0, 0], [2, 0], [0, 2], [2, 2]])
+    expected = [[1, 0, 0, 0], [1, 0, 1, 0], [1, 2, 0, 0], [1, 2, 1, 1]]
+    assert monomial_values(power_tables(exps, field), rows, 3).tolist() == expected
 
 
 def test_big_coefficients_stay_exact():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quadring.errors import BudgetExceededError, InputError
-from quadring.gfp import PrimeField, enumerate_projective, projective_size
+from quadring.gfp import PrimeField, enumerate_projective, inverse, projective_size
 from quadring.mpoly import HomPoly, evaluate_on_array
 from quadring.quadform import GramMatrix
 from quadring.netfib import (
@@ -14,14 +14,13 @@ from quadring.netfib import (
     cubic_with_plane_counts,
     random_cubic_with_plane,
     random_verra_form,
-    swap_verra_factors,
     validate_cubic_with_plane,
     validate_verra_form,
     verra_counts,
 )
-from quadring.netfib.recipes import PLANE_VARS, _fiber_grams, _verra_quadric_entries
+from quadring.netfib.recipes import PLANE_VARS, _fiber_grams, _verra_fibrations
 
-from _util import fiber_list, legendre_character, plane_cubic, projective_rows_where
+from _util import fiber_list, legendre_character, plane_cubic, projective_rows_where, swap_verra_factors
 
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -63,52 +62,74 @@ def test_validate_cubic_plane_containment():
         validate_cubic_with_plane(outside)
 
 
-def test_cubic_fiber_gram_degrees_and_symmetry():
-    cubic = random_cubic_with_plane([5], seed=4)
-    grams = cubic_fiber_grams(cubic)
-    for i in range(4):
-        for j in range(4):
-            assert grams[i][j] == grams[j][i]
-    for i in range(3):
-        for j in range(3):
-            assert grams[i][j].degree == 1
-        assert grams[i][3].degree == 2
-    assert grams[3][3].degree == 3
+def _monomials(num_vars, degree):
+    """Every exponent vector of the given degree, in sorted order."""
+    if num_vars == 1:
+        return [(degree,)]
+    return [(k,) + rest for k in range(degree + 1) for rest in _monomials(num_vars - 1, degree - k)]
 
 
-def _gram_at(entry_polys, s, field):
-    """The fiber Gram over s, one `HomPoly.evaluate` per entry."""
-    return GramMatrix(tuple(tuple(poly.evaluate(s, field) for poly in row) for row in entry_polys))
+# coefficients mod p of any size, so that the fibrations' integer Grams are
+# reduced like the forms
+COEFFS = st.integers(-5, 5) | st.sampled_from([2**70, -(2**70) + 1])
+CUBICS_THROUGH_THE_PLANE = st.dictionaries(
+    st.sampled_from([e for e in _monomials(6, 3) if sum(e[3:])]), COEFFS, min_size=1
+).filter(lambda terms: any(terms.values())).map(lambda terms: HomPoly(6, 3, terms))
+VERRA_FORMS = st.dictionaries(
+    st.sampled_from([a + b for a in _monomials(3, 2) for b in _monomials(3, 2)]), COEFFS, min_size=1
+).filter(lambda terms: any(terms.values())).map(lambda terms: HomPoly(6, 4, terms))
 
 
-@pytest.mark.parametrize("p", [5, 7])
-def test_fiber_grams_match_pointwise_evaluation(p):
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    cubic=CUBICS_THROUGH_THE_PLANE,
+    p=st.sampled_from([3, 5, 7]),
+    vectors=st.lists(st.tuples(*[st.integers(0, 6)] * 3, st.integers(1, 6)), min_size=1, max_size=3),
+)
+def test_cubic_fibration_is_the_cubic_divided_by_t(cubic, p, vectors):
+    # oracle, by HomPoly.evaluate: v^T G(s) v = 2 F(y, t s) / t at v = (y, t)
+    # with t != 0, which fixes a quadratic form on F_p^4 for odd p; the
+    # degrees in s are 1 on the yy block, 2 on the yt border and 3 at tt
     field = PrimeField(p)
-    for entries in (
-        cubic_fiber_grams(random_cubic_with_plane([5], seed=4)),
-        _verra_quadric_entries(_golden_verra_form()),
-    ):
-        pointwise = [(s, _gram_at(entries, s, field)) for s in enumerate_projective(2, field)]
-        assert fiber_list(_fiber_grams(entries, field)) == pointwise
+    fibration = cubic_fiber_grams(cubic)
+    for e, gram in fibration.items():
+        assert all((i == 3) + (j == 3) == sum(e) - 1 for i in range(4) for j in range(4) if gram[i][j])
+    for s, gram in fiber_list(_fiber_grams(fibration, field)):
+        for *y, t in vectors:
+            t = t % (p - 1) + 1
+            expected = 2 * cubic.evaluate(y + [t * x for x in s], field) * inverse(t, p) % p
+            assert gram.q(y + [t], field) == expected
 
 
-def test_cubic_fiber_gram_matches_substitution():
-    # v^T M(s) v must equal 2 * F(y, t*s) / t for random evaluations
-    cubic = random_cubic_with_plane([5], seed=4)
-    grams = cubic_fiber_grams(cubic)
-    rng = random.Random(0)
-    f11 = PrimeField(11)
-    for _ in range(60):
-        s = [rng.randrange(11) for _ in range(3)]
-        if all(x == 0 for x in s):
-            continue
-        y = [rng.randrange(11) for _ in range(3)]
-        t = rng.randrange(1, 11)
-        gram = _gram_at(grams, s, f11)
-        quad = gram.q(y + [t], f11)
-        point = y + [t * si % 11 for si in s]
-        full = cubic.evaluate(point, f11)
-        assert full == t * pow(2, 9, 11) * quad % 11  # F = t * G, doubled Gram
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(form=VERRA_FORMS, p=st.sampled_from([3, 5, 7]))
+def test_verra_fibrations_are_w_squared_minus_the_form(form, p):
+    # oracle, by HomPoly.evaluate: the fiber over s of the first fibration is
+    # diag(2) + -2 Gram_t(G(s, .)), the doubled Gram read by polarizing G(s, .);
+    # the second fibration is the first of the form with its factors swapped
+    field = PrimeField(p)
+    first, second = _verra_fibrations(form)
+    assert second == _verra_fibrations(swap_verra_factors(form))[0]
+    units = [[int(i == j) for j in range(3)] for i in range(3)]
+    for s, gram in fiber_list(_fiber_grams(first, field)):
+        def g(t):
+            return form.evaluate(list(s) + t)
+
+        doubled = [[g([a + b for a, b in zip(u, v)]) - g(u) - g(v) for v in units] for u in units]
+        expected = [[2, 0, 0, 0]] + [[0] + [-x % p for x in row] for row in doubled]
+        assert gram == GramMatrix.from_rows(expected)
+
+
+@pytest.mark.parametrize("seed", [42, 1, 2, 3, 4])
+def test_the_benchmark_seeds_draw_the_recorded_cubic_and_form(seed):
+    # the draws of the benchmark's set-up seeds at its cubic and (2,2) primes,
+    # recorded while the recipes' Grams were polynomial entries: a change to
+    # the searches' acceptance shows here, not only in the benchmark
+    doc = json.loads((GOLDEN / "seeded_draws.json").read_text())
+    cubic = random_cubic_with_plane(doc["cubic_primes"], seed=seed)
+    form = random_verra_form(doc["verra_primes"], seed=seed)
+    assert cubic.terms == {tuple(e): c for e, c in doc["cubic"][str(seed)]}
+    assert form.terms == {tuple(e): c for e, c in doc["verra"][str(seed)]}
 
 
 def test_cubic_residual_zero_on_accepted_forms():
