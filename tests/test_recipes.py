@@ -62,6 +62,68 @@ def test_validate_cubic_plane_containment():
         validate_cubic_with_plane(outside)
 
 
+def test_cubic_fiber_gram_degrees_and_symmetry():
+    cubic = random_cubic_with_plane([5], seed=4)
+    fibration = cubic_fiber_grams(cubic)
+    for e, gram in fibration.items():
+        for i in range(4):
+            for j in range(4):
+                assert gram[i][j] == gram[j][i]
+                if gram[i][j]:
+                    assert sum(e) == 1 + (i == 3) + (j == 3)
+    # every block of the fiber Gram is reached: degree 1 on yy, 2 on yt, 3 at tt
+    blocks = {(i == 3, j == 3) for gram in fibration.values() for i in range(4) for j in range(4) if gram[i][j]}
+    assert blocks == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def _gram_at(fibration, s, field):
+    """The fiber Gram over s, sum s^e G_e by one power per base variable."""
+    p = field.p
+
+    def monomial(e):
+        value = 1
+        for x, k in zip(s, e):
+            value = value * pow(x, k, p) % p
+        return value
+
+    return GramMatrix(
+        tuple(
+            tuple(sum(monomial(e) * gram[i][j] for e, gram in fibration.items()) % p for j in range(4))
+            for i in range(4)
+        )
+    )
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_fiber_grams_match_pointwise_evaluation(p):
+    field = PrimeField(p)
+    for fibration in (
+        cubic_fiber_grams(random_cubic_with_plane([5], seed=4)),
+        *_verra_fibrations(_golden_verra_form()),
+    ):
+        pointwise = [(s, _gram_at(fibration, s, field)) for s in enumerate_projective(2, field)]
+        assert fiber_list(_fiber_grams(fibration, field)) == pointwise
+
+
+def test_cubic_fiber_gram_matches_substitution():
+    # v^T M(s) v must equal 2 * F(y, t*s) / t for random evaluations
+    cubic = random_cubic_with_plane([5], seed=4)
+    fibration = cubic_fiber_grams(cubic)
+    rng = random.Random(0)
+    f11 = PrimeField(11)
+    for _ in range(60):
+        s = [rng.randrange(11) for _ in range(3)]
+        if all(x == 0 for x in s):
+            continue
+        y = [rng.randrange(11) for _ in range(3)]
+        t = rng.randrange(1, 11)
+        gram = _gram_at(fibration, s, f11)
+        quad = gram.q(y + [t], f11)
+        point = y + [t * si % 11 for si in s]
+        full = cubic.evaluate(point, f11)
+        assert full == t * pow(2, 9, 11) * quad % 11  # F = t * G, doubled Gram
+
+
 def _monomials(num_vars, degree):
     """Every exponent vector of the given degree, in sorted order."""
     if num_vars == 1:
