@@ -27,6 +27,7 @@ import argparse
 import itertools
 import json
 import os
+import re
 import sys
 from typing import TYPE_CHECKING, Sequence
 
@@ -72,6 +73,18 @@ def _parse_point(text: str, option: str) -> tuple[int, ...]:
         return tuple(int(x) for x in text.split(","))
     except ValueError as exc:
         raise InputError(f"bad {option} {text!r}: {exc}") from exc
+
+
+def _join_integer_values(argv: Sequence[str]) -> list[str]:
+    """argv with `--point -1,0,..` read as `--point=-1,0,..`: argparse takes
+    a token that starts with '-' for an option, not for a value."""
+    joined: list[str] = []
+    for token in argv:
+        if joined and joined[-1] in ("--point", "--ns") and re.fullmatch(r"-?\d+(,-?\d+)*", token):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -152,21 +165,12 @@ def _emit_reports(args: argparse.Namespace, doc: dict, lines: list[str], reports
 
 def _find_integral_point(net: QuadricNet) -> tuple[int, ...] | None:
     """Deterministic small-height scan for a Z-point of X (coords in
-    {-1, 0, 1}, first nonzero equal to 1)."""
-    size = net.fiber_size
-    digits = (0, 1, -1)
-    total = len(digits) ** size
-    for code in range(1, total):
-        v = []
-        rem = code
-        for _ in range(size):
-            v.append(digits[rem % 3])
-            rem //= 3
-        first = next((x for x in v if x != 0), 0)
-        if first != 1:
-            continue
-        if all(mat.q(v) == 0 for mat in net.matrices):
-            return tuple(v)
+    {-1, 0, 1}, first nonzero equal to 1, the first coordinate varying
+    fastest)."""
+    for digits in itertools.product((0, 1, -1), repeat=net.fiber_size):
+        v = digits[::-1]
+        if next(filter(None, v), 0) == 1 and all(mat.q(v) == 0 for mat in net.matrices):
+            return v
     return None
 
 
@@ -413,7 +417,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_integer_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; normalize other codes
         return 2 if exc.code not in (0,) else 0

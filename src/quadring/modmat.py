@@ -5,8 +5,8 @@ of int64 matrices of residues at once, pivoting deterministically on the
 first nonzero entry in scan order, so every caller gets reproducible bases,
 and it reads its pivots' inverses through `gfp.lookup`.  `kernel_stack`,
 `rank_mod` and `kernel_basis` are reads of it, the last two of a stack of
-one.  `det_mod` is a determinant on plain lists, which no library path
-calls.  Integers enter int64 arrays only through `residues`, `_mod`
+one.  `det_mod` is a determinant on plain lists; no library path calls it
+or `rank_mod`.  Integers enter int64 arrays only through `residues`, `_mod`
 reduces int64 arrays, and `matmul_mod` multiplies such arrays exactly.
 """
 

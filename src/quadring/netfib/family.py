@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 import numpy as np
 
 from ..errors import DegenerateSectionError, InputError, json_int, load_json_object
-from ..gfp import PrimeField, ProjPoint, canonical_point, canonical_rows, projective_row_chunks
+from ..gfp import PrimeField, ProjPoint, canonical_rows, projective_row_chunks
 from ..gfp import scale_to_canonical, scan_projective, size_within_budget
 from .. import modmat
 from ..modmat import _mod
@@ -179,17 +179,23 @@ def points_on_X(
     return _points_by_projection(net, point, field, budget, jobs, lines)
 
 
-def _polar_rows(net: QuadricNet, point: Sequence[int], field: PrimeField):
-    """(P, the coordinates other than P's pivot, the net's Grams mod p, the
-    rows of the linear forms b_j(P, .) on those coordinates) for a point P
-    of X; raises InputError when P is not on X."""
-    p, rep = field.p, canonical_point(point, field)
-    mats, vector = net.residues(field), np.array(rep, dtype=np.int64)
-    polar = modmat.matmul_mod(mats, vector, p)
-    if ((polar * vector % p).sum(axis=1) % p).any():  # b_j(P, P) = q_j(P)
+def split_at(net: QuadricNet, rows: Sequence[Sequence[int]], field: PrimeField):
+    """The splitting V = U + V' mod p for the span U of integer rows on X,
+    from one `modmat.row_reduce` of the rows mod p: (U's reduced rows, for
+    one point its canonical form; the coordinates of V' off their pivots;
+    the net's Grams mod p; the polar rows, row j holding u^T M_j on those
+    coordinates for each reduced row u in turn).  Raises InputError when U
+    loses dimension mod p or does not lie on X there."""
+    p = field.p
+    rank, reduced, pivot = modmat.row_reduce(modmat.residues(rows, field)[None], p)
+    if rank[0] < len(rows):
+        raise InputError(f"isotropic basis degenerates mod {p}; reduction invalid there")
+    u, mats = reduced[0], net.residues(field)
+    polar = modmat.matmul_mod(u, mats, p)  # (m+1, k+1, N)
+    if modmat.matmul_mod(polar, u.T, p).any():  # b_j(u, u') = q_j on U
         raise InputError("point does not lie on the base locus X")
-    kept = [i for i in range(net.fiber_size) if i != rep.index(1)]
-    return rep, kept, mats, polar[:, kept]
+    kept = np.flatnonzero(~pivot[0].any(axis=0))
+    return u, kept, mats, polar[:, :, kept].reshape(net.m + 1, -1)
 
 
 def _points_by_projection(
@@ -202,9 +208,9 @@ def _points_by_projection(
 ) -> list[ProjPoint]:
     """`points_on_X` by projection from the point."""
     p = field.p
-    rep, kept, mats, linear = _polar_rows(net, point, field)
+    (rep,), kept, mats, linear = split_at(net, [point], field)
     if lines is None:
-        lines = lines_through_point(net, rep, field, budget)
+        lines = lines_through_point(net, point, field, budget)
     # T [B | I] reduces to [R | T]: every pivot lies inside B exactly when
     # B has full rank, and then the columns of T put on B's pivot columns
     # are vectors L_j with B L_j = e_j
@@ -212,7 +218,7 @@ def _points_by_projection(
     _, rref, pivot = modmat.row_reduce(np.hstack((linear, np.eye(k, dtype=np.int64)))[None], p)
     if pivot[0, :, dim:].any():
         raise DegenerateSectionError(
-            f"the point {rep} lies in the radical of a fiber at p={p}: b(P, .) has rank below {k}"
+            f"the point {tuple(rep.tolist())} lies in the radical of a fiber at p={p}: b(P, .) has rank below {k}"
         )
     # row i of T goes to the pivot column of row i: one term per entry
     basis = np.vstack((rref[0, :, dim:].T @ pivot[0, :, :dim], modmat.kernel_basis(linear, dim, field)))
@@ -225,7 +231,7 @@ def _points_by_projection(
     shifts = np.concatenate((factor * ((p - 1) // 2) % p, np.tile(np.arange(p), len(directions)), [1]))
     points = np.zeros((len(vectors), net.fiber_size), dtype=np.int64)
     points[:, kept] = vectors
-    points = (points + shifts[:, None] * np.array(rep, dtype=np.int64)) % p
+    points = (points + shifts[:, None] * rep) % p
     return list(map(tuple, canonical_rows(points, p).tolist()))
 
 
@@ -356,16 +362,17 @@ def lines_through_point(
 ) -> list[ProjPoint]:
     """Directions [v'] in P(V/<P>)(F_p) spanning with P a line inside X.
 
-    The point's pivot coordinate is deleted to realize V/<P>; a direction
-    v' qualifies when b(P, v'') = 0 and q(v'') = 0 for every form, v''
-    being the lift with 0 in the pivot slot.  `quadform.zeros_on_span`
-    scans the pivot-deleted forms on the kernel of the linear conditions,
-    normally a P^1, and raises BudgetExceededError when that kernel's
-    projective space has more than `budget` points.  HEURISTIC for the
+    The point's pivot coordinate mod p is deleted to realize V/<P>
+    (`split_at`); a direction v' qualifies when b(P, v'') = 0 and
+    q(v'') = 0 for every form, v'' being the lift with 0 in the pivot
+    slot.  `quadform.zeros_on_span` scans the pivot-deleted forms on the
+    kernel of the linear conditions, normally a P^1, and raises
+    BudgetExceededError when that kernel's projective space has more than
+    `budget` points.  HEURISTIC for the
     geometric no-line condition: a line defined only over an extension
     field leaves no trace here.
     """
-    _, kept, mats, linear = _polar_rows(net, point, field)
+    _, kept, mats, linear = split_at(net, [point], field)
     kernel = modmat.kernel_basis(linear, len(kept), field)
     return list(map(tuple, zeros_on_span(mats[:, kept][:, :, kept], kernel, field, budget).tolist()))
 

@@ -5,10 +5,12 @@ cover.
 Given a net Q -> P^m and a (k+1)-dimensional subspace U that is isotropic
 for every member of the net, the reduced family lives as a complete
 intersection in P^m x P(V/U): k+1 conditions bilinear in (w, v') plus one
-condition linear in w and quadratic in v'.  The splitting V = U + V' is
-fixed by the echelon pivots of the given basis of U, and the lift of v'
-puts zeros in the pivot slots.  Any other splitting gives fiberwise
-congruent forms, so determinism wins.
+condition linear in w and quadratic in v'.  At each prime V splits as
+U + V' at the pivots of U's basis mod p (`family.split_at`, the splitting
+of the line scan and the X count too), and the lift of v' puts zeros in
+the pivot slots.  A splitting fixed over Z stops being a complement of U
+at a prime that divides one of its pivot entries.  Any other splitting
+gives fiberwise congruent forms, so determinism wins.
 
 Every count here reads the fibers' ranks and signed characters from
 `family.fiber_table`, the one walk and classification of a family per
@@ -33,7 +35,7 @@ from ..errors import DegenerateSectionError, InputError
 from ..gfp import PrimeField, projective_row_chunks
 from .. import modmat
 from ..quadform import FiberChunk, GramMatrix, double_cover_count, quadric_points, restrict
-from .family import QuadricNet, fiber_table
+from .family import QuadricNet, fiber_table, split_at
 
 REDUCED_FORMAT_VERSION = 1
 
@@ -42,11 +44,12 @@ REDUCED_FORMAT_VERSION = 1
 class ReducedFamily:
     """Complete-intersection model of a hyperbolic reduction in P^m x P^(n-k).
 
-    bilinear[j] is the (m+1) x (n-k+1) integer matrix of the j-th bilinear
-    condition: entry (i, c) multiplies w_i * v'_c.  quad[i] is the symmetric
-    (n-k+1) x (n-k+1) integer matrix such that the quadratic condition is
-    sum_i w_i * (v'^T quad[i] v').  pivots are the coordinates of V deleted
-    by the splitting, and u_rows the primitive echelon basis of U.
+    It keeps the net and u_rows, the primitive echelon basis of U over Z,
+    whose pivots are the coordinates `pivots`.  `bilinear` and `quad` are
+    the integer model split at those pivots, valid at every prime that
+    divides no pivot entry: bilinear[j] is the (m+1) x (n-k+1) matrix of
+    the j-th bilinear condition, entry (i, c) multiplying w_i * v'_c, and
+    the quadratic condition is sum_i w_i * (v'^T quad[i] v').
     """
 
     n: int
@@ -54,8 +57,7 @@ class ReducedFamily:
     k: int
     pivots: tuple[int, ...]
     u_rows: tuple[tuple[int, ...], ...]
-    bilinear: tuple[tuple[tuple[int, ...], ...], ...]
-    quad: tuple[GramMatrix, ...]
+    net: QuadricNet
 
     @property
     def reduced_dim(self) -> int:
@@ -66,18 +68,30 @@ class ReducedFamily:
     def fiber_size(self) -> int:
         return self.n - 2 * self.k
 
+    @property
+    def bilinear(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        kept = [c for c in range(self.n + 2) if c not in self.pivots]
+        return tuple(
+            tuple(tuple(sum(x * row[c] for x, row in zip(u, mat.entries)) for c in kept) for mat in self.net.matrices)
+            for u in self.u_rows
+        )
+
+    @property
+    def quad(self) -> tuple[GramMatrix, ...]:
+        kept = [c for c in range(self.n + 2) if c not in self.pivots]
+        return tuple(GramMatrix(tuple(tuple(mat.entries[a][b] for b in kept) for a in kept)) for mat in self.net.matrices)
+
     def fibers(self, field: PrimeField) -> Iterator[FiberChunk]:
         """(base rows w, stack of reduced fiber Grams) for each chunk of
-        P^m(F_p), in canonical order, after checking the basis of U mod p: the
-        quadratic part restricted to the kernel of the bilinear rows B(w), with
-        one `modmat.kernel_stack` elimination per chunk.  The first w where
-        B(w) drops rank (the section meets the fiber's singular locus) raises
-        DegenerateSectionError naming it."""
-        self.check_basis_mod_p(field)
+        P^m(F_p), in canonical order, with V split at U's pivots mod p
+        (`split_at`, which raises InputError where U loses dimension): the
+        quadratic part restricted to the kernel of the bilinear rows B(w),
+        with one `modmat.kernel_stack` elimination per chunk.  The first w
+        where B(w) drops rank (the section meets the fiber's singular
+        locus) raises DegenerateSectionError naming it."""
         p, cols = field.p, self.n - self.k + 1
-        # bilinear[j][i][c] is stored by condition j; the walk needs w_i first
-        bilinear = modmat.residues(self.bilinear, field).transpose(1, 0, 2).reshape(self.m + 1, -1)
-        quad = modmat.residues([g.entries for g in self.quad], field).reshape(self.m + 1, -1)
+        _, kept, mats, bilinear = split_at(self.net, self.u_rows, field)
+        quad = mats[:, kept][:, :, kept].reshape(self.m + 1, -1)
 
         def grams(rows: np.ndarray) -> np.ndarray:
             lins = modmat.matmul_mod(rows, bilinear, p).reshape(-1, self.k + 1, cols)
@@ -90,14 +104,6 @@ class ReducedFamily:
             return restrict(modmat.matmul_mod(rows, quad, p).reshape(-1, cols, cols), bases, p)
 
         return ((rows, grams(rows)) for rows in projective_row_chunks(self.m, field))
-
-    def check_basis_mod_p(self, field: PrimeField) -> None:
-        """The subspace U must stay (k+1)-dimensional mod p for the model
-        to make sense at this prime."""
-        if modmat.rank_mod(modmat.residues(self.u_rows, field), self.n + 2, field) != self.k + 1:
-            raise InputError(
-                f"isotropic basis degenerates mod {field.p}; reduction invalid there"
-            )
 
     def to_document(self) -> dict:
         return {
@@ -148,50 +154,26 @@ def hyperbolic_reduce_family(
 ) -> ReducedFamily:
     """Reduce the net along the span of u_basis (k+1 integer vectors).
 
-    The span must be isotropic for every matrix of the net, checked exactly
-    over Z.  Fiberwise nondegeneracy of the section is a per-prime
-    condition and is checked by the counting routines instead.
+    The span must lie on X, isotropic for every matrix of the net, checked
+    exactly over Z.  The splitting of V and the nondegeneracy of the
+    section are per-prime conditions, checked by the counting routines
+    instead.
     """
     size = net.fiber_size
     vectors = [list(map(int, u)) for u in u_basis]
-    if not vectors or any(len(v) != size for v in vectors):
-        raise InputError(f"basis vectors must have length {size}")
-    if not all(any(v) for v in vectors):
+    for v in vectors or [[]]:
+        if len(v) != size:
+            raise InputError(f"point has length {len(v)}, expected {size}")
+    if not all(map(any, vectors)):
         raise InputError("the zero vector is not a point")
     k = len(vectors) - 1
     if net.n - 2 * k - 2 < 0:
         raise InputError(f"subspace of dimension {k + 1} is too large for n={net.n}")
-    if any(mat.b(u, v) for mat in net.matrices for u in vectors for v in vectors):
-        raise InputError("basis is not isotropic for the whole net (exact check over Z)")
+    bad = [j for j, mat in enumerate(net.matrices) if any(mat.b(u, v) for u in vectors for v in vectors)]
+    if bad:
+        raise InputError(f"{'point' if k == 0 else 'span'} is not on X over Z (forms {bad} do not vanish)")
     rows, pivots = _echelon_integer_basis(vectors)
-    nonpivots = [c for c in range(size) if c not in pivots]
-    bilinear = tuple(
-        tuple(
-            tuple(
-                sum(rows[j][a] * net.matrices[i].entries[a][c] for a in range(size))
-                for c in nonpivots
-            )
-            for i in range(net.m + 1)
-        )
-        for j in range(k + 1)
-    )
-    quad = tuple(
-        GramMatrix(
-            tuple(
-                tuple(net.matrices[i].entries[a][b] for b in nonpivots) for a in nonpivots
-            )
-        )
-        for i in range(net.m + 1)
-    )
-    return ReducedFamily(
-        n=net.n,
-        m=net.m,
-        k=k,
-        pivots=tuple(pivots),
-        u_rows=tuple(tuple(r) for r in rows),
-        bilinear=bilinear,
-        quad=quad,
-    )
+    return ReducedFamily(n=net.n, m=net.m, k=k, pivots=tuple(pivots), u_rows=tuple(map(tuple, rows)), net=net)
 
 
 def count_reduced_family(red: ReducedFamily, field: PrimeField) -> int:

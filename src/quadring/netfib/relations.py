@@ -30,7 +30,6 @@ exactly, so the flag rather than the residual carries that diagnostic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
@@ -176,32 +175,21 @@ def verify_relations(
 ) -> list[CountReport]:
     """Residual reports for the net at each prime.
 
-    The point, when given, must be a nonzero integer vector on X over Z.
-    Divided by the gcd of its entries, it is a point of X mod every prime,
-    and the net is reduced along it once, over Z; None restricts the
-    report to the point-free residuals.  Precondition failures surface
-    as flags and skips.  A prime whose space the X scan walks holds more
-    than `budget` points raises BudgetExceededError before any fiber is
-    counted: P^(n-1)(F_p) when a point is given, since the scan projects
-    from it (`points_on_X`), and P^n(F_p) otherwise.
+    The point, when given, must be a nonzero integer vector on X over Z,
+    and the net is reduced along it once (`hyperbolic_reduce_family`,
+    which checks both); None restricts the report to the point-free
+    residuals.  Precondition failures surface as flags and skips.  A prime
+    whose space the X scan walks holds more than `budget` points raises
+    BudgetExceededError before any fiber is counted: P^(n-1)(F_p) when a
+    point is given, since the scan projects from it (`points_on_X`), and
+    P^n(F_p) otherwise.
     """
     if (net.n, net.m) not in SUPPORTED_SHAPES:
         raise InputError(
             f"relation checks support shapes {SUPPORTED_SHAPES}, got {(net.n, net.m)}"
         )
-    if point is not None:
-        if len(point) != net.fiber_size:
-            raise InputError(f"point has length {len(point)}, expected {net.fiber_size}")
-        if not any(point):
-            raise InputError("the zero vector is not a point")
-        bad = [i for i, mat in enumerate(net.matrices) if mat.q(point) != 0]
-        if bad:
-            raise InputError(f"point is not on X over Z (forms {bad} do not vanish)")
-        content = math.gcd(*point)
-        point = tuple(x // content for x in point)
+    reduced = None if point is None else hyperbolic_reduce_family(net, [list(point)])
+    point = None if reduced is None else reduced.u_rows[0]  # primitive
     for p in primes:
         size_within_budget(net.n - (point is not None), p, budget)  # the X scan's space
-    reduced = None if point is None else hyperbolic_reduce_family(net, [list(point)])
-    return [
-        _report_for_prime(net, point, reduced, PrimeField(p), budget, jobs) for p in primes
-    ]
+    return [_report_for_prime(net, point, reduced, PrimeField(p), budget, jobs) for p in primes]

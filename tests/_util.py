@@ -14,7 +14,7 @@ from quadring import modmat, nslattice
 from quadring.errors import InputError
 from quadring.gfp import PrimeField, enumerate_projective, projective_size
 from quadring.mpoly import HomPoly
-from quadring.netfib import ReducedFamily
+from quadring.netfib import QuadricNet, ReducedFamily
 from quadring.quadform import GramMatrix, fiber_classes, restrict
 
 
@@ -155,31 +155,70 @@ def kernel_array(rows, ncols: int, field: PrimeField) -> np.ndarray:
     return np.array(list_kernel_basis(rows, ncols, field), dtype=np.int64).reshape(-1, ncols)
 
 
+def split_mod_p(red: ReducedFamily, field: PrimeField) -> tuple[list[list[int]], list[int]]:
+    """The oracles' splitting of V at p in Python ints: the rref rows of U's
+    basis mod p by `list_row_reduce`, and the coordinates off their pivots,
+    which realize V/U wherever U keeps its dimension mod p."""
+    rows, pivots = list_row_reduce(red.u_rows, red.n + 2, field)
+    if len(rows) != red.k + 1:
+        raise InputError(f"isotropic basis degenerates mod {field.p}; reduction invalid there")
+    return rows, [c for c in range(red.n + 2) if c not in pivots]
+
+
+def lift(kept, v, size: int) -> list[int]:
+    """The vector of length `size` with v on the coordinates `kept` and 0
+    elsewhere."""
+    x = [0] * size
+    for c, value in zip(kept, v):
+        x[c] = value
+    return x
+
+
 def count_reduced_family_dual(red: ReducedFamily, field: PrimeField) -> int:
-    """#(reduced family)(F_p) counted along the other projection.
+    """#(reduced family)(F_p) counted along the other projection, from the
+    net and U mod p.
 
     Over a fixed v' in P^(n-k)(F_p) every condition is linear in w, so the
     fiber is a projectivized kernel in P^m; this must agree with
     `count_reduced_family` on the nose.
     """
-    red.check_basis_mod_p(field)
     p = field.p
-    cols = red.n - red.k + 1
+    u_rows, kept = split_mod_p(red, field)
     total = 0
-    for v in enumerate_projective(cols - 1, field):
-        rows = [
-            [
-                sum(red.bilinear[j][i][c] * v[c] for c in range(cols)) % p
-                for i in range(red.m + 1)
-            ]
-            for j in range(red.k + 1)
-        ]
-        rows.append([red.quad[i].q(v, field) for i in range(red.m + 1)])
-        r = list_rank(rows, red.m + 1, field)
-        dim = red.m + 1 - r
+    for v in enumerate_projective(len(kept) - 1, field):
+        x = lift(kept, v, red.n + 2)
+        rows = [[mat.b(u, x, field) for mat in red.net.matrices] for u in u_rows]
+        rows.append([mat.q(x, field) for mat in red.net.matrices])
+        dim = red.m + 1 - list_rank(rows, red.m + 1, field)
         if dim > 0:
             total += projective_size(dim - 1, p)
     return total
+
+
+def unimodular_pair(ops, size: int) -> tuple[list[list[int]], list[list[int]]]:
+    """(T, T^-1) over Z for the product of elementary column operations
+    (i, j, c), each adding c times column j to column i (i != j)."""
+    t = [[int(a == b) for b in range(size)] for a in range(size)]
+    t_inv = [row[:] for row in t]
+    for i, j, c in ops:
+        for row in t:
+            row[i] += c * row[j]
+        t_inv[j] = [x - c * y for x, y in zip(t_inv[j], t_inv[i])]
+    return t, t_inv
+
+
+def moved_net(net: QuadricNet, t) -> QuadricNet:
+    """The net of the forms q_j(T x), Grams T^T M_j T: a point P of the
+    net's X is the point T^-1 P of the moved net's."""
+    size = range(net.fiber_size)
+    return QuadricNet(
+        n=net.n,
+        m=net.m,
+        matrices=tuple(
+            GramMatrix.from_rows([[sum(t[a][i] * mat.entries[a][b] * t[b][j] for a in size for b in size) for j in size] for i in size])
+            for mat in net.matrices
+        ),
+    )
 
 
 def random_symmetric(rng: random.Random, size: int, p: int | None = None, bound: int = 9) -> GramMatrix:

@@ -10,11 +10,11 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from quadring.cli import main
-from quadring.netfib import QuadricNet
+from quadring.cli import _find_integral_point, main
+from quadring.netfib import QuadricNet, load_net
 from quadring.quadform import GramMatrix
 
-from _util import diagonal_gram, plane_cubic
+from _util import diagonal_gram, moved_net, plane_cubic
 
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -183,6 +183,39 @@ def test_count_rejects_malformed_point(capsys, point, message):
     )
     assert code == 2
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv, option, value",
+    [
+        (["count", "--net", str(GOLDEN / "net.json"), "--primes", "3,5"], "--point", "-1,0,0,0,0,0"),
+        (["disc"], "--ns", "-5,2"),
+    ],
+    ids=["count-point", "disc-ns"],
+)
+def test_a_negative_first_entry_is_the_option_value(capsys, argv, option, value):
+    joined = run_cli(capsys, *argv, f"{option}={value}")
+    assert joined[0] == 0
+    assert run_cli(capsys, *argv, option, value) == joined
+
+
+def test_an_option_is_not_taken_for_a_point(capsys):
+    code, out, err = run_cli(capsys, "count", "--net", str(GOLDEN / "net.json"), "--point", "--primes", "3")
+    assert code == 2 and out == ""
+    assert "argument --point: expected one argument" in err
+
+
+def test_find_integral_point_walks_the_first_coordinate_fastest():
+    # the points of {-1, 0, 1}^6 with first nonzero entry 1, in the order of
+    # the walk that varies x0 fastest: when every form is x0^2 the first hit
+    # is e1, not e5; on the golden net moved so that its point is
+    # (0, 1, 1, 0, -1, 0), e0 is off X
+    square = diagonal_gram([1, 0, 0, 0, 0, 0])
+    assert _find_integral_point(QuadricNet(n=4, m=2, matrices=(square,) * 3)) == (0, 1, 0, 0, 0, 0)
+    net, point = load_net(str(GOLDEN / "net.json"))
+    assert _find_integral_point(net) == point == (1, 0, 0, 0, 0, 0)
+    t = [[0, 1, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0], [0, -1, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0], [0, 1, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1]]
+    assert _find_integral_point(moved_net(net, t)) == (0, 1, 1, 0, -1, 0)
 
 
 def _input_file(kind, value):

@@ -83,16 +83,17 @@ def test_every_method_has_a_reference_in_src_or_is_traced():
     assert unreferenced == []
 
 
-def test_the_names_only_the_tracer_calls_are_these_seven():
+def test_the_names_only_the_tracer_calls_are_these_eight():
     # names the benchmark's tracer binds and nothing in `src/` calls: their
     # counters read 0 on every workload.  A deletion shrinks this set in the
     # same change, and a traced name that loses its last caller in `src/`
-    # (`modmat.rank_mod` or `kernel_basis`, say) fails here
+    # (`modmat.kernel_basis`, say) fails here
     _, _, callers = _definitions()
     assert {(module, attr) for module, attr in TRACED if not callers[attr]} == {
         ("quadring.quadform", "classify"),
         ("quadring.quadform", "count_projective_points"),
         ("quadring.modmat", "det_mod"),
+        ("quadring.modmat", "rank_mod"),
         ("quadring.nslattice", "solve_pell_like"),
         ("quadring.gfp", "enumerate_projective"),
         ("quadring.netfib.search", "random_cubic_with_plane"),

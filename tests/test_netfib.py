@@ -37,7 +37,7 @@ from quadring.netfib import (
     verify_relations,
 )
 
-from _util import corank_histogram_reduced, count_reduced_family_dual, determinant_of_linear_matrix, diagonal_gram, fiber_list, form_values, forms_congruent, gram_from_array, kernel_array, legendre_character, list_kernel_basis, list_rank, projective_rows_where, random_invertible, random_symmetric, record_scan_blocks, zero_gram
+from _util import corank_histogram_reduced, count_reduced_family_dual, determinant_of_linear_matrix, diagonal_gram, fiber_list, form_values, forms_congruent, gram_from_array, kernel_array, legendre_character, lift, list_kernel_basis, list_rank, projective_rows_where, random_invertible, random_symmetric, record_scan_blocks, split_mod_p, unimodular_pair, moved_net, zero_gram
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -71,28 +71,16 @@ def _fiber_by_sums(net, s, field):
 
 
 def _reduced_fiber_by_sums(red, s, field):
-    """Reference: the reduced fiber Gram over s, with the bilinear rows, the
-    quadratic part and the restriction K^T M K summed in Python ints."""
-    p = field.p
-    rep = canonical_point(s, field)
-    cols = red.n - red.k + 1
-    lin = [
-        [sum(rep[i] * red.bilinear[j][i][c] for i in range(red.m + 1)) % p for c in range(cols)]
-        for j in range(red.k + 1)
-    ]
-    if list_rank(lin, cols, field) < red.k + 1:
-        raise DegenerateSectionError(f"section degenerates over base point {tuple(s)} at p={p}")
-    gram = [
-        [sum(rep[i] * red.quad[i].entries[a][b] for i in range(red.m + 1)) % p for b in range(cols)]
-        for a in range(cols)
-    ]
-    basis = list_kernel_basis(lin, cols, field)
-    return GramMatrix.from_rows(
-        [
-            [sum(ku[i] * gram[i][j] * kv[j] for i in range(cols) for j in range(cols)) % p for kv in basis]
-            for ku in basis
-        ]
-    )
+    """Reference: the reduced fiber Gram over s from the net and U mod p,
+    with the bilinear rows b_s(u, .) on the coordinates off U's pivots mod
+    p and the restriction of M(s) to their kernel summed in Python ints."""
+    fiber = _fiber_by_sums(red.net, s, field)
+    u_rows, kept = split_mod_p(red, field)
+    lin = [[fiber.b(u, lift([c], [1], red.n + 2), field) for c in kept] for u in u_rows]
+    if list_rank(lin, len(kept), field) < red.k + 1:
+        raise DegenerateSectionError(f"section degenerates over base point {tuple(s)} at p={field.p}")
+    basis = [lift(kept, v, red.n + 2) for v in list_kernel_basis(lin, len(kept), field)]
+    return GramMatrix.from_rows([[fiber.b(x, y, field) for y in basis] for x in basis])
 
 
 def _fiber_at(family, s, field):
@@ -147,6 +135,8 @@ def test_reduced_fibers_match_pointwise_sums(p, accepted_net, accepted_pencil):
             _net_with_planted_line(random.Random(5)), [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0]]
         )
     )
+    moved, point = load_net(str(GOLDEN / "net_moved.json"))  # pivot entry 3
+    reductions.append(hyperbolic_reduce_family(moved, [list(point)]))
     reductions.append(hyperbolic_reduce_family(_huge_entry_net(accepted_net.net), [list(accepted_net.point)]))
     for red in reductions:
         expected = [(s, _reduced_fiber_by_sums(red, s, field)) for s in enumerate_projective(red.m, field)]
@@ -595,6 +585,26 @@ def test_reduce_family_coordinate_description(accepted_net):
         assert red.quad[i].entries == tuple(r[1:] for r in mat.entries[1:])
 
 
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_unimodular_maps_keep_the_reduction(data, accepted_net, accepted_pencil):
+    # x -> T x moves the point to T^-1 P, whose pivot entry may vanish mod p;
+    # the reduction at every p must not see it.  The operations mix the
+    # first three coordinates, where they move the point e0 most
+    result = data.draw(st.sampled_from([accepted_net, accepted_pencil]))
+    size = result.net.fiber_size
+    pairs = st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(lambda ij: ij[0] != ij[1])
+    ops = data.draw(st.lists(st.tuples(pairs, st.integers(-3, 3)).map(lambda op: (*op[0], op[1])), max_size=8))
+    t, t_inv = unimodular_pair(ops, size)
+    point = [sum(a * x for a, x in zip(row, result.point)) for row in t_inv]
+    red = hyperbolic_reduce_family(result.net, [list(result.point)])
+    moved = hyperbolic_reduce_family(moved_net(result.net, t), [point])
+    for p in (3, 5, 7, 11, 13):
+        field = PrimeField(p)
+        expected = (count_reduced_family(red, field), count_double_cover(red, field), corank_histogram_reduced(red, field))
+        assert (count_reduced_family(moved, field), count_double_cover(moved, field), corank_histogram_reduced(moved, field)) == expected
+
+
 def test_reduce_family_rejects_non_isotropic():
     with pytest.raises(InputError):
         hyperbolic_reduce_family(PENCIL, [[1, 0, 0, 0]])  # q0(e0) = 1 over Z
@@ -619,8 +629,10 @@ def test_reduced_histograms_match(accepted_net):
 
 
 def test_dual_fibration_counts_agree(accepted_net, accepted_pencil):
-    for result in (accepted_net, accepted_pencil):
-        red = hyperbolic_reduce_family(result.net, [list(result.point)])
+    # the moved golden net's point (3, 1, 0, 0, 0, 0) has its pivot mod 3 at 1
+    moved = load_net(str(GOLDEN / "net_moved.json"))
+    for net, point in ((accepted_net.net, accepted_net.point), (accepted_pencil.net, accepted_pencil.point), moved):
+        red = hyperbolic_reduce_family(net, [list(point)])
         for p in (3, 5):
             field = PrimeField(p)
             assert count_reduced_family(red, field) == count_reduced_family_dual(red, field)
@@ -750,18 +762,20 @@ def test_reduced_family_counts_call_no_kernel_basis(monkeypatch):
     assert calls == []
 
 
-def test_check_basis_mod_p_reduces_integers_of_any_size():
-    # u_rows are integers over Z: an entry past 2^63 enters the elimination
-    # as its residue mod p
+def test_the_rank_check_reduces_integers_of_any_size():
+    # u_rows are integers over Z: an entry past 2^63 enters the split as its
+    # residue mod p, so 53 * 2^64 times the point is 0 mod 53 and a unit
+    # multiple of it mod 41
     net, point = load_net(str(GOLDEN / "net.json"))
     red = hyperbolic_reduce_family(net, [list(point)])
     (row,) = red.u_rows
     big = 53 * 2**64
-    vanishing = dataclasses.replace(red, u_rows=((big,) + (0,) * (len(row) - 1),))
+    vanishing = dataclasses.replace(red, u_rows=(tuple(big * x for x in row),))
     with pytest.raises(InputError, match="isotropic basis degenerates mod 53"):
-        vanishing.check_basis_mod_p(PrimeField(53))
-    vanishing.check_basis_mod_p(PrimeField(41))  # 53 * 2^64 is a unit mod 41
-    dataclasses.replace(red, u_rows=((row[0] + big,) + row[1:],)).check_basis_mod_p(PrimeField(53))
+        count_reduced_family(vanishing, PrimeField(53))
+    assert count_reduced_family(vanishing, PrimeField(41)) == 2969795
+    shifted = dataclasses.replace(red, u_rows=((row[0] + big,) + row[1:],))
+    assert count_reduced_family(shifted, PrimeField(53)) == 8202016
 
 
 @pytest.mark.parametrize("command", ["count", "reduce"])
