@@ -7,9 +7,9 @@ matrices over Z lets one net be reduced at many primes; primes where the
 reduction misbehaves (corank >= 2 fibers, regularity violations) are meant
 to be skipped and reported by callers, not patched over.  `fibers` builds
 the Grams of a chunk of base points with one exact `modmat.matmul_mod`.
-`fiber_table` classifies a family's fibers once per prime, a net's at
-p > N only where its interpolated discriminant det M(w) vanishes: the
-regularity scan, Q, Qbar and Y all read that one table.
+`fiber_table` classifies the net's fibers once per prime, at p > N only
+where its interpolated discriminant det M(w) vanishes: the regularity
+scan, Q, Y and a reduction's Qbar and cover all read that one table.
 
 The base locus X in P^(n+1) is counted by one of two scans.  Given a
 point P of X, `points_on_X` projects from it, the route of the blow-up
@@ -36,7 +36,7 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -48,9 +48,6 @@ from ..modmat import _mod
 from ..mpoly import monomial_values, power_tables
 from ..quadform import FiberChunk, GramMatrix, classify_stack, common_zeros, fiber_classes, signed_character
 from ..quadform import _linear_and_constant, _rank_and_det, quadratic_roots, quadric_points, restrict, zeros_on_span
-
-if TYPE_CHECKING:
-    from .reduction import ReducedFamily
 
 NET_FORMAT_VERSION = 1
 
@@ -383,14 +380,14 @@ def count_total_space(net: QuadricNet, field: PrimeField) -> int:
     return quadric_points(net.fiber_size, *fiber_table(net, field)[:2], field.p)
 
 
-@functools.lru_cache(maxsize=2)  # a net and its reduction, the most any command reads at one prime
-def fiber_table(family: QuadricNet | ReducedFamily, field: PrimeField) -> tuple[np.ndarray, ...]:
-    """The `quadform.fiber_classes` table of the family's walk at p (by `_net_table` for a
-    net at p > N), shared by every count at p, so read-only; an error is not cached."""
-    if isinstance(family, QuadricNet) and field.p > family.fiber_size:
-        table = _net_table(family, field)
+@functools.lru_cache(maxsize=1)  # one net at one prime, all that any command reads at a time
+def fiber_table(net: QuadricNet, field: PrimeField) -> tuple[np.ndarray, ...]:
+    """The `quadform.fiber_classes` table of the net's walk at p (by `_net_table`
+    at p > N), shared by every count at p, so read-only; an error is not cached."""
+    if field.p > net.fiber_size:
+        table = _net_table(net, field)
     else:
-        table = fiber_classes(family.fibers(field), family.fiber_size, field.p)
+        table = fiber_classes(net.fibers(field), net.fiber_size, field.p)
     for array in table:
         array.flags.writeable = False
     return table

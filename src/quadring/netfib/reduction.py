@@ -12,14 +12,14 @@ the pivot slots.  A splitting fixed over Z stops being a complement of U
 at a prime that divides one of its pivot entries.  Any other splitting
 gives fiberwise congruent forms, so determinism wins.
 
-Every count here reads the fibers' ranks and signed characters from
-`family.fiber_table`, the one walk and classification of a family per
-prime.  The determinant double cover of an even-sized family counts
-1 + chi((-1)^(N/2) det M(w)) per fiber at the canonical representative; the
-degree of the signed determinant is even, so the value does not depend on
-the representative.  The sign matches the signed discriminant of
-`quadform`, which is what makes the cover count agree between a family and
-its hyperbolic reduction.
+Every count here reads the net's ranks and signed characters from
+`family.fiber_table`; the reduced family has no walk of its own.  Where U
+meets no radical of M(w), M(w) is k+1 hyperbolic planes plus the reduced
+fiber, whose rank is less by 2(k+1) and whose signed character is the same,
+since a plane's (-1)^1 det is 1 (`_reduced_classes`).  The determinant
+double cover counts 1 + chi((-1)^(N/2) det M(w)) per fiber; the signed
+determinant has even degree, so the representative does not matter, and a
+reduction's cover is its net's by construction.
 """
 
 from __future__ import annotations
@@ -27,14 +27,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..errors import DegenerateSectionError, InputError
-from ..gfp import PrimeField, projective_row_chunks
+from ..gfp import PrimeField
 from .. import modmat
-from ..quadform import FiberChunk, GramMatrix, double_cover_count, quadric_points, restrict
+from ..quadform import GramMatrix, double_cover_count, quadric_points
 from .family import QuadricNet, fiber_table, split_at
 
 REDUCED_FORMAT_VERSION = 1
@@ -80,30 +80,6 @@ class ReducedFamily:
     def quad(self) -> tuple[GramMatrix, ...]:
         kept = [c for c in range(self.n + 2) if c not in self.pivots]
         return tuple(GramMatrix(tuple(tuple(mat.entries[a][b] for b in kept) for a in kept)) for mat in self.net.matrices)
-
-    def fibers(self, field: PrimeField) -> Iterator[FiberChunk]:
-        """(base rows w, stack of reduced fiber Grams) for each chunk of
-        P^m(F_p), in canonical order, with V split at U's pivots mod p
-        (`split_at`, which raises InputError where U loses dimension): the
-        quadratic part restricted to the kernel of the bilinear rows B(w),
-        with one `modmat.kernel_stack` elimination per chunk.  The first w
-        where B(w) drops rank (the section meets the fiber's singular
-        locus) raises DegenerateSectionError naming it."""
-        p, cols = field.p, self.n - self.k + 1
-        _, kept, mats, bilinear = split_at(self.net, self.u_rows, field)
-        quad = mats[:, kept][:, :, kept].reshape(self.m + 1, -1)
-
-        def grams(rows: np.ndarray) -> np.ndarray:
-            lins = modmat.matmul_mod(rows, bilinear, p).reshape(-1, self.k + 1, cols)
-            rank, kernels = modmat.kernel_stack(lins, p)
-            degenerate = np.flatnonzero(rank < self.k + 1)
-            if degenerate.size:
-                s = tuple(rows[degenerate[0]].tolist())
-                raise DegenerateSectionError(f"section degenerates over base point {s} at p={p}")
-            bases = kernels[kernels.any(axis=2)].reshape(len(rows), self.fiber_size, cols)
-            return restrict(modmat.matmul_mod(rows, quad, p).reshape(-1, cols, cols), bases, p)
-
-        return ((rows, grams(rows)) for rows in projective_row_chunks(self.m, field))
 
     def to_document(self) -> dict:
         return {
@@ -176,17 +152,28 @@ def hyperbolic_reduce_family(
     return ReducedFamily(n=net.n, m=net.m, k=k, pivots=tuple(pivots), u_rows=tuple(map(tuple, rows)), net=net)
 
 
-def count_reduced_family(red: ReducedFamily, field: PrimeField) -> int:
-    """#(reduced family)(F_p), fiberwise over P^m(F_p).
+def _reduced_classes(red: ReducedFamily, field: PrimeField) -> tuple[np.ndarray, np.ndarray]:
+    """The reduced fibers' ranks and signed characters: the net's from
+    `fiber_table`, each rank less 2(k+1).  U meets the radical of M(w) where
+    U M(w) has rank below k+1, only at a fiber of rank below N; the first
+    such w raises DegenerateSectionError, after `split_at`'s rank check."""
+    p = field.p
+    u = split_at(red.net, red.u_rows, field)[0]
+    rank, signed, rows, grams = fiber_table(red.net, field)
+    degenerate = np.flatnonzero(modmat.row_reduce(modmat.matmul_mod(u, grams, p), p)[0] < red.k + 1)
+    if degenerate.size:
+        raise DegenerateSectionError(f"section degenerates over base point {tuple(rows[degenerate[0]].tolist())} at p={p}")
+    return rank - 2 * (red.k + 1), signed
 
-    Each fiber is the quadric cut by the quadratic part on the linear
-    subspace where the bilinear conditions vanish; its count comes from the
-    validated closed form.
-    """
-    return quadric_points(red.fiber_size, *fiber_table(red, field)[:2], field.p)
+
+def count_reduced_family(red: ReducedFamily, field: PrimeField) -> int:
+    """#(reduced family)(F_p), fiberwise over P^m(F_p): the closed form on
+    the reduced fibers' ranks and signed characters (`_reduced_classes`)."""
+    return quadric_points(red.fiber_size, *_reduced_classes(red, field), field.p)
 
 
 def count_double_cover(family: QuadricNet | ReducedFamily, field: PrimeField) -> int:
     """#Y(F_p) for the determinant double cover of an even-sized family:
     `quadform.double_cover_count` on the fibers' ranks and signed characters."""
-    return double_cover_count(family.fiber_size, *fiber_table(family, field)[:2])
+    classes = _reduced_classes(family, field) if isinstance(family, ReducedFamily) else fiber_table(family, field)[:2]
+    return double_cover_count(family.fiber_size, *classes)

@@ -5,16 +5,19 @@ Each residual is a `grothring` identity in the atoms X, Q, Qbar and Y, read
 at L = p on the measured counts (those in Qbar only when a point is given):
 
   (n, m) = (4, 2), three quadrics in P^5, X a degree-8 surface:
-    R1 = Q - rule_family_total(X, 4, 2)             unconditional
-    R2 = Qbar - route A of theorem-main (blowup)    needs no line through P
-    R3 = Qbar - route B of theorem-main (cover)     needs corank <= 1 only
-    R4 = X - Y
+    R1 = Q - rule_family_total(X, 4, 2)             = -p^2 R4
+    R2 = Qbar - route A of theorem-main (blowup)    = -p R4
+    R3 = Qbar - route B of theorem-main (cover)     = 0 by construction
+    R4 = X - Y                                      the independent one
 
   (n, m) = (2, 1), two quadrics in P^3, X a degree-4 curve:
-    R1 = Q - rule_family_total(X, 2, 1)
-    R2 = Qbar - Y                                   reduced 0-dim family vs cover
-    R3 = Q - route B of corollary-m1 (reduction)
+    R1 = Q - rule_family_total(X, 2, 1)             = -p R4
+    R2 = Qbar - Y                                   = 0 by construction
+    R3 = Q - route B of corollary-m1 (reduction)    = 0 by construction
     R4 = X - Y
+
+The right column holds at a prime that is not skipped: Q, Qbar and Y read
+the net's one fiber table, so only R4 checks an independent count, X's.
 
 Primes with a `RegularityReport.skip_reason` (a zero fiber, a fiber of
 corank >= 2 or a failed rational regularity scan) are reported as skipped:

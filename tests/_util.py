@@ -2,7 +2,8 @@
 checked against: per-matrix Python routines for the batched ones (the row
 reduction and kernels of `modmat` among them), the Pell solver's
 two-period scan and walk, the determinant of a matrix of linear forms, and
-the reduced family counted along its other projection."""
+the reduced family walked fiber by fiber and counted along its other
+projection."""
 
 import math
 import random
@@ -11,10 +12,11 @@ from collections import Counter
 import numpy as np
 
 from quadring import modmat, nslattice
-from quadring.errors import InputError
-from quadring.gfp import PrimeField, enumerate_projective, projective_size
+from quadring.errors import DegenerateSectionError, InputError
+from quadring.gfp import PrimeField, enumerate_projective, projective_row_chunks, projective_size
 from quadring.mpoly import HomPoly
 from quadring.netfib import QuadricNet, ReducedFamily
+from quadring.netfib.family import split_at
 from quadring.quadform import GramMatrix, fiber_classes, restrict
 
 
@@ -282,10 +284,36 @@ def hyperbolic_reduce_at_vector(matrix: GramMatrix, v, field: PrimeField) -> Gra
     return gram_from_array(restrict(modmat.residues(matrix.entries, field), basis, p))
 
 
+def reduced_fibers(red: ReducedFamily, field: PrimeField):
+    """The oracle walk of a reduced family, which the library reads off the
+    net's fiber table instead: (base rows w, stack of reduced fiber Grams)
+    for each chunk of P^m(F_p), in canonical order, with V split at U's
+    pivots mod p (`split_at`, which raises InputError where U loses
+    dimension): the quadratic part restricted to the kernel of the bilinear
+    rows B(w), with one `modmat.kernel_stack` elimination per chunk.  The
+    first w where B(w) drops rank (the section meets the fiber's singular
+    locus) raises DegenerateSectionError naming it."""
+    p, cols = field.p, red.n - red.k + 1
+    _, kept, mats, bilinear = split_at(red.net, red.u_rows, field)
+    quad = mats[:, kept][:, :, kept].reshape(red.m + 1, -1)
+
+    def grams(rows: np.ndarray) -> np.ndarray:
+        lins = modmat.matmul_mod(rows, bilinear, p).reshape(-1, red.k + 1, cols)
+        rank, kernels = modmat.kernel_stack(lins, p)
+        degenerate = np.flatnonzero(rank < red.k + 1)
+        if degenerate.size:
+            s = tuple(rows[degenerate[0]].tolist())
+            raise DegenerateSectionError(f"section degenerates over base point {s} at p={p}")
+        bases = kernels[kernels.any(axis=2)].reshape(len(rows), red.fiber_size, cols)
+        return restrict(modmat.matmul_mod(rows, quad, p).reshape(-1, cols, cols), bases, p)
+
+    return ((rows, grams(rows)) for rows in projective_row_chunks(red.m, field))
+
+
 def corank_histogram_reduced(red, field: PrimeField) -> dict[int, int]:
-    """Corank histogram of a reduced family's fibers; matches the original
-    net's `regularity_check` histogram."""
-    rank, *_ = fiber_classes(red.fibers(field), red.fiber_size, field.p)
+    """Corank histogram of a reduced family's fibers by the oracle walk;
+    matches the original net's `regularity_check` histogram."""
+    rank, *_ = fiber_classes(reduced_fibers(red, field), red.fiber_size, field.p)
     return dict(Counter((red.fiber_size - rank).tolist()))
 
 
