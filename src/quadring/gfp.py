@@ -53,12 +53,11 @@ ProjPoint = tuple[int, ...]
 CHUNK_ROWS = 1 << 16
 
 # Rows per chunk of the walks that do work at every point
-# (`enumerate_projective`, the fiber walks, the values of a net's
-# discriminant): 2^12 rows took the fiber layers at p = 41, 53 (perfbench
-# fiber-sweep, seed 42), when every fiber of the net was classified, from
-# 0.046 to 0.036 s but raised their peak RSS from 31.5 to 35.1 MB, over the
-# benchmark's 5 % bound; the discriminant on blocks of 2^16 rows raised it
-# by 2.2 MB.
+# (`enumerate_projective`, a net's fibers at p <= N, the recipes' fibers):
+# 2^12 rows took the fiber layers at p = 41, 53 (perfbench fiber-sweep,
+# seed 42), when every fiber of the net was walked, from 0.046 to 0.036 s
+# but raised their peak RSS from 31.5 to 35.1 MB, over the benchmark's 5 %
+# bound.
 WALK_ROWS = 1 << 8
 
 # Largest p whose F_p functions (`character`, `inverse`, `square_root`) are

@@ -1,9 +1,9 @@
 """Sparse homogeneous multivariate polynomials over Z, the cubic and (2,2)
 forms that `cubic` and `verra` read, and values mod p on every row of an
-array: dense, the values of a list of monomials read from the powers of
-F_p that a walk tabulates once (`power_tables`, `monomial_values`), for the
-net's discriminant and the recipes' fiber Grams and (2,2) form, or sparse,
-term by term, for the cubic's few-term forms (`evaluate_on_array`).
+array: dense, the values of a list of monomials read from the powers of F_p
+that a walk tabulates once (`power_tables`, `monomial_values`), for the
+recipes' fiber Grams and (2,2) form, or sparse, term by term, for the
+cubic's few-term forms (`evaluate_on_array`).
 
 Coefficients are arbitrary-precision Python ints, so sums and products of
 forms stay exact.  Terms are stored as an exponent-vector map with no zero

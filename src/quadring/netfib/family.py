@@ -34,6 +34,7 @@ before it starts.
 from __future__ import annotations
 
 import functools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -41,11 +42,10 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from ..errors import DegenerateSectionError, InputError, json_int, load_json_object
-from ..gfp import PrimeField, ProjPoint, canonical_rows, projective_row_chunks
+from ..gfp import PrimeField, ProjPoint, canonical_rows, inverse, projective_row_chunks
 from ..gfp import scale_to_canonical, scan_projective, size_within_budget
 from .. import modmat
 from ..modmat import _mod
-from ..mpoly import monomial_values, power_tables
 from ..quadform import FiberChunk, GramMatrix, classify_stack, common_zeros, fiber_classes, signed_character
 from ..quadform import _linear_and_constant, _rank_and_det, quadratic_roots, quadric_points, restrict, zeros_on_span
 
@@ -382,8 +382,10 @@ def count_total_space(net: QuadricNet, field: PrimeField) -> int:
 
 @functools.lru_cache(maxsize=1)  # one net at one prime, all that any command reads at a time
 def fiber_table(net: QuadricNet, field: PrimeField) -> tuple[np.ndarray, ...]:
-    """The `quadform.fiber_classes` table of the net's walk at p (by `_net_table`
-    at p > N), shared by every count at p, so read-only; an error is not cached."""
+    """The `quadform.fiber_classes` table of the net at p: at p > N its
+    discriminant contracted once per pivot block of P^m (`_net_table`), at
+    p <= N the walk of `QuadricNet.fibers`.  Shared by every count at p, so
+    read-only; an error is not cached."""
     if field.p > net.fiber_size:
         table = _net_table(net, field)
     else:
@@ -393,33 +395,45 @@ def fiber_table(net: QuadricNet, field: PrimeField) -> tuple[np.ndarray, ...]:
     return table
 
 
-def _discriminant(net: QuadricNet, field: PrimeField) -> tuple[np.ndarray, np.ndarray]:
-    """The exponents (columns) and coefficients mod p of det M(w), a form of
-    degree N, for p > N: det M(1, x) at the (N+1)^m nodes x in {0..N}^m from
-    one elimination, interpolated by the inverse Vandermonde matrix of the
-    nodes 0..N along each axis."""
+def _discriminant(net: QuadricNet, field: PrimeField) -> np.ndarray:
+    """The coefficients mod p of det M(w), a form of degree N, for p > N, as
+    a dense tensor (N+1)^(m+1) whose entry e is the coefficient of w^e, 0
+    where |e| != N: det M(1, x) at the (N+1)^m nodes x in {0..N}^m from one
+    elimination, interpolated by the inverse Vandermonde matrix of the nodes
+    0..N along each axis, x^a homogenized to w_0^(N - |a|) w^a."""
     p, size, m = field.p, net.fiber_size, net.m
     grid = np.indices((size + 1,) * m).reshape(m, -1)  # x in {0..N}^m, in C order
     rank, det = _rank_and_det(_fiber_grams(net, np.vstack((np.ones_like(grid[:1]), grid)).T, field), p)
-    coeffs = np.where(rank == size, det, 0)
+    coeffs, inverse_v = np.where(rank == size, det, 0), _inverse_vandermonde(size, field)
     for _ in range(m):  # V^-1 along the first axis, which the transpose moves to the last
-        coeffs = modmat.matmul_mod(_inverse_vandermonde(size, field), coeffs.reshape(size + 1, -1), p).T
-    low = grid.sum(axis=0) <= size  # x^a is w_0^(N - |a|) w^a; past |a| = N its coefficient is 0
-    return np.vstack((size - grid.sum(axis=0), grid))[:, low], coeffs.reshape(-1)[low]
+        coeffs = modmat.matmul_mod(inverse_v, coeffs.reshape(size + 1, -1), p).T
+    low = grid.sum(axis=0) <= size  # past |a| = N the coefficient of x^a is 0
+    tensor = np.zeros((size + 1,) * (m + 1), dtype=np.int64)
+    tensor[(size - grid[:, low].sum(axis=0), *grid[:, low])] = coeffs.reshape(-1)[low]
+    return tensor
 
 
 def _net_table(net: QuadricNet, field: PrimeField) -> tuple[np.ndarray, ...]:
-    """`fiber_table` of a net at p > N: det M(w) on each chunk of the walk of
-    P^m(F_p), the monomial values of `_discriminant`'s exponents times its
-    coefficients, gives rank N and the signed character where det != 0;
-    one call classifies the rest."""
+    """`fiber_table` of a net at p > N: det M(w) on each pivot block j of
+    P^m(F_p), the points (0, .., 0, 1, x) for x in F_p^(m-j) in C order, is
+    `_discriminant` at w_0 = .. = w_(j-1) = 0 summed over w_j's axis, each
+    other axis contracted with the powers 0..N of F_p by `modmat.matmul_mod`.
+    Where det != 0 the fiber has rank N and the signed character of det; one
+    call classifies the rest, their rows rebuilt from their flat indices."""
     p, size, m = field.p, net.fiber_size, net.m
-    exps, coeffs = _discriminant(net, field)
-    tables = power_tables(exps, field)
+    coeffs = _discriminant(net, field)
+    powers = np.ones((p, size + 1), dtype=np.int64)  # v^k for v in F_p, k in 0..N
+    for k in range(1, size + 1):
+        powers[:, k] = powers[:, k - 1] * np.arange(p) % p
     dets, rows = [], []
-    for w in projective_row_chunks(m, field):
-        dets.append(modmat.matmul_mod(monomial_values(tables, w, p), coeffs, p))
-        rows.append(w[dets[-1] == 0])
+    for j in range(m + 1):
+        block = coeffs[(0,) * j].sum(axis=0)  # one nonzero term per entry
+        for _ in range(m - j):  # the first axis, which the transpose moves to the last
+            block = modmat.matmul_mod(powers, block.reshape(size + 1, -1), p).T
+        dets.append(block.reshape(-1))
+        zero = np.flatnonzero(dets[-1] == 0)
+        x = zero[:, None] // p ** np.arange(m - j - 1, -1, -1) % p
+        rows.append(np.hstack((np.zeros((len(zero), j), dtype=np.int64), np.ones_like(zero)[:, None], x)))
     det, rows = np.concatenate(dets), np.concatenate(rows)
     grams = _fiber_grams(net, rows, field)
     rank, signed = np.full(len(det), size), signed_character(size, det, p)
@@ -427,8 +441,20 @@ def _net_table(net: QuadricNet, field: PrimeField) -> tuple[np.ndarray, ...]:
     return rank, signed, rows, grams
 
 
-@functools.lru_cache(maxsize=64)
+@functools.cache
+def _lagrange_basis(size: int) -> tuple[list[tuple[int, ...]], list[int]]:
+    """V^-1 for V[i, k] = i^k, i and k in 0..N: column i is prod_(j != i) (x - j),
+    constant first, over prod_(j != i) (i - j) = (-1)^(N-i) i! (N-i)!."""
+
+    def times(poly: list[int], j: int) -> list[int]:  # poly (x - j)
+        return [a - j * b for a, b in zip([0] + poly, poly + [0])]
+
+    columns = [functools.reduce(times, (j for j in range(size + 1) if j != i), [1]) for i in range(size + 1)]
+    return list(zip(*columns)), [(-1) ** (size - i) * math.factorial(i) * math.factorial(size - i) for i in range(size + 1)]
+
+
 def _inverse_vandermonde(size: int, field: PrimeField) -> np.ndarray:
-    """V^-1 mod p for V[i, k] = i^k, i and k in 0..N < p: [V | I] reduces to [I | V^-1]."""
-    rows = modmat.residues([[i**k for k in range(size + 1)] + [int(i == j) for j in range(size + 1)] for i in range(size + 1)], field)
-    return modmat.row_reduce(rows[None], field.p)[1][0, :, size + 1 :]
+    """V^-1 mod p for N < p: `_lagrange_basis`, each column times the
+    inverse of its denominator."""
+    numerators, denominators = _lagrange_basis(size)
+    return modmat.residues(numerators, field) * [inverse(d % field.p, field.p) for d in denominators] % field.p

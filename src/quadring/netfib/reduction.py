@@ -16,14 +16,16 @@ Every count here reads the net's ranks and signed characters from
 `family.fiber_table`; the reduced family has no walk of its own.  Where U
 meets no radical of M(w), M(w) is k+1 hyperbolic planes plus the reduced
 fiber, whose rank is less by 2(k+1) and whose signed character is the same,
-since a plane's (-1)^1 det is 1 (`_reduced_classes`).  The determinant
-double cover counts 1 + chi((-1)^(N/2) det M(w)) per fiber; the signed
-determinant has even degree, so the representative does not matter, and a
-reduction's cover is its net's by construction.
+since a plane's (-1)^1 det is 1 (`_reduced_classes`, which Qbar and the
+reduced Y share).  The determinant double cover counts 1 + chi((-1)^(N/2)
+det M(w)) per fiber; the signed determinant has even degree, so the
+representative does not matter, and a reduction's cover is its net's by
+construction.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -152,6 +154,7 @@ def hyperbolic_reduce_family(
     return ReducedFamily(n=net.n, m=net.m, k=k, pivots=tuple(pivots), u_rows=tuple(map(tuple, rows)), net=net)
 
 
+@functools.lru_cache(maxsize=1)  # shared by Qbar and the reduced Y at one prime, so read-only
 def _reduced_classes(red: ReducedFamily, field: PrimeField) -> tuple[np.ndarray, np.ndarray]:
     """The reduced fibers' ranks and signed characters: the net's from
     `fiber_table`, each rank less 2(k+1).  U meets the radical of M(w) where
@@ -163,7 +166,9 @@ def _reduced_classes(red: ReducedFamily, field: PrimeField) -> tuple[np.ndarray,
     degenerate = np.flatnonzero(modmat.row_reduce(modmat.matmul_mod(u, grams, p), p)[0] < red.k + 1)
     if degenerate.size:
         raise DegenerateSectionError(f"section degenerates over base point {tuple(rows[degenerate[0]].tolist())} at p={p}")
-    return rank - 2 * (red.k + 1), signed
+    rank = rank - 2 * (red.k + 1)
+    rank.flags.writeable = False
+    return rank, signed
 
 
 def count_reduced_family(red: ReducedFamily, field: PrimeField) -> int:

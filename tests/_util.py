@@ -131,6 +131,13 @@ def list_row_reduce(rows, ncols: int, field: PrimeField) -> tuple[list[list[int]
     return mat[:r], pivots
 
 
+def inverse_vandermonde_by_elimination(size: int, field: PrimeField) -> np.ndarray:
+    """V^-1 mod p for V[i, k] = i^k, i and k in 0..N < p: [V | I] reduces to
+    [I | V^-1] by one `modmat.row_reduce`.  The oracle of the closed form."""
+    rows = modmat.residues([[i**k for k in range(size + 1)] + [int(i == j) for j in range(size + 1)] for i in range(size + 1)], field)
+    return modmat.row_reduce(rows[None], field.p)[1][0, :, size + 1 :]
+
+
 def list_rank(rows, ncols: int, field: PrimeField) -> int:
     return len(list_row_reduce(rows, ncols, field)[1])
 

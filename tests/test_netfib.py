@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quadring import modmat, quadform
 from quadring.cli import main
@@ -36,7 +36,7 @@ from quadring.netfib import (
     verify_relations,
 )
 
-from _util import corank_histogram_reduced, count_reduced_family_dual, determinant_of_linear_matrix, diagonal_gram, fiber_list, form_values, forms_congruent, gram_from_array, kernel_array, legendre_character, lift, list_kernel_basis, list_rank, projective_rows_where, random_invertible, random_symmetric, record_scan_blocks, reduced_fibers, split_mod_p, unimodular_pair, moved_net, zero_gram
+from _util import corank_histogram_reduced, count_reduced_family_dual, determinant_of_linear_matrix, diagonal_gram, fiber_list, form_values, forms_congruent, gram_from_array, inverse_vandermonde_by_elimination, kernel_array, legendre_character, lift, list_kernel_basis, list_rank, projective_rows_where, random_invertible, random_symmetric, record_scan_blocks, reduced_fibers, split_mod_p, unimodular_pair, moved_net, zero_gram
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -694,7 +694,8 @@ def test_degenerate_section_raises():
 def test_first_degenerate_section_names_its_base_point():
     # B(w) = (w0 + 2 w1) e_1 vanishes on the line w0 + 2 w1 = 0 of P^2: mod 5
     # at (1, 2, t) for every t and at (0, 0, 1); the first in canonical order
-    # is (1, 2, 0), not the first point (1, 0, 0) of P^2
+    # is (1, 2, 0), not the first point (1, 0, 0) of P^2.  The error is not
+    # cached, so each count raises it again
     rng = random.Random(2)
     mats = []
     for b in (1, 2, 0):
@@ -704,8 +705,12 @@ def test_first_degenerate_section_names_its_base_point():
             m[i][0] = m[0][i]
         mats.append(GramMatrix.from_rows(m))
     red = hyperbolic_reduce_family(QuadricNet(n=4, m=2, matrices=tuple(mats)), [[1, 0, 0, 0, 0, 0]])
-    with pytest.raises(DegenerateSectionError, match=r"base point \(1, 2, 0\) at p=5$"):
-        count_reduced_family(red, F5)
+    reduction._reduced_classes.cache_clear()
+    for count in (count_reduced_family, count_double_cover, count_reduced_family):
+        with pytest.raises(DegenerateSectionError, match=r"base point \(1, 2, 0\) at p=5$"):
+            count(red, F5)
+    info = reduction._reduced_classes.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 3, 0)
 
 
 def _net_with_planted_line(rng):
@@ -826,6 +831,27 @@ def test_fiber_table_is_read_only():
         with pytest.raises(ValueError):
             array[0] = 0
     assert family.fiber_table(net, PrimeField(7)) is table
+
+
+@pytest.mark.parametrize("p, qbar, y", [(3, 190, 20), (5, 956, 30), (41, 2969795, 1749), (53, 8202016, 2962)])
+def test_reduced_classes_are_kept_for_one_family_at_one_prime(p, qbar, y):
+    # Qbar and the reduced Y read one cached split and section test; an
+    # equal family built again hits the cache, and the arrays are shared,
+    # so read-only.  The moved net's point has pivot entry 3
+    net, point = load_net(str(GOLDEN / "net_moved.json"))
+    red, again = (hyperbolic_reduce_family(net, [list(point)]) for _ in range(2))
+    assert red == again and red is not again
+    field = PrimeField(p)
+    reduction._reduced_classes.cache_clear()
+    assert count_reduced_family(red, field) == qbar
+    assert count_double_cover(again, PrimeField(p)) == y
+    info = reduction._reduced_classes.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    classes = reduction._reduced_classes(again, field)
+    assert classes is reduction._reduced_classes(red, field)
+    for array in classes:
+        with pytest.raises(ValueError):
+            array[0] = 0
 
 
 @st.composite
@@ -982,37 +1008,46 @@ def test_golden_net_double_cover_at_primes_past_the_walk(p, y):
     assert count_double_cover(net, PrimeField(p)) == y
 
 
-@st.composite
-def _net_with_a_planted_fiber(draw):
-    """A random (4,2) or (2,1) net mod a prime N < p <= 53, with one fiber
-    M(w) planted at a random base point w: of corank 1, of corank 2 or more,
-    or zero; or with a kernel vector common to every matrix, so that
-    det M(w) vanishes identically mod p."""
-    n, m = draw(st.sampled_from([(4, 2), (2, 1)]))
-    size = n + 2
-    p = draw(st.sampled_from([q for q in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53) if q > size]))
-    field = PrimeField(p)
-    plant = draw(st.sampled_from(["none", "corank 1", "corank 2+", "zero fiber", "common kernel"]))
-    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+def _plant_fiber(rng: random.Random, n: int, m: int, field: PrimeField, plant: str, w) -> QuadricNet:
+    """A random (n, m) net mod p with the fiber M(w) planted: of corank 1,
+    of corank 2 or more, or zero; or with a kernel vector common to every
+    matrix, so that det M(w) vanishes identically mod p; or none."""
+    p, size = field.p, n + 2
     mats = [np.array(random_symmetric(rng, size, p=p).entries, dtype=np.int64) for _ in range(m + 1)]
-    w = projective_points_array(m, field)[draw(st.integers(0, projective_size(m, p) - 1))]
     if plant == "common kernel":  # A^T M A kills A^-1 e_0 when M kills e_0
         a = np.array(random_invertible(rng, size, field), dtype=np.int64)
         for mat in mats:
             mat[0, :] = mat[:, 0] = 0
         mats = [a.T @ mat @ a % p for mat in mats]
     elif plant != "none":
-        rank = {"corank 1": size - 1, "corank 2+": draw(st.integers(1, size - 2)), "zero fiber": 0}[plant]
+        rank = {"corank 1": size - 1, "corank 2+": rng.randint(1, size - 2), "zero fiber": 0}[plant]
         a = np.array(random_invertible(rng, size, field), dtype=np.int64)
         diag = np.diag([rng.randrange(1, p) if i < rank else 0 for i in range(size)])
         pivot = int(np.flatnonzero(w)[0])  # w_pivot = 1
         mats[pivot] = (a.T @ diag @ a - sum(x * mat for i, (x, mat) in enumerate(zip(w, mats)) if i != pivot)) % p
-    net = QuadricNet(n=n, m=m, matrices=tuple(gram_from_array(mat % p) for mat in mats))
-    return net, tuple(w.tolist()), field, plant
+    return QuadricNet(n=n, m=m, matrices=tuple(gram_from_array(mat % p) for mat in mats))
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+@st.composite
+def _net_with_a_planted_fiber(draw):
+    """A random (4,2), (2,1), (4,1) or (6,2) net mod a prime N < p <= 53,
+    with one fiber planted by `_plant_fiber` at a base point w drawn from a
+    drawn pivot block j: w_0 = .. = w_(j-1) = 0 and w_j = 1 past j = 0."""
+    n, m = draw(st.sampled_from([(4, 2), (2, 1), (4, 1), (6, 2)]))
+    size = n + 2
+    p = draw(st.sampled_from([q for q in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53) if q > size]))
+    field = PrimeField(p)
+    plant = draw(st.sampled_from(["none", "corank 1", "corank 2+", "zero fiber", "common kernel"]))
+    pivot = draw(st.integers(0, m))
+    start = projective_size(m, p) - projective_size(m - pivot, p)  # the points of pivot blocks 0..j-1
+    w = projective_points_array(m, field)[start + draw(st.integers(0, p ** (m - pivot) - 1))]
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return _plant_fiber(rng, n, m, field, plant, w), tuple(w.tolist()), field, plant
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(_net_with_a_planted_fiber())
+@example((_plant_fiber(random.Random(101), 4, 2, PrimeField(101), "corank 2+", (0, 1, 7)), (0, 1, 7), PrimeField(101), "corank 2+"))
 def test_net_table_from_the_discriminant_matches_the_classified_walk(planted):
     net, w, field, plant = planted
     p, size = field.p, net.fiber_size
@@ -1027,11 +1062,19 @@ def test_net_table_from_the_discriminant_matches_the_classified_walk(planted):
     assert plant != "corank 2+" or at_w <= size - 2
     assert plant != "common kernel" or (table[0] < size).all()
     # the interpolated discriminant is det(sum w_i M_i) mod p
-    exps, coeffs = family._discriminant(net, field)
+    coeffs = family._discriminant(net, field)
     det = determinant_of_linear_matrix([mat.entries for mat in net.matrices])
-    assert {e: c for e, c in zip(map(tuple, exps.T.tolist()), coeffs.tolist()) if c} == {
+    assert {tuple(e): int(coeffs[tuple(e)]) for e in np.argwhere(coeffs).tolist()} == {
         e: c % p for e, c in det.terms.items() if c % p
     }
+
+
+def test_inverse_vandermonde_in_closed_form_matches_the_elimination():
+    for size in range(2, 9):
+        for p in [q for q in range(size + 1, 54) if all(q % d for d in range(2, q))] + [1009, 2**31 - 1]:
+            field = PrimeField(p)
+            got = family._inverse_vandermonde(size, field)
+            assert got.dtype == np.int64 and np.array_equal(got, inverse_vandermonde_by_elimination(size, field))
 
 
 @pytest.mark.parametrize("p, x", [(101, 10302), (211, 44600)])
