@@ -7,9 +7,15 @@ matrices over Z lets one net be reduced at many primes; primes where the
 reduction misbehaves (corank >= 2 fibers, regularity violations) are meant
 to be skipped and reported by callers, not patched over.  `fibers` builds
 the Grams of a chunk of base points with one exact `modmat.matmul_mod`.
-`fiber_table` classifies the net's fibers once per prime, at p > N only
-where its interpolated discriminant det M(w) vanishes: the regularity
-scan, Q, Y and a reduction's Qbar and cover all read that one table.
+`fiber_table` classifies the net's fibers once per prime: the regularity
+scan, Q, Y and a reduction's Qbar and cover all read that one table.  At
+p > N it evaluates the discriminant f = det M(w) and eliminates only the
+singular points of f = 0.  By Jacobi's formula d_i f = tr(adj M(w) M_i).
+At corank 1 with radical r, adj M(w) = c r r^T with c != 0, so
+grad f(w) = c (q_0(r), .., q_m(r)); at corank >= 2, adj M(w) = 0.  So
+grad f vanishes at a zero exactly where the fiber has corank >= 2 or its
+radical lies on X, the only fibers the regularity scan and a section test
+can flag.  For even N the other zeros have rank N - 1 and character 0.
 
 The base locus X in P^(n+1) is counted by one of two scans.  Given a
 point P of X, `points_on_X` projects from it, the route of the blow-up
@@ -26,9 +32,9 @@ if a geometric hypothesis actually fails, which is the compensating check.
 Both are zero scans on a subspace (`quadform.zeros_on_span`), each charged
 to `budget` for that subspace only, except that a corank-1 radical is one
 point, tested for every such fiber at once.  The regularity scan reads the
-degenerate fibers' kernels from one elimination (`modmat.kernel_stack`)
-and stops at its first violation; every subspace it could scan is charged
-before it starts.
+kernels of the fibers the table keeps from one elimination
+(`modmat.kernel_stack`) and stops at its first violation; every subspace
+it could scan is charged before it starts.
 """
 
 from __future__ import annotations
@@ -176,13 +182,15 @@ def points_on_X(
     return _points_by_projection(net, point, field, budget, jobs, lines)
 
 
-def split_at(net: QuadricNet, rows: Sequence[Sequence[int]], field: PrimeField):
+@functools.lru_cache(maxsize=1)  # one span at one prime, read by the line scan, the X count and the reduced family
+def split_at(net: QuadricNet, rows: tuple[tuple[int, ...], ...], field: PrimeField):
     """The splitting V = U + V' mod p for the span U of integer rows on X,
     from one `modmat.row_reduce` of the rows mod p: (U's reduced rows, for
     one point its canonical form; the coordinates of V' off their pivots;
     the net's Grams mod p; the polar rows, row j holding u^T M_j on those
-    coordinates for each reduced row u in turn).  Raises InputError when U
-    loses dimension mod p or does not lie on X there."""
+    coordinates for each reduced row u in turn).  Shared by every caller
+    at p, so read-only; raises InputError, not cached, when U loses
+    dimension mod p or does not lie on X there."""
     p = field.p
     rank, reduced, pivot = modmat.row_reduce(modmat.residues(rows, field)[None], p)
     if rank[0] < len(rows):
@@ -192,7 +200,10 @@ def split_at(net: QuadricNet, rows: Sequence[Sequence[int]], field: PrimeField):
     if modmat.matmul_mod(polar, u.T, p).any():  # b_j(u, u') = q_j on U
         raise InputError("point does not lie on the base locus X")
     kept = np.flatnonzero(~pivot[0].any(axis=0))
-    return u, kept, mats, polar[:, :, kept].reshape(net.m + 1, -1)
+    split = u, kept, mats, polar[:, :, kept].reshape(net.m + 1, -1)
+    for array in split:
+        array.flags.writeable = False
+    return split
 
 
 def _points_by_projection(
@@ -205,7 +216,7 @@ def _points_by_projection(
 ) -> list[ProjPoint]:
     """`points_on_X` by projection from the point."""
     p = field.p
-    (rep,), kept, mats, linear = split_at(net, [point], field)
+    (rep,), kept, mats, linear = split_at(net, (tuple(point),), field)
     if lines is None:
         lines = lines_through_point(net, point, field, budget)
     # T [B | I] reduces to [R | T]: every pivot lies inside B exactly when
@@ -330,12 +341,12 @@ def regularity_check(net: QuadricNet, field: PrimeField, budget: int = 2_000_000
 
 def _violations(net: QuadricNet, field: PrimeField, budget: int) -> Iterator[tuple[ProjPoint, ProjPoint]]:
     """Every (base point w, canonical point of X in the radical of M(w)), in
-    walk order.  The degenerate fibers' kernels come from one
-    `modmat.kernel_stack` call.  The one kernel vector u of a corank-1 fiber
-    lies on X when q_j(u) = 0 for every j, tested for all of them at once;
-    the points of X on a larger kernel come from `quadform.zeros_on_span`,
-    each such kernel's space checked against `budget` before the first
-    point is yielded."""
+    walk order.  The kernels of the fibers `fiber_table` keeps come from
+    one `modmat.kernel_stack` call.  The one kernel vector u of a corank-1
+    fiber lies on X when q_j(u) = 0 for every j, tested for all of them at
+    once; the points of X on a larger kernel come from
+    `quadform.zeros_on_span`, each such kernel's space checked against
+    `budget` before the first point is yielded."""
     p, size = field.p, net.fiber_size
     _, _, rows, grams = fiber_table(net, field)
     kernel_rank, kernels = modmat.kernel_stack(grams, p)
@@ -369,7 +380,7 @@ def lines_through_point(
     geometric no-line condition: a line defined only over an extension
     field leaves no trace here.
     """
-    _, kept, mats, linear = split_at(net, [point], field)
+    _, kept, mats, linear = split_at(net, (tuple(point),), field)
     kernel = modmat.kernel_basis(linear, len(kept), field)
     return list(map(tuple, zeros_on_span(mats[:, kept][:, :, kept], kernel, field, budget).tolist()))
 
@@ -382,10 +393,11 @@ def count_total_space(net: QuadricNet, field: PrimeField) -> int:
 
 @functools.lru_cache(maxsize=1)  # one net at one prime, all that any command reads at a time
 def fiber_table(net: QuadricNet, field: PrimeField) -> tuple[np.ndarray, ...]:
-    """The `quadform.fiber_classes` table of the net at p: at p > N its
-    discriminant contracted once per pivot block of P^m (`_net_table`), at
-    p <= N the walk of `QuadricNet.fibers`.  Shared by every count at p, so
-    read-only; an error is not cached."""
+    """Each fiber's rank and signed character, in walk order, and the base
+    rows and Grams of those that can hold a violation or a degenerate
+    section: at p > N `_net_table`'s singular points of det M(w) = 0, at
+    p <= N every degenerate fiber of the walk of `QuadricNet.fibers`.
+    Shared by every count at p, so read-only; an error is not cached."""
     if field.p > net.fiber_size:
         table = _net_table(net, field)
     else:
@@ -418,8 +430,10 @@ def _net_table(net: QuadricNet, field: PrimeField) -> tuple[np.ndarray, ...]:
     P^m(F_p), the points (0, .., 0, 1, x) for x in F_p^(m-j) in C order, is
     `_discriminant` at w_0 = .. = w_(j-1) = 0 summed over w_j's axis, each
     other axis contracted with the powers 0..N of F_p by `modmat.matmul_mod`.
-    Where det != 0 the fiber has rank N and the signed character of det; one
-    call classifies the rest, their rows rebuilt from their flat indices."""
+    Where det != 0 the fiber has rank N and the signed character of det;
+    for even N, where det = 0 but not its `_gradient`, rank N - 1 and 0.
+    One call classifies the rest, every zero for odd N, whose rank N - 1
+    is even: the table's rows, rebuilt from their flat indices."""
     p, size, m = field.p, net.fiber_size, net.m
     coeffs = _discriminant(net, field)
     powers = np.ones((p, size + 1), dtype=np.int64)  # v^k for v in F_p, k in 0..N
@@ -435,10 +449,29 @@ def _net_table(net: QuadricNet, field: PrimeField) -> tuple[np.ndarray, ...]:
         x = zero[:, None] // p ** np.arange(m - j - 1, -1, -1) % p
         rows.append(np.hstack((np.zeros((len(zero), j), dtype=np.int64), np.ones_like(zero)[:, None], x)))
     det, rows = np.concatenate(dets), np.concatenate(rows)
+    rank, signed = size - (det == 0), signed_character(size, det, p)  # a zero left unclassified has corank 1
+    singular = det == 0
+    if size % 2 == 0:
+        singular[singular] = ~_gradient(coeffs, powers[rows], p).any(axis=1)
+    rows = rows[singular[det == 0]]
     grams = _fiber_grams(net, rows, field)
-    rank, signed = np.full(len(det), size), signed_character(size, det, p)
-    rank[det == 0], signed[det == 0] = classify_stack(grams, p)
+    rank[singular], signed[singular] = classify_stack(grams, p)
     return rank, signed, rows, grams
+
+
+def _gradient(coeffs: np.ndarray, powers: np.ndarray, p: int) -> np.ndarray:
+    """d_0 f .. d_m f mod p at each row w, for `_discriminant`'s tensor C of
+    f, from the powers w_l^k, k in 0..N, of the rows' coordinates, a stack
+    (rows, m+1, N+1): d_i f has the tensor D_i[e] = (e_i + 1) C[e + 1_i],
+    nonzero only where |e| = N - 1, contracted with the monomials w^e of
+    that degree by one `modmat.matmul_mod`, exact for p < 2^31."""
+    size, axes = coeffs.shape[0] - 1, coeffs.ndim
+    low, unit = np.argwhere(np.indices(coeffs.shape).sum(axis=0) == size - 1), np.eye(axes, dtype=np.int64)
+    partials = np.stack([coeffs[tuple((low + unit[i]).T)] * (low[:, i] + 1) % p for i in range(axes)], axis=1)
+    monomials = powers[:, 0, low[:, 0]]
+    for l in range(1, axes):
+        monomials = monomials * powers[:, l, low[:, l]] % p
+    return modmat.matmul_mod(monomials, partials, p)
 
 
 @functools.cache

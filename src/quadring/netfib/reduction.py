@@ -17,10 +17,13 @@ Every count here reads the net's ranks and signed characters from
 meets no radical of M(w), M(w) is k+1 hyperbolic planes plus the reduced
 fiber, whose rank is less by 2(k+1) and whose signed character is the same,
 since a plane's (-1)^1 det is 1 (`_reduced_classes`, which Qbar and the
-reduced Y share).  The determinant double cover counts 1 + chi((-1)^(N/2)
-det M(w)) per fiber; the signed determinant has even degree, so the
-representative does not matter, and a reduction's cover is its net's by
-construction.
+reduced Y share).  U lies on X, so a radical vector r in U has q_j(r) = 0
+for every j, and the gradient of det M(w), c (q_0(r), .., q_m(r)) at
+corank 1 by Jacobi's formula and 0 at corank >= 2, vanishes: the section
+test reads only the singular points that `fiber_table` keeps.  The
+determinant double cover counts 1 + chi((-1)^(N/2) det M(w)) per fiber;
+the signed determinant has even degree, so the representative does not
+matter, and a reduction's cover is its net's by construction.
 """
 
 from __future__ import annotations
@@ -158,8 +161,9 @@ def hyperbolic_reduce_family(
 def _reduced_classes(red: ReducedFamily, field: PrimeField) -> tuple[np.ndarray, np.ndarray]:
     """The reduced fibers' ranks and signed characters: the net's from
     `fiber_table`, each rank less 2(k+1).  U meets the radical of M(w) where
-    U M(w) has rank below k+1, only at a fiber of rank below N; the first
-    such w raises DegenerateSectionError, after `split_at`'s rank check."""
+    U M(w) has rank below k+1, only at a fiber the table keeps, where U's
+    radical vector on X makes the discriminant's gradient vanish.  The
+    first such w raises DegenerateSectionError, after `split_at`'s checks."""
     p = field.p
     u = split_at(red.net, red.u_rows, field)[0]
     rank, signed, rows, grams = fiber_table(red.net, field)

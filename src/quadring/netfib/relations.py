@@ -144,10 +144,11 @@ def _report_for_prime(
 
     rep = None if point is None else canonical_point(point, field)  # primitive, so nonzero mod p
     # one line scan per prime: its directions are the line term of the X
-    # count by projection from the point, and they set the line flag
-    lines = None if rep is None else lines_through_point(net, rep, field, budget=budget)
+    # count by projection from the point, and they set the line flag; with
+    # the reduction they read one `split_at` of the integer point
+    lines = None if rep is None else lines_through_point(net, point, field, budget=budget)
     counts = {
-        "X": len(points_on_X(net, field, budget=budget, jobs=jobs, point=rep, lines=lines)),
+        "X": len(points_on_X(net, field, budget=budget, jobs=jobs, point=point, lines=lines)),
         "Q": count_total_space(net, field),
         "Y": count_double_cover(net, field),
     }

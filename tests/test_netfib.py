@@ -492,6 +492,14 @@ def test_regularity_check_without_degenerate_fibers(monkeypatch):
     assert report.regular and report.flat and not report.corank2_found
     assert report.corank_histogram == {0: 6}
     assert stacks == [0]
+    # det(s M_0 + t M_1) = -s^2 - t^2 vanishes at (1, 2) and (1, 3), -1 being
+    # 2^2 mod 5, where its gradient (-2s, -2t) does not: two corank-1 fibers
+    # whose radicals lie off X, and still no kernel to take
+    net = QuadricNet(n=0, m=1, matrices=(diagonal_gram([1, -1]), GramMatrix.from_rows([[0, 1], [1, 0]])))
+    report = regularity_check(net, F5)
+    assert report.regular and report.flat and not report.corank2_found
+    assert report.corank_histogram == {0: 4, 1: 2}
+    assert stacks == [0, 0]
 
 
 def test_regularity_check_scans_no_span_on_the_golden_net(monkeypatch):
@@ -786,8 +794,9 @@ def test_the_rank_check_reduces_integers_of_any_size():
 def test_each_family_is_classified_once_per_chunk(capsys, monkeypatch, command):
     # regularity, Q, Y and Qbar (count), or Qbar and both Y (reduce), read
     # the net's one table.  It eliminates its 7^2 node fibers once and then
-    # only the fibers where its discriminant vanishes; the reduction shifts
-    # that table and classifies nothing of its own
+    # only the singular points of its discriminant, none at p = 23, though
+    # 23 fibers are degenerate; the reduction shifts that table and
+    # classifies nothing of its own
     calls = []
     original = quadform._rank_and_det
 
@@ -802,9 +811,48 @@ def test_each_family_is_classified_once_per_chunk(capsys, monkeypatch, command):
     assert "SKIPPED" not in capsys.readouterr().out
     assert family.fiber_table.cache_info().misses == 1
     net, _ = load_net(str(GOLDEN / "net.json"))
-    degenerate = len(family.fiber_table(net, PrimeField(23))[2])
-    assert calls == [49, degenerate]
-    assert degenerate > 0
+    table = family.fiber_table(net, PrimeField(23))
+    assert calls == [49, 0] and len(table[2]) == 0
+    assert int((table[0] < net.fiber_size).sum()) == 23
+
+
+def test_a_passing_prime_eliminates_no_degenerate_fiber(monkeypatch):
+    # where the regularity scan passes, no rational fiber has corank >= 2 or
+    # a radical on X, so the discriminant's gradient vanishes at none of its
+    # zeros: the table eliminates its 7^2 node fibers and an empty stack
+    calls = []
+    original = quadform._rank_and_det
+
+    def counting(grams, p):
+        calls.append(len(grams))
+        return original(grams, p)
+
+    monkeypatch.setattr(family, "_rank_and_det", counting)
+    monkeypatch.setattr(quadform, "_rank_and_det", counting)
+    passed = Counter()
+    for name in ("net", "net_moved", "net_plane_pair", "net_zero_fiber"):
+        net, _ = load_net(str(GOLDEN / f"{name}.json"))
+        for p in (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53):
+            family.fiber_table.cache_clear()
+            calls.clear()
+            try:
+                report = regularity_check(net, PrimeField(p))
+            except BudgetExceededError:  # past 37 the zero fiber's kernel walks more of P^4 than the budget
+                continue
+            if report.skip_reason is None:
+                assert calls == [49, 0], (name, p)
+                passed[name] += 1
+    assert passed == {"net": 13, "net_moved": 13, "net_plane_pair": 13}
+
+
+def test_count_splits_v_once_per_prime(capsys):
+    # the line scan, the X count by projection and the reduced family read
+    # one `split_at` per prime
+    family.split_at.cache_clear()
+    reduction._reduced_classes.cache_clear()
+    assert main(["count", "--net", str(GOLDEN / "net.json"), "--primes", "23,29"]) == 0
+    info = family.split_at.cache_info()
+    assert (info.misses, info.hits) == (2, 4)
 
 
 def test_regularity_check_takes_the_kernels_from_one_elimination(monkeypatch):
@@ -824,13 +872,21 @@ def test_regularity_check_takes_the_kernels_from_one_elimination(monkeypatch):
 
 
 def test_fiber_table_is_read_only():
+    # at p = 7 > N the golden net's 7 degenerate fibers are smooth points of
+    # its discriminant, so its table keeps no rows; the walk at p = 5 < N
+    # keeps every degenerate fiber
     net, _ = load_net(str(GOLDEN / "net.json"))
     table = family.fiber_table(net, F7)
-    assert len(table[2]) == len(table[3]) == int((table[0] < net.fiber_size).sum()) > 0
-    for array in table:
-        with pytest.raises(ValueError):
-            array[0] = 0
+    assert table[2].shape == (0, 3) and table[3].shape == (0, 6, 6)
+    assert int((table[0] < net.fiber_size).sum()) == 7
     assert family.fiber_table(net, PrimeField(7)) is table
+    walked = family.fiber_table(net, F5)
+    assert len(walked[2]) == len(walked[3]) == int((walked[0] < net.fiber_size).sum()) > 0
+    for array in (*table, *walked):
+        assert not array.flags.writeable
+        if len(array):
+            with pytest.raises(ValueError):
+                array[0] = 0
 
 
 @pytest.mark.parametrize("p, qbar, y", [(3, 190, 20), (5, 956, 30), (41, 2969795, 1749), (53, 8202016, 2962)])
@@ -1010,8 +1066,9 @@ def test_golden_net_double_cover_at_primes_past_the_walk(p, y):
 
 def _plant_fiber(rng: random.Random, n: int, m: int, field: PrimeField, plant: str, w) -> QuadricNet:
     """A random (n, m) net mod p with the fiber M(w) planted: of corank 1,
-    of corank 2 or more, or zero; or with a kernel vector common to every
-    matrix, so that det M(w) vanishes identically mod p; or none."""
+    of corank 1 with its radical on every quadric, of corank 2 or more, or
+    zero; or with a kernel vector common to every matrix, so that det M(w)
+    vanishes identically mod p; or none."""
     p, size = field.p, n + 2
     mats = [np.array(random_symmetric(rng, size, p=p).entries, dtype=np.int64) for _ in range(m + 1)]
     if plant == "common kernel":  # A^T M A kills A^-1 e_0 when M kills e_0
@@ -1020,9 +1077,13 @@ def _plant_fiber(rng: random.Random, n: int, m: int, field: PrimeField, plant: s
             mat[0, :] = mat[:, 0] = 0
         mats = [a.T @ mat @ a % p for mat in mats]
     elif plant != "none":
-        rank = {"corank 1": size - 1, "corank 2+": rng.randint(1, size - 2), "zero fiber": 0}[plant]
+        rank = {"corank 1": size - 1, "radical on X": size - 1, "corank 2+": rng.randint(1, size - 2), "zero fiber": 0}[plant]
         a = np.array(random_invertible(rng, size, field), dtype=np.int64)
         diag = np.diag([rng.randrange(1, p) if i < rank else 0 for i in range(size)])
+        if plant == "radical on X":  # q_j(A^-1 e_last) = 0 for every j, and M(w) kills it
+            for mat in mats:
+                mat[-1, -1] = 0
+            mats = [a.T @ mat @ a % p for mat in mats]
         pivot = int(np.flatnonzero(w)[0])  # w_pivot = 1
         mats[pivot] = (a.T @ diag @ a - sum(x * mat for i, (x, mat) in enumerate(zip(w, mats)) if i != pivot)) % p
     return QuadricNet(n=n, m=m, matrices=tuple(gram_from_array(mat % p) for mat in mats))
@@ -1030,14 +1091,15 @@ def _plant_fiber(rng: random.Random, n: int, m: int, field: PrimeField, plant: s
 
 @st.composite
 def _net_with_a_planted_fiber(draw):
-    """A random (4,2), (2,1), (4,1) or (6,2) net mod a prime N < p <= 53,
-    with one fiber planted by `_plant_fiber` at a base point w drawn from a
-    drawn pivot block j: w_0 = .. = w_(j-1) = 0 and w_j = 1 past j = 0."""
-    n, m = draw(st.sampled_from([(4, 2), (2, 1), (4, 1), (6, 2)]))
+    """A random (4,2), (2,1), (4,1), (6,2) or (3,2) net mod a prime
+    N < p <= 53, with one fiber planted by `_plant_fiber` at a base point w
+    drawn from a drawn pivot block j: w_0 = .. = w_(j-1) = 0 and w_j = 1
+    past j = 0."""
+    n, m = draw(st.sampled_from([(4, 2), (2, 1), (4, 1), (6, 2), (3, 2)]))
     size = n + 2
     p = draw(st.sampled_from([q for q in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53) if q > size]))
     field = PrimeField(p)
-    plant = draw(st.sampled_from(["none", "corank 1", "corank 2+", "zero fiber", "common kernel"]))
+    plant = draw(st.sampled_from(["none", "corank 1", "radical on X", "corank 2+", "zero fiber", "common kernel"]))
     pivot = draw(st.integers(0, m))
     start = projective_size(m, p) - projective_size(m - pivot, p)  # the points of pivot blocks 0..j-1
     w = projective_points_array(m, field)[start + draw(st.integers(0, p ** (m - pivot) - 1))]
@@ -1045,7 +1107,7 @@ def _net_with_a_planted_fiber(draw):
     return _plant_fiber(rng, n, m, field, plant, w), tuple(w.tolist()), field, plant
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=120, deadline=None, derandomize=True)
 @given(_net_with_a_planted_fiber())
 @example((_plant_fiber(random.Random(101), 4, 2, PrimeField(101), "corank 2+", (0, 1, 7)), (0, 1, 7), PrimeField(101), "corank 2+"))
 def test_net_table_from_the_discriminant_matches_the_classified_walk(planted):
@@ -1053,13 +1115,23 @@ def test_net_table_from_the_discriminant_matches_the_classified_walk(planted):
     p, size = field.p, net.fiber_size
     family.fiber_table.cache_clear()
     table = family.fiber_table(net, field)
-    expected = fiber_classes(net.fibers(field), size, p)
-    for got, want in zip(table, expected, strict=True):
+    rank, signed, rows, grams = fiber_classes(net.fibers(field), size, p)
+    for got, want in zip(table[:2], (rank, signed), strict=True):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    # the table keeps the walk's fibers of corank >= 2 and those whose
+    # radical lies on X, where the discriminant's gradient vanishes; for odd
+    # N it keeps every degenerate fiber, whose rank N - 1 is even
+    kernel_rank, kernels = modmat.kernel_stack(grams, p)
+    radical = kernels.sum(axis=1)  # the nonzero row of a corank-1 kernel
+    values = np.einsum("fa,jab,fb->fj", radical, net.residues(field), radical) % p
+    kept = (kernel_rank < size - 1) | ~values.any(axis=1) | (size % 2 == 1)
+    for got, want in zip(table[2:], (rows[kept], grams[kept]), strict=True):
         assert got.dtype == want.dtype and np.array_equal(got, want)
     at_w = table[0][projective_points_array(net.m, field).tolist().index(list(w))]
-    corank = {"none": None, "corank 1": 1, "zero fiber": size}.get(plant)
+    corank = {"none": None, "corank 1": 1, "radical on X": 1, "zero fiber": size}.get(plant)
     assert corank is None or at_w == size - corank
     assert plant != "corank 2+" or at_w <= size - 2
+    assert plant != "radical on X" or list(w) in table[2].tolist()
     assert plant != "common kernel" or (table[0] < size).all()
     # the interpolated discriminant is det(sum w_i M_i) mod p
     coeffs = family._discriminant(net, field)
@@ -1067,6 +1139,32 @@ def test_net_table_from_the_discriminant_matches_the_classified_walk(planted):
     assert {tuple(e): int(coeffs[tuple(e)]) for e in np.argwhere(coeffs).tolist()} == {
         e: c % p for e, c in det.terms.items() if c % p
     }
+
+
+def test_discriminant_gradient_at_the_largest_prime():
+    # the discriminant and its partials at p = 2^31 - 1, where `matmul_mod`
+    # takes its split product, against the exact determinant of the golden
+    # net and its derivative in Python ints
+    net, _ = load_net(str(GOLDEN / "net.json"))
+    p = 2**31 - 1
+    field = PrimeField(p)
+    det = determinant_of_linear_matrix([mat.entries for mat in net.matrices])
+    coeffs = family._discriminant(net, field)
+    assert {tuple(e): int(coeffs[tuple(e)]) for e in np.argwhere(coeffs).tolist()} == {
+        e: c % p for e, c in det.terms.items() if c % p
+    }
+    rng = random.Random(31)
+    rows = [[1, rng.randrange(p), rng.randrange(p)] for _ in range(4)] + [[0, 1, p - 1], [0, 0, 1], [1, 0, 0]]
+    expected = [
+        [
+            sum(c * e[i] * math.prod(x ** (d - (l == i)) for l, (x, d) in enumerate(zip(w, e))) for e, c in det.terms.items() if e[i]) % p
+            for i in range(net.m + 1)
+        ]
+        for w in rows
+    ]
+    powers = np.array([[[pow(x, k, p) for k in range(net.fiber_size + 1)] for x in w] for w in rows], dtype=np.int64)
+    got = family._gradient(coeffs, powers, p)
+    assert got.dtype == np.int64 and got.tolist() == expected
 
 
 def test_inverse_vandermonde_in_closed_form_matches_the_elimination():
